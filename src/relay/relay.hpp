@@ -1,32 +1,32 @@
 // Relay node: a full re-publish tier in an HTTP fan-out tree.
 //
 // The node couples a RelaySubscriber (upstream-facing: consumes frames
-// from an origin or another relay) with its own HubRegistry + HttpServer
-// (downstream-facing: serves /api/poll, /api/stream, /api/state,
-// /api/stats with the origin's contract), so browsers and further relays
-// subscribe to a relay exactly as they would to the origin. Each tier
-// multiplies capacity: an origin serving R relays instead of N browsers
-// carries R keep-alive connections and R body copies per frame, while
-// each relay fans the same pre-encoded bodies out to its own N/R clients.
+// from an origin or another relay) with a web::FrameService
+// (downstream-facing: the origin's own serving contract — dashboard,
+// /api/poll, /api/stream, /api/state, /api/stats — over a local
+// HubRegistry), so browsers and further relays subscribe to a relay
+// exactly as they would to the origin. Each tier multiplies capacity: an
+// origin serving R relays instead of N browsers carries R keep-alive
+// connections and R body copies per frame, while each relay fans the same
+// pre-encoded bodies out to its own N/R clients.
 //
-// Serving-side resync: a downstream client that needs a full snapshot the
-// relay's local window cannot provide (fresh join against a delta-only
-// head, or an explicit full=1) triggers subscriber.request_resync() —
-// latched upstream — and the client's poll re-parks on the local hub
-// until the resync's full frame lands (or its own deadline passes).
-// Control traffic (POST /api/steer, /api/view) is forwarded upstream
-// verbatim: steering always reaches the origin simulation.
+// The relay's serving policy: bodies go out at the full tier they were
+// received in; a downstream client that needs a full snapshot the local
+// window cannot provide (fresh join against a delta-only head, or an
+// explicit full=1) triggers subscriber.request_resync() — latched
+// upstream — while its poll re-parks (its stream skips) until the full
+// frame lands; every response carries X-Relay-Path, and requests whose
+// chain would close a loop get 409. Control traffic (POST /api/steer,
+// /api/view) is forwarded upstream verbatim: steering always reaches the
+// origin simulation.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "relay/subscriber.hpp"
+#include "web/frame_service.hpp"
 #include "web/http.hpp"
 #include "web/registry.hpp"
 #include "web/session.hpp"
@@ -67,35 +67,19 @@ class RelayNode {
   /// bound port.
   int start();
   void stop();
-  int port() const noexcept { return server_.port(); }
+  int port() const noexcept { return service_.server().port(); }
 
-  web::HttpServer& server() noexcept { return server_; }
-  web::HubRegistry& registry() noexcept { return registry_; }
+  web::HttpServer& server() noexcept { return service_.server(); }
+  web::HubRegistry& registry() noexcept { return service_.registry(); }
   RelaySubscriber& subscriber() noexcept { return subscriber_; }
 
  private:
-  struct RelayStream;  // SSE pump state (relay.cpp)
-
-  void handle_poll(const web::HttpRequest& request,
-                   web::HttpServer::ResponseSink sink);
-  /// The re-parking poll wait: serves the first frame after `cursor` that
-  /// can answer the client (delta when sequential, full otherwise),
-  /// escalating one upstream resync and re-parking past delta-only frames
-  /// a full-needing client cannot use.
-  void park_poll(std::shared_ptr<web::FrameHub> hub, std::string view,
-                 std::uint64_t client_since, std::uint64_t cursor,
-                 bool want_delta,
-                 std::chrono::steady_clock::time_point deadline,
-                 std::shared_ptr<web::ClientSession> session,
-                 web::FrameHub::WaitOptions options,
-                 web::HttpServer::ResponseSink sink);
-  void handle_stream(const web::HttpRequest& request,
-                     web::HttpServer::StreamSink sink);
-  void stream_pump(const std::shared_ptr<RelayStream>& s);
-  web::HttpResponse handle_state(const web::HttpRequest& request);
-  web::HttpResponse handle_stats(const web::HttpRequest& request);
+  web::ServingPolicy serving_policy();
   web::HttpResponse forward_post(const web::HttpRequest& request,
                                  const std::string& path);
+  /// The service's stats blocks for this node: identity and chain, plus
+  /// the subscriber's per-view forwarding counters.
+  void add_stats(util::Json& out) const;
 
   /// This node's X-Relay-Path response value: "<own id>,<upstream chain>".
   std::string relay_path_header() const;
@@ -104,8 +88,7 @@ class RelayNode {
   bool request_path_conflicts(const web::HttpRequest& request) const;
 
   RelayNodeConfig config_;
-  web::HttpServer server_;
-  web::HubRegistry registry_;
+  web::FrameService service_;
   RelaySubscriber subscriber_;
 
   /// Upstream control-channel client (steer/view forwarding). HttpClient

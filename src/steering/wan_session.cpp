@@ -208,6 +208,9 @@ WanResult run_wan_session(netsim::Network& net, const WanSessionConfig& config) 
   });
 
   net.simulator().run();
+  // Each flow's completion callback holds `s`, which holds the flows: drop
+  // them so the session state is freed.
+  s->flows.clear();
   return s->result;
 }
 

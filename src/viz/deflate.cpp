@@ -104,6 +104,9 @@ class BitReader {
       --count;
     }
     if (pos_ + count > n_) throw std::runtime_error("inflate: truncated block");
+    // An empty stored block hands in an empty output's null data():
+    // memcpy with a null pointer is undefined even for zero bytes.
+    if (count == 0) return;
     std::memcpy(dst, data_ + pos_, count);
     pos_ += count;
   }

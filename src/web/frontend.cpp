@@ -1,9 +1,7 @@
 #include "web/frontend.hpp"
 
-#include <algorithm>
-#include <array>
 #include <chrono>
-#include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "util/strings.hpp"
@@ -12,308 +10,25 @@ namespace ricsa::web {
 
 namespace {
 
-/// The embedded dashboard: no frameworks. Prefers the SSE push channel
-/// (/api/stream — one request, events forever) and falls back to plain XHR
-/// long-polling when EventSource is missing or the stream fails before its
-/// first event. Both transports ask for delta=1 and merge partial state
-/// updates client-side — only the UI elements that contain new information
-/// change, the partial-update behaviour the paper highlights about Ajax
-/// UIs.
-constexpr const char* kDashboardHtml = R"HTML(<!doctype html>
-<html><head><meta charset="utf-8"><title>RICSA monitor</title>
-<style>
- body{font-family:sans-serif;background:#101018;color:#dde;margin:20px}
- #frame{border:1px solid #446;image-rendering:pixelated;width:384px;height:384px}
- .row{margin:6px 0} label{display:inline-block;width:120px}
- input{width:80px} button{margin-left:4px}
- #status{white-space:pre;font-family:monospace;font-size:12px;color:#9fb}
-</style></head><body>
-<h2>RICSA &mdash; computational monitoring &amp; steering</h2>
-<div style="display:flex;gap:24px">
- <div><canvas id="frame" width="384" height="384"></canvas></div>
- <div>
-  <div class="row"><label>watch view</label>
-   <select id="viewsel"><option>main</option></select></div>
-  <div class="row"><label>variable</label>
-   <select id="variable"><option>density</option><option>pressure</option>
-   <option>velocity</option><option>energy</option></select></div>
-  <div class="row"><label>isovalue</label><input id="isovalue" value="0.5"/></div>
-  <div class="row"><label>azimuth</label><input id="azimuth" value="0.7"/></div>
-  <div class="row"><label>zoom</label><input id="zoom" value="1.0"/></div>
-  <div class="row"><label>octant</label><input id="octant" value="-1"/></div>
-  <div class="row"><button onclick="postView()">apply view</button></div>
-  <hr/>
-  <div class="row"><label>parameter</label><input id="pname" value="gamma"/></div>
-  <div class="row"><label>value</label><input id="pvalue" value="1.4"/></div>
-  <div class="row"><button onclick="steer()">steer</button></div>
- </div>
-</div>
-<div id="status">connecting...</div>
-<script>
-// Sharded hubs: every published view is its own server-side stream with
-// its own seq space and tile-delta chain, so the dashboard keeps one
-// cursor record per view — switching back to a view resumes its stream
-// instead of restarting it.
-//   since      last seq received (the poll cursor)
-//   composited seq of the frame last painted for this view (what tile
-//              deltas patch)
-//   needFull   resync escape hatch: when a delta cannot be composited, the
-//              next poll asks for a complete frame with full=1
-let currentView = 'main';
-const viewRecs = {};
-function rec(name){
-  if (!viewRecs[name]) {
-    viewRecs[name] = {since: 0, composited: 0, needFull: true, state: {},
-                      tier: 'full'};
-  }
-  return viewRecs[name];
-}
-let tier = 'full';
-// Frame generation: image decodes are async, so a slow decode from frame N
-// must never paint over a frame accepted after it — stale generations are
-// dropped on decode completion. A view switch also bumps it, so decodes of
-// the previous view never paint over the new one. Within the surviving
-// generation the composite cursor is assigned *unconditionally* (never
-// max()-guarded): after a server restart the resync frame carries a
-// smaller seq than the stale cursor, and refusing to move backwards would
-// wedge the client out of tile deltas forever.
-let frameGen = 0;
-// Poll epoch: a view switch aborts the in-flight long-poll and starts a
-// fresh loop; the aborted handler sees a stale epoch and exits instead of
-// double-looping.
-let pollEpoch = 0;
-let pollXhr = null;
-// Preferred transport: the SSE push channel when the browser has
-// EventSource; demoted to 'poll' the moment a stream fails before its
-// first event (startStream's negotiation).
-let transport = (typeof EventSource !== 'undefined') ? 'sse' : 'poll';
-let es = null;
-const canvas = document.getElementById('frame');
-const ctx = canvas.getContext('2d');
-// Per-client session identity: the server meters this client's goodput and
-// adapts its quality tier / frame rate (the paper's network optimization,
-// applied per browser). One identity across every view this browser
-// watches — the server paces the client, not each stream.
-const client = 'c' + Math.random().toString(36).slice(2, 10) +
-               Date.now().toString(36);
-function drawFull(v, b64, seq){
-  const gen = ++frameGen;
-  const im = new Image();
-  im.onload = function(){
-    if (gen !== frameGen) return;  // a newer frame superseded this decode
-    if (canvas.width !== im.width || canvas.height !== im.height) {
-      canvas.width = im.width; canvas.height = im.height;
-    }
-    ctx.drawImage(im, 0, 0);
-    v.composited = seq;
-    v.needFull = false;
-  };
-  im.onerror = function(){ v.needFull = true; };
-  im.src = 'data:image/png;base64,' + b64;
-}
-function drawTiles(v, r){
-  // Decode every tile first, then paint all of them in one synchronous
-  // pass: the visible canvas never shows a partially patched frame, and
-  // the composite cursor advances atomically with the paint. Any decode
-  // failure falls back to full=1.
-  const gen = ++frameGen;
-  let pending = r.tiles.length;
-  if (pending === 0) { v.composited = r.seq; return; }
-  const decoded = new Array(pending);
-  r.tiles.forEach(function(t, i){
-    const im = new Image();
-    im.onload = function(){
-      if (gen !== frameGen) return;
-      decoded[i] = im;
-      if (--pending === 0) {
-        r.tiles.forEach(function(t2, j){
-          ctx.drawImage(decoded[j], t2.x, t2.y);
-        });
-        v.composited = r.seq;
-      }
-    };
-    im.onerror = function(){ v.needFull = true; };
-    im.src = 'data:image/png;base64,' + t.png_b64;
-  });
-}
-// One frame body — the transports carry identical JSON, so SSE events and
-// poll responses land in the same handler.
-function handleFrame(v, view, r){
-  // Accept any non-timeout frame — including a resync whose seq is
-  // *below* a stale cursor (server restarted — or the idle shard was
-  // reaped and revived — and its seq re-counts from 1).
-  if (!r.seq || r.timeout) return;
-  // Delta responses carry only the changed keys; merge them.
-  if (r.delta && r.seq === v.since + 1) Object.assign(v.state, r.state);
-  else v.state = r.state;
-  v.since = r.seq;
-  if (r.tier) { tier = r.tier; v.tier = r.tier; }
-  if (r.tiles) {
-    // Tiles patch the frame named by base_seq; anything else on the
-    // canvas would yield a franken-frame — resync instead.
-    if (r.base_seq === v.composited) drawTiles(v, r);
-    else v.needFull = true;
-  } else if (r.image_b64) {
-    drawFull(v, r.image_b64, r.seq);
-  } else {
-    // No tiles and no image: the frame's pixels are byte-identical
-    // to what the canvas already shows (or this is a state-only
-    // tier, where a later tier switch forces a full frame anyway) —
-    // advance the composite cursor so the tile chain survives idle
-    // frames instead of forcing a needless full resync. A decode
-    // still in flight may re-assign its own (older) seq afterwards;
-    // that costs at most one transient full resync.
-    v.composited = r.seq;
-  }
-  document.getElementById('status').textContent =
-      'view: ' + view + '  tier: ' + tier + ' (' + transport + ')\n' +
-      JSON.stringify(v.state, null, 1);
-}
-function poll(){
-  const epoch = pollEpoch;
-  const view = currentView;
-  const v = rec(view);
-  const xhr = new XMLHttpRequest();
-  pollXhr = xhr;
-  // The cursor echoes the seq last *composited* for this view: the server
-  // anchors tile deltas at the frame this client actually shows.
-  xhr.open('GET', '/api/poll?since=' + v.since + '&delta=1&client=' + client +
-           '&view=' + encodeURIComponent(view) +
-           (v.needFull ? '&full=1' : ''), true);
-  xhr.onload = function(){
-    if (epoch !== pollEpoch) return;  // superseded by a view switch
-    try { handleFrame(v, view, JSON.parse(xhr.responseText)); } catch(e) {}
-    poll();
-  };
-  xhr.onerror = function(){
-    if (epoch !== pollEpoch) return;
-    setTimeout(function(){ if (epoch === pollEpoch) poll(); }, 1000);
-  };
-  xhr.send();
-}
-// Transport negotiation: one EventSource replaces the whole poll loop —
-// same query contract, same bodies, one `data:` event per frame. Any
-// failure before the first event means no server-side stream support (or a
-// proxy eating chunked responses): fall back to long-poll for good. A
-// failure *after* events flowed is a reap/restart; reconnect over SSE and
-// take the stale-cursor resync.
-function startStream(){
-  const epoch = pollEpoch;
-  const view = currentView;
-  const v = rec(view);
-  let gotEvent = false;
-  es = new EventSource('/api/stream?since=' + v.since + '&delta=1&client=' +
-                       client + '&view=' + encodeURIComponent(view) +
-                       (v.needFull ? '&full=1' : ''));
-  es.onmessage = function(e){
-    if (epoch !== pollEpoch) return;
-    gotEvent = true;
-    try { handleFrame(v, view, JSON.parse(e.data)); } catch(err) {}
-    if (v.needFull) {
-      // A delta could not be composited mid-stream: reconnect asking the
-      // first event to be a complete frame (the stream's full=1 resync).
-      ++pollEpoch;
-      es.close(); es = null;
-      startTransport();
-    }
-  };
-  es.onerror = function(){
-    if (epoch !== pollEpoch) return;
-    ++pollEpoch;
-    es.close(); es = null;
-    if (!gotEvent) transport = 'poll';
-    setTimeout(function(){ startTransport(); }, gotEvent ? 250 : 0);
-  };
-}
-function startTransport(){
-  if (transport === 'sse') startStream(); else poll();
-}
-function switchView(){
-  currentView = document.getElementById('viewsel').value;
-  // The canvas holds another view's pixels: tile deltas must not patch
-  // them. Ask for a complete frame and invalidate in-flight decodes.
-  rec(currentView).needFull = true;
-  ++frameGen;
-  ++pollEpoch;
-  if (pollXhr) pollXhr.abort();
-  if (es) { es.close(); es = null; }
-  startTransport();
-}
-function refreshViews(){
-  // The registry's live shards populate the selector: what the publisher
-  // declares is what a browser can watch.
-  const xhr = new XMLHttpRequest();
-  xhr.open('GET', '/api/stats', true);
-  xhr.onload = function(){
-    try {
-      const names = Object.keys(JSON.parse(xhr.responseText).views || {});
-      const sel = document.getElementById('viewsel');
-      const have = {};
-      for (let i = 0; i < sel.options.length; i++) {
-        have[sel.options[i].value] = true;
-      }
-      names.forEach(function(n){
-        if (!have[n]) {
-          const opt = document.createElement('option');
-          opt.value = n; opt.textContent = n;
-          sel.appendChild(opt);
-        }
-      });
-    } catch(e) {}
-    setTimeout(refreshViews, 5000);
-  };
-  xhr.onerror = function(){ setTimeout(refreshViews, 5000); };
-  xhr.send();
-}
-document.getElementById('viewsel').onchange = switchView;
-refreshViews();
-function steer(){
-  const body = {};
-  body[document.getElementById('pname').value] =
-      parseFloat(document.getElementById('pvalue').value);
-  const xhr = new XMLHttpRequest();
-  xhr.open('POST', '/api/steer', true);
-  xhr.send(JSON.stringify(body));
-}
-function postView(){
-  const body = {
-    variable: document.getElementById('variable').value,
-    isovalue: parseFloat(document.getElementById('isovalue').value),
-    azimuth: parseFloat(document.getElementById('azimuth').value),
-    zoom: parseFloat(document.getElementById('zoom').value),
-    octant: parseInt(document.getElementById('octant').value)
-  };
-  const xhr = new XMLHttpRequest();
-  xhr.open('POST', '/api/view', true);
-  xhr.send(JSON.stringify(body));
-}
-startTransport();
-</script></body></html>)HTML";
-
-}  // namespace
-
-namespace {
-
-PacingConfig pacing_of(const FrontEndConfig& config) {
-  PacingConfig pacing = config.pacing;
-  pacing.frame_interval_s = config.frame_interval_s;
-  return pacing;
-}
-
-HubRegistry::Config registry_config_of(const FrontEndConfig& config,
-                                       net::Reactor* reactor) {
+HubRegistry::Config registry_config_of(const FrontEndConfig& config) {
   HubRegistry::Config registry;
   registry.hub.window = config.frame_window;
   registry.hub.raw_window = config.raw_window;
   registry.hub.workers = config.hub_workers;
-  registry.hub.max_wait_s = config.poll_timeout_s;
   registry.hub.tile_size = config.tile_size;
-  registry.hub.reactor = reactor;
-  registry.pacing = pacing_of(config);
+  registry.pacing = config.pacing;
+  registry.pacing.frame_interval_s = config.frame_interval_s;
   registry.idle_reap_s = config.view_idle_reap_s;
-  registry.idle_publish_divisor = config.idle_publish_divisor;
-  registry.idle_publish_after_s = config.idle_publish_after_s;
   return registry;
+}
+
+FrameService::Setup setup_of(const FrontEndConfig& config) {
+  FrameService::Setup setup;
+  setup.poll_timeout_s = config.poll_timeout_s;
+  setup.workers = config.http_workers;
+  setup.reactors = config.reactors;
+  setup.max_connections = config.max_connections;
+  return setup;
 }
 
 }  // namespace
@@ -321,28 +36,33 @@ HubRegistry::Config registry_config_of(const FrontEndConfig& config,
 AjaxFrontEnd::AjaxFrontEnd(FrontEndConfig config)
     : config_(config),
       session_(config.session),
-      registry_(registry_config_of(config, &server_.reactor())),
-      main_hub_(registry_.default_hub()) {
-  // The connection idle-read timeout must exceed the longest long-poll wait
-  // any route can hand out (poll timeout == hub max wait here), else a
-  // legal configuration silently kills keep-alive connections mid-poll.
-  server_.set_idle_read_timeout(config_.poll_timeout_s + 15.0);
-  server_.set_workers(config_.http_workers);
-  server_.set_max_connections(config_.max_connections);
-  server_.set_sndbuf(config_.sndbuf);
-  // set_reactors keeps reactor(0)'s identity, so the hub sweeps the
-  // registry registered on it above stay valid.
-  server_.set_reactors(config_.reactors);
-  server_.set_accept_mode(config_.accept_hand_off
-                              ? HttpServer::AcceptMode::kHandOff
-                              : HttpServer::AcceptMode::kReusePort);
-  register_routes();
+      service_(registry_config_of(config), setup_of(config),
+               [this] {
+                 ServingPolicy policy;
+                 policy.add_stats = [this](util::Json& out) {
+                   out["steers"] = static_cast<double>(steers_.load());
+                 };
+                 return policy;
+               }(),
+               config.frame_interval_s),
+      main_hub_(service_.registry().default_hub()) {
+  HttpServer& server = service_.server();
+  server.set_sndbuf(config_.sndbuf);
+  server.set_accept_mode(config_.accept_hand_off
+                             ? HttpServer::AcceptMode::kHandOff
+                             : HttpServer::AcceptMode::kReusePort);
+  service_.route("GET", "/api/image",
+                 [this](const HttpRequest& r) { return handle_image(r); });
+  service_.route("POST", "/api/steer",
+                 [this](const HttpRequest& r) { return handle_steer(r); });
+  service_.route("POST", "/api/view",
+                 [this](const HttpRequest& r) { return handle_view(r); });
 }
 
 AjaxFrontEnd::~AjaxFrontEnd() { stop(); }
 
 int AjaxFrontEnd::start() {
-  const int port = server_.start(config_.port);
+  const int port = service_.server().start(config_.port);
   running_ = true;
   loop_thread_ = std::thread([this] { frame_loop(); });
   return port;
@@ -351,31 +71,13 @@ int AjaxFrontEnd::start() {
 void AjaxFrontEnd::stop() {
   if (!running_.exchange(false)) return;
   if (loop_thread_.joinable()) loop_thread_.join();
-  // Order matters: close every connection first so hub callbacks flushed by
-  // shutdown() hit dead sockets instead of re-entering live poll loops.
-  server_.stop();
-  registry_.shutdown();
-}
-
-void AjaxFrontEnd::register_routes() {
-  server_.route("GET", "/", [this](const HttpRequest& r) { return handle_index(r); });
-  server_.route("GET", "/api/state", [this](const HttpRequest& r) { return handle_state(r); });
-  server_.route("GET", "/api/stats", [this](const HttpRequest& r) { return handle_stats(r); });
-  server_.route("GET", "/api/image", [this](const HttpRequest& r) { return handle_image(r); });
-  server_.route("POST", "/api/steer", [this](const HttpRequest& r) { return handle_steer(r); });
-  server_.route("POST", "/api/view", [this](const HttpRequest& r) { return handle_view(r); });
-  server_.route_async("GET", "/api/poll",
-                      [this](const HttpRequest& r, HttpServer::ResponseSink s) {
-                        handle_poll_async(r, std::move(s));
-                      });
-  server_.route_stream("GET", "/api/stream",
-                       [this](const HttpRequest& r, HttpServer::StreamSink s) {
-                         handle_stream(r, std::move(s));
-                       });
+  service_.stop();
 }
 
 void AjaxFrontEnd::frame_loop() {
-  frame_period_s_.store(config_.frame_interval_s);
+  HubRegistry& registry = service_.registry();
+  double period_ewma = config_.frame_interval_s;
+  service_.set_cadence(period_ewma);
   auto last_publish = std::chrono::steady_clock::now();
   while (running_.load()) {
     // Apply client-posted view/viz changes on the session's thread.
@@ -420,7 +122,7 @@ void AjaxFrontEnd::frame_loop() {
     const auto frame = session_.next_frame();
 
     util::Json state;
-    state["view"] = registry_.default_view_name();
+    state["view"] = registry.default_view_name();
     state["cycle"] = frame.cycle;
     state["sim_time"] = frame.sim_time;
     state["variable"] = frame.variable;
@@ -448,14 +150,10 @@ void AjaxFrontEnd::frame_loop() {
     // out to that shard's parked pollers. The reduced image is only built
     // while some client actually occupies the half tier (session-global:
     // tiers are per client, not per view).
-    const bool build_half = registry_.sessions().wants_half_tier();
-    registry_.publish(registry_.default_view_name(), std::move(state),
-                      frame.image, build_half);
+    const bool build_half = registry.sessions().wants_half_tier();
+    registry.publish(registry.default_view_name(), std::move(state),
+                     frame.image, build_half);
     for (const ViewSpec& spec : config_.views) {
-      // An idle-decimated view skips the rasterization itself, not just the
-      // hub-side snapshot/encode: wants_publish advances the same skip
-      // counter the publish path checks, keeping the 1-in-N cadence exact.
-      if (!registry_.wants_publish(spec.name)) continue;
       const auto exec = session_.render_view(spec.viz, spec.camera);
       if (!exec) continue;
       util::Json view_state;
@@ -474,8 +172,8 @@ void AjaxFrontEnd::frame_loop() {
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::system_clock::now().time_since_epoch())
               .count()) / 1000.0;
-      registry_.publish(spec.name, std::move(view_state), exec->image,
-                        build_half);
+      registry.publish(spec.name, std::move(view_state), exec->image,
+                       build_half);
     }
 
     const auto now = std::chrono::steady_clock::now();
@@ -485,445 +183,12 @@ void AjaxFrontEnd::frame_loop() {
     // EWMA of the real publish period (sim + render + sleep): pacing must
     // judge clients against what is actually published, not the nominal
     // cadence.
-    frame_period_s_.store(0.8 * frame_period_s_.load() + 0.2 * period);
+    period_ewma = 0.8 * period_ewma + 0.2 * period;
+    service_.set_cadence(period_ewma);
 
     std::this_thread::sleep_for(
         std::chrono::duration<double>(config_.frame_interval_s));
   }
-}
-
-namespace {
-
-/// Strict cursor parse shared by /api/poll and /api/stream: std::stoull
-/// silently negates a leading '-' ("-1" wraps to 2^64-1) and ignores
-/// trailing garbage, so insist on a digit up front and a full parse.
-bool parse_since(const std::string& raw, std::uint64_t& out) {
-  if (raw.empty() || raw[0] < '0' || raw[0] > '9') return false;
-  try {
-    std::size_t parsed = 0;
-    out = static_cast<std::uint64_t>(std::stoull(raw, &parsed));
-    return parsed == raw.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-/// Strict wait-timeout parse: std::stod accepts "nan" and negatives
-/// without throwing, and either would poison the hub's deadline
-/// arithmetic. Clamps to [0, ceiling].
-bool parse_timeout(const std::string& raw, double ceiling, double& out) {
-  try {
-    std::size_t parsed = 0;
-    const double value = std::stod(raw, &parsed);
-    if (parsed != raw.size() || std::isnan(value)) return false;
-    out = std::clamp(value, 0.0, ceiling);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-}  // namespace
-
-std::shared_ptr<FrameHub> AjaxFrontEnd::resolve_view(
-    const HttpRequest& request, std::string* resolved) {
-  const std::string view = request.query_param("view");
-  if (view.empty() || view == registry_.default_view_name()) {
-    // Missing view: the single-hub contract, served by the default shard.
-    if (resolved != nullptr) *resolved = registry_.default_view_name();
-    return main_hub_;
-  }
-  if (resolved != nullptr) *resolved = view;
-  // subscribe() revives reaped shards of known names; unknown names (the
-  // publisher never declared them) stay null — the caller's 404.
-  return registry_.subscribe(view);
-}
-
-void AjaxFrontEnd::handle_poll_async(const HttpRequest& request,
-                                     HttpServer::ResponseSink sink) {
-  std::string view;
-  const std::shared_ptr<FrameHub> hub = resolve_view(request, &view);
-  if (!hub) {
-    sink(HttpResponse::not_found());
-    return;
-  }
-  std::uint64_t since = 0;
-  if (!parse_since(request.query_param("since", "0"), since)) {
-    sink(HttpResponse::bad_request("since must be a non-negative integer"));
-    return;
-  }
-  double timeout = config_.poll_timeout_s;
-  const std::string timeout_raw = request.query_param("timeout");
-  if (!timeout_raw.empty() &&
-      !parse_timeout(timeout_raw, config_.poll_timeout_s, timeout)) {
-    sink(HttpResponse::bad_request("timeout must be a number, not NaN"));
-    return;
-  }
-  // `full=1` is the client's resync escape hatch: a browser whose canvas
-  // composite failed (or that otherwise lost track of what it shows) asks
-  // for a complete frame regardless of its cursor.
-  const bool want_delta = request.query_param("delta", "0") == "1" &&
-                          request.query_param("full", "0") != "1";
-
-  // Per-client adaptive pacing: a `client` identifier opts the poll into a
-  // session whose measured goodput picks the quality tier and the minimum
-  // inter-frame interval. Identifier-less polls keep the legacy contract
-  // (full tier, gap-free window replay).
-  std::shared_ptr<ClientSession> session;
-  Tier tier = Tier::kFull;
-  bool tier_delta_ok = true;
-  FrameHub::WaitOptions options;
-  options.timeout_s = timeout;
-  // The id is attacker-chosen input that becomes a map key: an invalid one
-  // (over-long, bad charset) is treated as absent, i.e. the unpaced path.
-  const std::string client = sanitize_client_id(request.query_param("client"));
-  if (!client.empty()) {
-    const double now = mono_now_s();
-    // A null session (table at its cap for this flood of distinct ids)
-    // falls through to the unpaced legacy path. One table for every view:
-    // the same browser polling two shards shares one meter/controller.
-    session = registry_.sessions().acquire(client, request.peer, now);
-    if (session) {
-      const ClientSession::Decision decision =
-          session->decide(now, frame_period_s_.load(), view);
-      tier = decision.tier;
-      tier_delta_ok = decision.allow_delta;
-      options.latest_only = decision.skip_to_latest;
-      if (decision.not_before_s > now) {
-        options.not_before =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(decision.not_before_s - now));
-      }
-    }
-  }
-
-  // The completion captures the hub shared_ptr: a shard reaped mid-wait
-  // stays alive (shut down, but valid) until its last parked completion ran.
-  hub->wait_async(
-      since, options,
-      [hub, view, since, want_delta, tier, tier_delta_ok,
-       session = std::move(session), cadence = frame_period_s_.load(),
-       sink = std::move(sink)](FramePtr frame) {
-        if (!frame) {
-          // Echo the client's own cursor, not the current head: a publish
-          // racing this timeout must not let the client advance past a
-          // frame it never received.
-          util::Json out;
-          out["seq"] = static_cast<double>(since);
-          out["timeout"] = true;
-          sink(HttpResponse::json(out.dump()));
-          if (session) session->on_timeout(mono_now_s());
-          return;
-        }
-        // Delta selection, cheapest first. A cursor exactly one frame
-        // behind (same tier as its previous delivery) gets the prebuilt
-        // sequential delta body. A cursor further behind — the paced /
-        // skipping client — gets a delta assembled against its *actual*
-        // cursor frame, from the publish-time tile encodes, while that
-        // frame remains in the retention window. Everyone else (fresh
-        // clients, cursors past the window edge, tier changes, full=1
-        // resyncs, stale-epoch resyncs) gets the full snapshot.
-        // Prebuilt bodies ride as aliased frame buffers (body_shared): the
-        // HTTP layer scatter-gathers them into the response, so N watchers
-        // of one frame share one allocation. Only a cursor-anchored
-        // assembled delta — unique to this client — is a fresh string.
-        std::shared_ptr<const std::string> body;
-        if (want_delta && tier_delta_ok && frame->seq == since + 1) {
-          body = body_shared(frame, tier, true);
-        } else if (want_delta && tier_delta_ok && since > 0 &&
-                   frame->seq > since + 1) {
-          std::string assembled = hub->delta_body_for(frame, since, tier);
-          if (!assembled.empty()) {
-            body = std::make_shared<const std::string>(std::move(assembled));
-          }
-        }
-        if (!body || body->empty()) body = body_shared(frame, tier, false);
-        const std::size_t bytes = body->size();
-        if (!session) {
-          sink(HttpResponse::json_shared(std::move(body)));
-          return;
-        }
-        // Stamp the dispatch instant, then account the delivery from the
-        // kernel-drain callback: the pair brackets enqueue → socket-buffer
-        // empty, the per-delivery RTT the delay-based controllers steer
-        // on. TCP backpressure from a slow reader shows up as drain
-        // latency, exactly like the SSE path's chunk callback.
-        const std::uint64_t skipped =
-            (since != 0 && frame->seq > since + 1) ? frame->seq - since - 1
-                                                   : 0;
-        session->note_dispatch(mono_now_s(), view);
-        sink(HttpResponse::json_shared(std::move(body)),
-             [session, bytes, skipped, tier, cadence, view] {
-               session->on_delivered(mono_now_s(), bytes, skipped, tier,
-                                     cadence, view);
-             });
-      });
-}
-
-namespace {
-
-/// One SSE subscription: the stream-side twin of a long-poll loop. The
-/// raw pointers (registry, frame period) are owned by the AjaxFrontEnd,
-/// whose stop() order guarantees no pump step runs after they die: the
-/// server stops first (every stream connection closes, chunk() starts
-/// refusing), then the registry shuts its hubs down, which completes any
-/// still-parked waiter before returning.
-struct SseStream {
-  std::shared_ptr<FrameHub> hub;
-  HubRegistry* registry = nullptr;
-  const std::atomic<double>* frame_period = nullptr;
-  std::string view;
-  std::shared_ptr<ClientSession> session;
-  HttpServer::StreamSink sink;
-  std::uint64_t since = 0;
-  bool want_delta = false;
-  /// full=1 resync: the first event carries a complete frame no matter
-  /// where the cursor stands; deltas resume from there.
-  bool force_full = false;
-  /// Per-wait bound: when it elapses without a frame the stream emits a
-  /// keepalive comment and waits again.
-  double timeout_s = 15.0;
-};
-
-/// One step of the push loop: make the same pacing decision a poll would,
-/// park on the hub, and on completion push the same body a poll would have
-/// carried. The next step is armed only from the chunk's drained callback,
-/// so a slow consumer paces its own stream through TCP backpressure — and
-/// feeds the goodput meter drain-time timestamps, exactly what on_delivered
-/// sees on the poll path. No unbounded recursion: chunk() always defers
-/// through a reactor post, so each event breaks the call chain.
-void sse_pump(const std::shared_ptr<SseStream>& s) {
-  if (!s->sink.alive()) return;
-  const double now = mono_now_s();
-  const double cadence = s->frame_period->load();
-  Tier tier = Tier::kFull;
-  bool tier_delta_ok = true;
-  FrameHub::WaitOptions options;
-  options.timeout_s = s->timeout_s;
-  if (s->session) {
-    const ClientSession::Decision decision =
-        s->session->decide(now, cadence, s->view);
-    tier = decision.tier;
-    tier_delta_ok = decision.allow_delta;
-    options.latest_only = decision.skip_to_latest;
-    if (decision.not_before_s > now) {
-      options.not_before =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(decision.not_before_s - now));
-    }
-  }
-  s->hub->wait_async(s->since, options, [s, tier, tier_delta_ok,
-                                         cadence](FramePtr frame) {
-    if (!frame) {
-      if (s->hub->is_shutdown()) {
-        // The shard is gone — reaped idle or server stopping. End the
-        // stream cleanly (terminal chunk, close); a reconnecting client
-        // brings its stale cursor and takes the same clamp-to-head resync
-        // long-pollers take against a revived shard.
-        s->sink.end();
-        return;
-      }
-      if (s->session) s->session->on_timeout(mono_now_s());
-      // Comment line: feeds the client's liveness timer without touching
-      // onmessage, the SSE idiom for "still here, nothing new".
-      s->sink.chunk(": keepalive\n\n", [s] { sse_pump(s); });
-      return;
-    }
-    // Identical body selection to /api/poll's completion: sequential
-    // prebuilt delta, cursor-anchored assembled delta, else the full
-    // snapshot at the session's tier.
-    std::shared_ptr<const std::string> body;
-    const std::uint64_t since = s->since;
-    const bool want_delta = s->want_delta && tier_delta_ok && !s->force_full;
-    if (want_delta && frame->seq == since + 1) {
-      body = body_shared(frame, tier, true);
-    } else if (want_delta && since > 0 && frame->seq > since + 1) {
-      std::string assembled = s->hub->delta_body_for(frame, since, tier);
-      if (!assembled.empty()) {
-        body = std::make_shared<const std::string>(std::move(assembled));
-      }
-    }
-    if (!body || body->empty()) body = body_shared(frame, tier, false);
-    s->force_full = false;
-    const std::uint64_t skipped =
-        (since != 0 && frame->seq > since + 1) ? frame->seq - since - 1 : 0;
-    s->since = frame->seq;
-    // The event is a chain, not a concatenation: tiny copied framing lines
-    // bracket the shared body buffer (compact JSON: never carries a raw
-    // newline), which rides to the socket without being copied per client.
-    const std::size_t bytes = body->size();
-    net::BufferChain event;
-    event.append_copy("id: " + std::to_string(frame->seq) + "\ndata: ");
-    event.append_shared(std::move(body));
-    event.append_copy("\n\n");
-    // Dispatch stamp at chunk issue; the drained callback below completes
-    // the RTT bracket the delay-based controllers consume.
-    if (s->session) s->session->note_dispatch(mono_now_s(), s->view);
-    s->sink.chunk(std::move(event), [s, bytes, skipped, tier, cadence] {
-      if (s->session) {
-        s->session->on_delivered(mono_now_s(), bytes, skipped, tier, cadence,
-                                 s->view);
-      }
-      // A stream subscribes once but consumes continuously; each drained
-      // event counts as subscriber activity for the shard's idle-reap
-      // clock, as each poll's subscribe() does.
-      s->registry->touch(s->view);
-      sse_pump(s);
-    });
-  });
-}
-
-const std::map<std::string, std::string> kSseHeaders = {
-    {"Content-Type", "text/event-stream"}, {"Cache-Control", "no-cache"}};
-const std::map<std::string, std::string> kTextHeaders = {
-    {"Content-Type", "text/plain; charset=utf-8"}};
-
-/// Error path for a stream route: a non-200 chunked response with a short
-/// text body. EventSource treats any non-200 as a fatal error, which is
-/// what drives the dashboard's fallback to long-poll.
-void stream_error(const HttpServer::StreamSink& sink, int status,
-                  const std::string& message) {
-  sink.begin(kTextHeaders, status);
-  sink.chunk(message + "\n");
-  sink.end();
-}
-
-}  // namespace
-
-void AjaxFrontEnd::handle_stream(const HttpRequest& request,
-                                 HttpServer::StreamSink sink) {
-  std::string view;
-  const std::shared_ptr<FrameHub> hub = resolve_view(request, &view);
-  if (!hub) {
-    stream_error(sink, 404, "not found");
-    return;
-  }
-  std::uint64_t since = 0;
-  if (!parse_since(request.query_param("since", "0"), since)) {
-    stream_error(sink, 400, "since must be a non-negative integer");
-    return;
-  }
-  double timeout = config_.poll_timeout_s;
-  const std::string timeout_raw = request.query_param("timeout");
-  if (!timeout_raw.empty() &&
-      !parse_timeout(timeout_raw, config_.poll_timeout_s, timeout)) {
-    stream_error(sink, 400, "timeout must be a number, not NaN");
-    return;
-  }
-  // Unlike a poll — where the client pays a round-trip per retry — the
-  // keepalive loop here is server-driven, so a zero timeout would spin it
-  // at wire speed. Floor it.
-  timeout = std::max(timeout, 0.05);
-
-  sink.begin(kSseHeaders);
-  // HEAD: the headers a stream would carry were sent and the connection
-  // closed — never a parked suppressed infinite body.
-  if (sink.head_only()) return;
-
-  auto s = std::make_shared<SseStream>();
-  s->hub = hub;
-  s->registry = &registry_;
-  s->frame_period = &frame_period_s_;
-  s->view = std::move(view);
-  s->sink = std::move(sink);
-  s->since = since;
-  s->want_delta = request.query_param("delta", "0") == "1";
-  s->force_full = request.query_param("full", "0") == "1";
-  s->timeout_s = timeout;
-  const std::string client = sanitize_client_id(request.query_param("client"));
-  if (!client.empty()) {
-    // Same table as /api/poll: a browser that switches transports keeps
-    // its meters, and pacing tiers span both channels.
-    s->session =
-        registry_.sessions().acquire(client, request.peer, mono_now_s());
-  }
-  sse_pump(s);
-}
-
-HttpResponse AjaxFrontEnd::handle_index(const HttpRequest&) {
-  return HttpResponse::html(kDashboardHtml);
-}
-
-HttpResponse AjaxFrontEnd::handle_state(const HttpRequest& request) {
-  const std::shared_ptr<FrameHub> hub = resolve_view(request, nullptr);
-  if (!hub) return HttpResponse::not_found();
-  util::Json out;
-  const FramePtr frame = hub->latest();
-  out["seq"] = static_cast<double>(frame ? frame->seq : 0);
-  out["state"] = frame ? frame->state : util::Json();
-  return HttpResponse::json(out.dump());
-}
-
-namespace {
-
-util::Json hub_stats_json(const FrameHub& hub) {
-  const FrameHub::Stats s = hub.stats();
-  util::Json out;
-  out["seq"] = static_cast<double>(hub.seq());
-  out["published"] = static_cast<double>(s.published);
-  out["served"] = static_cast<double>(s.served);
-  out["timeouts"] = static_cast<double>(s.timeouts);
-  out["waiting"] = static_cast<double>(s.waiting);
-  out["waiting_peak"] = static_cast<double>(s.waiting_peak);
-  out["image_encodes"] = static_cast<double>(s.image_encodes);
-  out["preencoded_publishes"] = static_cast<double>(s.preencoded_publishes);
-  out["image_bytes_in"] = static_cast<double>(s.image_bytes_in);
-  out["image_bytes_out"] = static_cast<double>(s.image_bytes_out);
-  return out;
-}
-
-}  // namespace
-
-HttpResponse AjaxFrontEnd::handle_stats(const HttpRequest& request) {
-  // Monitoring must observe, not revive: resolve_view()'s subscribe()
-  // would refresh a reaped shard's idle clock and rebuild its hub, so a
-  // stats scraper alone could keep an unwatched view alive forever. Look
-  // up without revival instead; a known-but-reaped view reports live=false
-  // with zeroed hub counters, only unknown names are a 404.
-  std::string view = request.query_param("view");
-  if (view.empty()) view = registry_.default_view_name();
-  std::shared_ptr<FrameHub> hub;
-  if (view == registry_.default_view_name()) {
-    hub = main_hub_;
-  } else {
-    if (!registry_.known(view)) return HttpResponse::not_found();
-    hub = registry_.find(view);
-  }
-  // Top level keeps the pre-sharding shape, describing the requested (or
-  // default) view's shard; the `views` block carries every *live* shard so
-  // dashboards can enumerate what is watchable, and `registry` the shard
-  // lifecycle counters.
-  util::Json out = hub ? hub_stats_json(*hub) : util::Json();
-  out["view"] = view;
-  out["live"] = hub != nullptr;
-  out["connections_open"] = static_cast<double>(server_.connections_open());
-  out["bytes_sent"] = static_cast<double>(server_.bytes_sent());
-  out["requests_served"] = static_cast<double>(server_.requests_served());
-  out["steers"] = static_cast<double>(steers_.load());
-  {
-    util::Json views;
-    for (const std::string& name : registry_.view_names()) {
-      const std::shared_ptr<FrameHub> shard = registry_.find(name);
-      if (shard) views[name] = hub_stats_json(*shard);
-    }
-    out["views"] = views;
-  }
-  {
-    const HubRegistry::Stats rs = registry_.stats();
-    util::Json registry;
-    registry["live"] = static_cast<double>(rs.live);
-    registry["known"] = static_cast<double>(rs.known);
-    registry["created"] = static_cast<double>(rs.created);
-    registry["reaped"] = static_cast<double>(rs.reaped);
-    out["registry"] = registry;
-  }
-  // Per-client adaptive pacing: session count, tier occupancy, and the
-  // per-session goodput/interval/tier detail. Registry-level — sessions
-  // span views.
-  out["pacing"] = registry_.sessions().stats_json(mono_now_s());
-  return HttpResponse::json(out.dump());
 }
 
 namespace {
@@ -949,19 +214,30 @@ RangeParse parse_byte_range(const std::string& header, std::size_t total,
     return !str.empty() &&
            str.find_first_not_of("0123456789") == std::string::npos;
   };
+  // Saturating decimal: a number too long for size_t is larger than any
+  // body, which is all the bounds checks below need to know.
+  const auto position = [](const std::string& str) {
+    std::size_t value = 0;
+    for (const char c : str) {
+      const auto digit = static_cast<std::size_t>(c - '0');
+      if (value > (SIZE_MAX - digit) / 10) return SIZE_MAX;
+      value = value * 10 + digit;
+    }
+    return value;
+  };
   if (a.empty()) {
     // Suffix form `-N`: the final N bytes.
     if (!digits(b)) return RangeParse::kNone;
-    const std::size_t n = std::stoull(b);
+    const std::size_t n = position(b);
     if (n == 0) return RangeParse::kUnsatisfiable;
     *first = n >= total ? 0 : total - n;
     *last = total - 1;
     return RangeParse::kOk;
   }
   if (!digits(a) || (!b.empty() && !digits(b))) return RangeParse::kNone;
-  *first = std::stoull(a);
+  *first = position(a);
   if (*first >= total) return RangeParse::kUnsatisfiable;
-  *last = b.empty() ? total - 1 : std::stoull(b);
+  *last = b.empty() ? total - 1 : position(b);
   if (*last < *first) return RangeParse::kNone;  // malformed, not a miss
   if (*last >= total) *last = total - 1;
   return RangeParse::kOk;
@@ -970,7 +246,7 @@ RangeParse parse_byte_range(const std::string& header, std::size_t total,
 }  // namespace
 
 HttpResponse AjaxFrontEnd::handle_image(const HttpRequest& request) {
-  const std::shared_ptr<FrameHub> hub = resolve_view(request, nullptr);
+  const std::shared_ptr<FrameHub> hub = service_.resolve_view(request, nullptr);
   if (!hub) return HttpResponse::not_found();
   const FramePtr frame = hub->latest();
   if (!frame || frame->png.empty()) return HttpResponse::not_found();

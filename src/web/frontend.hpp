@@ -8,19 +8,13 @@
 //
 // Implementation: a background monitor loop produces frames from the
 // SteeringSession and publishes each one exactly once into a FrameHub;
-// browsers long-poll /api/poll?since=N (async route — no thread parks with
-// the connection) and receive the shared pre-rendered delta the moment it
-// exists — the XMLHttpRequest object-exchange of the paper. Steering
-// commands arrive as JSON POSTs and are applied on the next simulation
-// cycle. Hundreds of clients can watch/steer concurrently; each keeps its
-// own cursor and the hub's sliding window bounds server memory.
-//
-// Beside the poll there is a push transport: /api/stream serves the same
-// frame bodies as Server-Sent Events over one chunked response. The
-// dashboard negotiates per client — EventSource when available, falling
-// back to long-poll on any failure — and both transports share the
-// SessionTable, so pacing tiers and per-view delta contracts are identical
-// whichever channel a client rides.
+// browsers long-poll /api/poll?since=N or stream /api/stream and receive
+// the shared pre-rendered delta the moment it exists — the XMLHttpRequest
+// object-exchange of the paper. Those routes, /api/state, /api/stats and
+// the dashboard are the FrameService contract (web/frame_service.hpp),
+// which relays serve too. The front end adds what only the origin can do:
+// the monitor loop, /api/image, and steering commands, which arrive as
+// JSON POSTs and are applied on the next simulation cycle.
 #pragma once
 
 #include <atomic>
@@ -31,6 +25,7 @@
 
 #include "steering/session.hpp"
 #include "util/json.hpp"
+#include "web/frame_service.hpp"
 #include "web/http.hpp"
 #include "web/hub.hpp"
 #include "web/registry.hpp"
@@ -80,12 +75,6 @@ struct FrontEndConfig {
   /// reactor (kernel balances), true = one listener handing sockets off
   /// round-robin (for kernels/tests where REUSEPORT balancing is unwanted).
   bool accept_hand_off = false;
-  /// Publish decimation for views nobody is watching (see
-  /// HubRegistry::Config::idle_publish_divisor). 1 disables.
-  std::size_t idle_publish_divisor = 1;
-  /// Seconds without subscriber activity before a view counts as idle for
-  /// publish decimation.
-  double idle_publish_after_s = 10.0;
   /// Accepted-connection cap; connections beyond it get 503.
   std::size_t max_connections = 8192;
   /// Fixed SO_SNDBUF for accepted connections (0 = kernel autotuning).
@@ -113,54 +102,35 @@ class AjaxFrontEnd {
   int start();
   void stop();
 
-  int port() const noexcept { return server_.port(); }
+  int port() const noexcept { return service_.server().port(); }
   std::uint64_t frame_seq() const { return main_hub_->seq(); }
   std::uint64_t steer_count() const noexcept { return steers_.load(); }
   /// The default view's shard — the single-view API surface (back-compat
   /// for callers that predate sharding).
   const FrameHub& hub() const noexcept { return *main_hub_; }
-  const HttpServer& server() const noexcept { return server_; }
-  HubRegistry& registry() noexcept { return registry_; }
-  const HubRegistry& registry() const noexcept { return registry_; }
+  const HttpServer& server() const noexcept { return service_.server(); }
+  HubRegistry& registry() noexcept { return service_.registry(); }
+  const HubRegistry& registry() const noexcept { return service_.registry(); }
   const SessionTable& sessions() const noexcept {
-    return registry_.sessions();
+    return service_.registry().sessions();
   }
 
  private:
-  void register_routes();
   void frame_loop();
-  void handle_poll_async(const HttpRequest& request,
-                         HttpServer::ResponseSink sink);
-  void handle_stream(const HttpRequest& request, HttpServer::StreamSink sink);
-  /// Shard lookup for a request's `view=` parameter: the default hub when
-  /// absent, null (→ 404) for names the publisher never declared.
-  /// `resolved` receives the canonical view name.
-  std::shared_ptr<FrameHub> resolve_view(const HttpRequest& request,
-                                         std::string* resolved);
 
-  HttpResponse handle_index(const HttpRequest& request);
-  HttpResponse handle_state(const HttpRequest& request);
-  HttpResponse handle_stats(const HttpRequest& request);
   HttpResponse handle_image(const HttpRequest& request);
   HttpResponse handle_steer(const HttpRequest& request);
   HttpResponse handle_view(const HttpRequest& request);
 
   FrontEndConfig config_;
   steering::SteeringSession session_;
-  /// Declared before registry_: the shards register their timeout/pacing
-  /// sweeps on the server's reactor, so the server must be constructed
-  /// first (and, symmetrically, destroyed last).
-  HttpServer server_;
-  HubRegistry registry_;
+  FrameService service_;
   /// The default view's shard, pinned for the front end's lifetime (the
-  /// hub()/frame_seq() accessors and the unsharded routes ride on it).
+  /// hub()/frame_seq() accessors ride on it).
   std::shared_ptr<FrameHub> main_hub_;
   std::thread loop_thread_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> steers_{0};
-  /// Measured publish period (EWMA of the frame loop's real cycle time,
-  /// sim+render included) — what pacing judges client promptness against.
-  std::atomic<double> frame_period_s_{0.0};
 
   /// View/viz changes posted by clients, applied by the loop thread.
   std::mutex pending_mutex_;

@@ -35,9 +35,7 @@ std::shared_ptr<FrameHub> HubRegistry::pin(const std::string& view) {
 }
 
 std::shared_ptr<FrameHub> HubRegistry::hub_for_publish(const std::string& view,
-                                                       double now_s,
-                                                       bool* skipped) {
-  *skipped = false;
+                                                       double now_s) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (shutdown_) return nullptr;
   auto it = shards_.find(view);
@@ -47,32 +45,15 @@ std::shared_ptr<FrameHub> HubRegistry::hub_for_publish(const std::string& view,
     if (shards_.size() >= config_.max_views) return nullptr;
     it = shards_.emplace(view, Shard{}).first;
   }
-  Shard& shard = it->second;
-  // Idle decimation: with nobody consuming the view, build only every Nth
-  // frame. The first publish into a fresh/revived shard is always real
-  // (the shard needs a head frame), and last_publish_s is stamped even for
-  // skips — the publisher is alive, so the reaper must not confuse a
-  // decimated view with an abandoned one.
-  if (config_.idle_publish_divisor > 1 && shard.hub && shard.hub->seq() > 0 &&
-      now_s - shard.last_subscribe_s > config_.idle_publish_after_s) {
-    if (++shard.idle_skips < config_.idle_publish_divisor) {
-      *skipped = true;
-      shard.last_publish_s = now_s;
-      return shard.hub;
-    }
-  }
-  shard.idle_skips = 0;
-  shard.last_publish_s = now_s;
-  return revive_locked(shard);
+  it->second.last_publish_s = now_s;
+  return revive_locked(it->second);
 }
 
 std::uint64_t HubRegistry::publish(const std::string& view, util::Json state,
                                    const viz::Image& image, bool build_half) {
   const double now_s = mono_now_s();
-  bool skipped = false;
-  const std::shared_ptr<FrameHub> hub = hub_for_publish(view, now_s, &skipped);
+  const std::shared_ptr<FrameHub> hub = hub_for_publish(view, now_s);
   if (!hub) return 0;
-  if (skipped) return hub->seq();
   // Frame building happens outside the registry lock: concurrent publishes
   // into different shards encode in parallel, and subscribers of other
   // views never stall behind this one's render.
@@ -84,10 +65,8 @@ std::uint64_t HubRegistry::publish(const std::string& view, util::Json state,
 std::uint64_t HubRegistry::publish(const std::string& view, util::Json state,
                                    std::vector<std::uint8_t> png) {
   const double now_s = mono_now_s();
-  bool skipped = false;
-  const std::shared_ptr<FrameHub> hub = hub_for_publish(view, now_s, &skipped);
+  const std::shared_ptr<FrameHub> hub = hub_for_publish(view, now_s);
   if (!hub) return 0;
-  if (skipped) return hub->seq();
   const std::uint64_t seq = hub->publish(std::move(state), std::move(png));
   for (const auto& idle : sweep_locked_outside(now_s)) idle->shutdown();
   return seq;
@@ -96,46 +75,11 @@ std::uint64_t HubRegistry::publish(const std::string& view, util::Json state,
 std::uint64_t HubRegistry::publish_encoded(const std::string& view,
                                            FrameHub::PreEncoded pre) {
   const double now_s = mono_now_s();
-  std::shared_ptr<FrameHub> hub;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (shutdown_) return 0;
-    auto it = shards_.find(view);
-    if (it == shards_.end()) {
-      if (shards_.size() >= config_.max_views) return 0;
-      it = shards_.emplace(view, Shard{}).first;
-    }
-    // No decimation: the relayed body is already rebased against this
-    // shard's seq space, so every received frame must land.
-    it->second.idle_skips = 0;
-    it->second.last_publish_s = now_s;
-    hub = revive_locked(it->second);
-  }
+  const std::shared_ptr<FrameHub> hub = hub_for_publish(view, now_s);
+  if (!hub) return 0;
   const std::uint64_t seq = hub->publish_encoded(std::move(pre));
   for (const auto& idle : sweep_locked_outside(now_s)) idle->shutdown();
   return seq;
-}
-
-bool HubRegistry::wants_publish(const std::string& view) {
-  const double now_s = mono_now_s();
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (shutdown_) return false;
-  const auto it = shards_.find(view);
-  if (it == shards_.end()) return true;  // first publish declares the view
-  Shard& shard = it->second;
-  // Mirror of hub_for_publish's decimation test, with the counter advanced
-  // only on the skip side: a declined render counts as one idle skip, and
-  // the accepted render's publish() performs the increment that crosses the
-  // divisor — so the cadence is identical whether or not the caller asks.
-  if (config_.idle_publish_divisor > 1 && shard.hub && shard.hub->seq() > 0 &&
-      now_s - shard.last_subscribe_s > config_.idle_publish_after_s &&
-      shard.idle_skips + 1 < config_.idle_publish_divisor) {
-    ++shard.idle_skips;
-    // The publisher is alive; a decimated view is not an abandoned one.
-    shard.last_publish_s = now_s;
-    return false;
-  }
-  return true;
 }
 
 std::shared_ptr<FrameHub> HubRegistry::subscribe(const std::string& view) {
@@ -144,7 +88,6 @@ std::shared_ptr<FrameHub> HubRegistry::subscribe(const std::string& view) {
   const auto it = shards_.find(view);
   if (it == shards_.end()) return nullptr;  // never declared: HTTP 404
   it->second.last_subscribe_s = mono_now_s();
-  it->second.idle_skips = 0;  // full publish rate resumes immediately
   // A known name whose hub was reaped revives empty: the subscriber parks
   // against seq 0 (stale cursors clamp) and resyncs on the next publish.
   return revive_locked(it->second);
@@ -162,7 +105,6 @@ void HubRegistry::touch(const std::string& view) {
   const auto it = shards_.find(view);
   if (it != shards_.end() && it->second.hub) {
     it->second.last_subscribe_s = mono_now_s();
-    it->second.idle_skips = 0;  // full publish rate resumes immediately
   }
 }
 

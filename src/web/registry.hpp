@@ -61,15 +61,6 @@ class HubRegistry {
     /// cannot create names), so this guards a buggy publisher loop, not an
     /// attacker; publishes into new views beyond it are refused.
     std::size_t max_views = 256;
-    /// Idle-view publish decimation: a view with no subscriber activity for
-    /// idle_publish_after_s accepts only every Nth publish — the frame
-    /// build/encode nobody would consume is skipped and publish() returns
-    /// the shard's unchanged seq. 1 disables (every publish is real). Full
-    /// rate resumes on the first subscribe/touch of the view.
-    std::size_t idle_publish_divisor = 1;
-    /// How long without subscriber activity before a view counts as idle
-    /// for publish decimation.
-    double idle_publish_after_s = 10.0;
   };
 
   struct Stats {
@@ -98,22 +89,9 @@ class HubRegistry {
   std::uint64_t publish(const std::string& view, util::Json state,
                         std::vector<std::uint8_t> png);
   /// Inject a pre-encoded frame (FrameHub::publish_encoded): the relay's
-  /// forwarding path. Bypasses idle-publish decimation — a relay forwards
-  /// exactly what it received, and skipping a frame would desynchronize its
-  /// local seq space from the bodies it rebased against it.
+  /// forwarding path.
   std::uint64_t publish_encoded(const std::string& view,
                                 FrameHub::PreEncoded pre);
-
-  /// Would a publish into `view` right now be a real one? The render-side
-  /// twin of idle-publish decimation: the monitor loop asks this *before*
-  /// rasterizing a view, so a decimated idle view skips the render itself,
-  /// not just the hub snapshot/encode. Calling wants_publish() then, on
-  /// true, publish() keeps the exact 1-in-N cadence of calling publish()
-  /// alone: a false here advances the same idle_skips counter the publish
-  /// path consults, and a true leaves it one short of the divisor so the
-  /// following publish() is the real Nth. True for unknown views (the first
-  /// publish declares the name) and after shutdown returns false.
-  bool wants_publish(const std::string& view);
 
   /// Subscriber-side shard lookup: the live hub for `view`, reviving a
   /// reaped shard of a known name; null for names never published or
@@ -154,9 +132,6 @@ class HubRegistry {
     double last_publish_s = 0.0;
     double last_subscribe_s = 0.0;
     bool pinned = false;
-    /// Consecutive publishes decimated while the view sat idle; a real
-    /// publish or any subscriber activity resets it.
-    std::size_t idle_skips = 0;
   };
 
   /// Create/revive the shard's hub. Requires mutex_.
@@ -167,11 +142,9 @@ class HubRegistry {
   /// Throttled sweep taking mutex_ itself; the caller shuts the returned
   /// hubs down outside any lock.
   std::vector<std::shared_ptr<FrameHub>> sweep_locked_outside(double now_s);
-  /// Shard lookup/creation for a publish. Sets *skipped when the view is
-  /// idle-decimated this round (caller returns the unchanged seq instead
-  /// of building a frame).
+  /// Shard lookup/creation/revival for a publish; null when refused.
   std::shared_ptr<FrameHub> hub_for_publish(const std::string& view,
-                                            double now_s, bool* skipped);
+                                            double now_s);
 
   Config config_;
   mutable std::mutex mutex_;

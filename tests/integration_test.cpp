@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/mapper.hpp"
 #include "core/reconfigure.hpp"
@@ -40,6 +41,14 @@ struct ShapeCase {
   int size;
   float param_a, param_b;
 };
+
+// Names each case by value. Without it gtest prints the raw bytes of the
+// struct, which include the address of `name`; that address moves with
+// every run, so the discovered ctest names would never repeat.
+void PrintTo(const ShapeCase& sc, std::ostream* os) {
+  *os << sc.name << "_n" << sc.size << "_a" << sc.param_a << "_b"
+      << sc.param_b;
+}
 
 class WatertightSurfaces : public ::testing::TestWithParam<ShapeCase> {};
 

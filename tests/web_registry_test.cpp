@@ -502,63 +502,8 @@ TEST(AjaxFrontEnd, OneClientPollingTwoViewsSharesOneSession) {
   frontend.stop();
 }
 
-TEST(HubRegistry, IdlePublishDivisorDecimatesUnwatchedViews) {
-  w::HubRegistry::Config config = small_registry();
-  config.idle_publish_divisor = 3;
-  config.idle_publish_after_s = 0.2;
-  w::HubRegistry registry(config);
-
-  // First publish into a fresh shard is always real: the view needs a head
-  // frame regardless of watchers.
-  EXPECT_EQ(registry.publish("v", state_of("v", 0.0), scene(0)), 1u);
-
-  // A watched view publishes at full rate.
-  ASSERT_NE(registry.subscribe("v"), nullptr);
-  for (int i = 1; i <= 5; ++i) {
-    EXPECT_EQ(registry.publish("v", state_of("v", i), scene(i)),
-              static_cast<std::uint64_t>(1 + i));
-  }
-
-  // Let the subscriber activity age past the idle horizon: publishes now
-  // decimate to every 3rd, each skip reporting the unchanged head seq.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  std::vector<std::uint64_t> seqs;
-  for (int i = 0; i < 6; ++i) {
-    seqs.push_back(registry.publish("v", state_of("v", 10 + i), scene(i)));
-  }
-  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{6, 6, 7, 7, 7, 8}));
-  const auto hub = registry.find("v");
-  ASSERT_NE(hub, nullptr);
-  EXPECT_EQ(hub->seq(), 8u);
-}
-
-TEST(HubRegistry, FirstSubscribeRestoresFullPublishRate) {
-  w::HubRegistry::Config config = small_registry();
-  config.idle_publish_divisor = 4;
-  config.idle_publish_after_s = 0.05;
-  w::HubRegistry registry(config);
-
-  ASSERT_EQ(registry.publish("v", state_of("v", 0.0), scene(0)), 1u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  // Idle: this round is decimated (mid-cycle, one skip recorded).
-  EXPECT_EQ(registry.publish("v", state_of("v", 1.0), scene(1)), 1u);
-
-  // A client shows up: the very next publish must be real — the skip
-  // counter and the idle clock both reset, whatever phase the decimation
-  // cycle was in.
-  ASSERT_NE(registry.subscribe("v"), nullptr);
-  EXPECT_EQ(registry.publish("v", state_of("v", 2.0), scene(2)), 2u);
-  EXPECT_EQ(registry.publish("v", state_of("v", 3.0), scene(3)), 3u);
-
-  // touch() (the stream-delivery activity signal) keeps it at full rate.
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  registry.touch("v");
-  EXPECT_EQ(registry.publish("v", state_of("v", 4.0), scene(4)), 4u);
-}
-
 TEST(HubRegistry, DefaultDivisorPublishesEveryFrame) {
-  // divisor = 1 (the default) must be behaviorally invisible: every
-  // publish into a never-watched view is real.
+  // Every publish into a never-watched view is real.
   w::HubRegistry registry(small_registry());
   for (int i = 1; i <= 5; ++i) {
     EXPECT_EQ(registry.publish("v", state_of("v", i), scene(i)),

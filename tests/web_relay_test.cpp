@@ -1,10 +1,16 @@
-// Relay fan-out subsystem tests: the pre-encoded hub publish path, the
-// render-skip registry query, end-to-end frame forwarding through a relay
-// node (seq rebasing, delta continuity, the never-decodes counters),
-// resync through an upstream restart, serving-side escalation latching,
-// topology guards (cycle and depth-cap aborts), the long-poll transport
-// fallback, and the hardened HttpClient retry schedule.
+// Relay fan-out subsystem tests: the pre-encoded hub publish path,
+// end-to-end frame forwarding through a relay node (seq rebasing, delta
+// continuity, the never-decodes counters), contract parity between the
+// origin and a relay, resync through an upstream restart, serving-side
+// escalation latching, topology guards (cycle and depth-cap aborts), the
+// long-poll transport fallback, and the hardened HttpClient retry
+// schedule.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -123,10 +129,6 @@ TEST(PublishEncoded, RegistryPathDeclaresViewsAndSkipsDecimation) {
   config.hub.window = 8;
   config.hub.workers = 1;
   config.idle_reap_s = 0.0;
-  // Aggressive decimation that publish_encoded must bypass: the relayed
-  // body is already rebased, every frame must land.
-  config.idle_publish_divisor = 8;
-  config.idle_publish_after_s = 0.0;
   w::HubRegistry registry(config);
   for (std::uint64_t i = 1; i <= 6; ++i) {
     w::FrameHub::PreEncoded pre;
@@ -134,41 +136,6 @@ TEST(PublishEncoded, RegistryPathDeclaresViewsAndSkipsDecimation) {
     EXPECT_EQ(registry.publish_encoded("relayed", std::move(pre)), i);
   }
   EXPECT_EQ(registry.find("relayed")->seq(), 6u);
-  registry.shutdown();
-}
-
-// --------------------------------------------- render-skip decimation ----
-
-TEST(WantsPublish, MirrorsIdleDecimationCadence) {
-  w::HubRegistry::Config config;
-  config.hub.window = 16;
-  config.hub.workers = 1;
-  config.idle_reap_s = 0.0;
-  config.idle_publish_divisor = 3;
-  // A fresh shard's last-subscribe stamp is the steady-clock epoch, so any
-  // positive horizon makes an unsubscribed view idle immediately while a
-  // just-subscribed one stays at full rate.
-  config.idle_publish_after_s = 5.0;
-  w::HubRegistry registry(config);
-
-  ricsa::viz::Image img(16, 16, {1, 2, 3, 255});
-  // First publish is always real (the shard needs a head frame).
-  EXPECT_TRUE(registry.wants_publish("v"));
-  EXPECT_EQ(registry.publish("v", Json(), img, false), 1u);
-  // Idle view at divisor 3: of every 3 offered frames, 2 are declined
-  // before the render and the third goes through — the same 1-in-N cadence
-  // hub_for_publish enforces when the render cannot be skipped.
-  int rendered = 0;
-  for (int i = 0; i < 9; ++i) {
-    if (!registry.wants_publish("v")) continue;
-    ++rendered;
-    registry.publish("v", Json(), img, false);
-  }
-  EXPECT_EQ(rendered, 3);
-  EXPECT_EQ(registry.find("v")->seq(), 4u);
-  // Subscriber activity resumes the full rate immediately.
-  registry.subscribe("v");
-  EXPECT_TRUE(registry.wants_publish("v"));
   registry.shutdown();
 }
 
@@ -257,6 +224,119 @@ TEST(RelayNode, LongPollTransportForwardsToo) {
   ASSERT_EQ(sub_stats.size(), 1u);
   EXPECT_FALSE(sub_stats[0].second.sse);
   EXPECT_GT(sub_stats[0].second.frames, 0u);
+
+  relay.stop();
+  origin.stop();
+}
+
+// ------------------------------------------------- contract parity ----
+
+namespace {
+
+/// HEAD /api/stream over a raw connection, read until the server closes
+/// it. `closed` reports whether it did within the read timeout.
+std::string head_stream_wire(int port, bool* closed) {
+  *closed = false;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return "";
+  }
+  timeval tv{3, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  const std::string request = "HEAD /api/stream HTTP/1.1\r\nHost: x\r\n\r\n";
+  w::detail::write_all(fd, request.data(), request.size());
+  std::string wire;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    wire.append(buf, static_cast<std::size_t>(n));
+  }
+  *closed = n == 0;
+  ::close(fd);
+  return wire;
+}
+
+}  // namespace
+
+TEST(RelayNode, ServesTheOriginContract) {
+  // One table of requests against an origin and a relay in front of it:
+  // the same status and body kind from both, and X-Relay-Path on every
+  // relay response (errors included).
+  w::AjaxFrontEnd origin(small_origin());
+  const int origin_port = origin.start();
+  r::RelayNode relay(small_relay(origin_port, "parity-relay"));
+  relay.start();
+  wait_for_relay_head(relay, 3);
+
+  struct Row {
+    std::string target;
+    int status;
+    std::string kind;  // Content-Type prefix
+    std::string body_has;
+  };
+  // Rows run in order on each node: the stats row after the client= poll
+  // sees that client's pacing session.
+  const std::vector<Row> rows = {
+      {"/", 200, "text/html", "EventSource"},
+      {"/api/poll?since=-1", 400, "text/plain", ""},
+      {"/api/poll?since=0&timeout=nan", 400, "text/plain", ""},
+      {"/api/stream?since=-1", 400, "text/plain", ""},
+      {"/api/stream?since=0&timeout=nan", 400, "text/plain", ""},
+      {"/api/poll?since=0&view=nope", 404, "text/plain", ""},
+      {"/api/stream?since=0&view=nope", 404, "text/plain", ""},
+      {"/api/state?view=nope", 404, "text/plain", ""},
+      {"/api/stats?view=nope", 404, "text/plain", ""},
+      {"/api/state", 200, "application/json", "\"state\""},
+      {"/api/poll?since=0&delta=1&full=1&timeout=5", 200, "application/json",
+       "\"delta\":false"},
+      {"/api/poll?since=0&timeout=5&client=parity-client", 200,
+       "application/json", "\"seq\""},
+      {"/api/stats", 200, "application/json", "\"client\":\"parity-client\""},
+  };
+  for (const int port : {origin_port, relay.port()}) {
+    const bool is_relay = port == relay.port();
+    for (const Row& row : rows) {
+      const std::string where =
+          std::string(is_relay ? "relay " : "origin ") + row.target;
+      const auto response = w::http_get(port, row.target);
+      EXPECT_EQ(response.status, row.status) << where;
+      const auto type = response.headers.find("content-type");
+      ASSERT_NE(type, response.headers.end()) << where;
+      EXPECT_EQ(type->second.rfind(row.kind, 0), 0u)
+          << where << ": " << type->second;
+      EXPECT_NE(response.body.find(row.body_has), std::string::npos) << where;
+      EXPECT_EQ(response.headers.count("x-relay-path"), is_relay ? 1u : 0u)
+          << where;
+    }
+
+    // Steering reaches the origin through either node.
+    const auto steer = w::http_post(port, "/api/steer", "{\"gamma\":1.4}");
+    EXPECT_EQ(steer.status, 200) << (is_relay ? "relay" : "origin");
+    EXPECT_NE(steer.body.find("gamma"), std::string::npos);
+    EXPECT_EQ(steer.headers.count("x-relay-path"), is_relay ? 1u : 0u);
+
+    // HEAD on the stream answers its headers and closes: it never
+    // converts the connection into an endless body.
+    bool closed = false;
+    const std::string wire = head_stream_wire(port, &closed);
+    const std::string where = is_relay ? "relay HEAD" : "origin HEAD";
+    EXPECT_TRUE(closed) << where;
+    EXPECT_EQ(wire.rfind("HTTP/1.1 200", 0), 0u) << where << ": " << wire;
+    EXPECT_NE(wire.find("Content-Type: text/event-stream"), std::string::npos)
+        << where;
+    ASSERT_GE(wire.size(), 4u) << where;
+    EXPECT_EQ(wire.substr(wire.size() - 4), "\r\n\r\n") << where;
+    EXPECT_EQ(wire.find("X-Relay-Path: parity-relay") != std::string::npos,
+              is_relay)
+        << where;
+  }
+
+  EXPECT_EQ(origin.steer_count(), 2u);
 
   relay.stop();
   origin.stop();

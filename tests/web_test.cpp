@@ -389,6 +389,22 @@ TEST(AjaxFrontEnd, ImageRangeRequestsServePartialContent) {
   EXPECT_EQ(beyond.status, 416);
   EXPECT_EQ(beyond.headers.at("content-range"), "bytes */" + total_str);
 
+  // Numbers too long for any integer type count as larger than any body:
+  // an over-long first byte is unsatisfiable, an over-long suffix length
+  // serves the whole body, an over-long last byte clamps.
+  const std::string huge = "99999999999999999999999";
+  const auto huge_first = ranged("bytes=" + huge + "-");
+  EXPECT_EQ(huge_first.status, 416);
+  EXPECT_EQ(huge_first.headers.at("content-range"), "bytes */" + total_str);
+  const auto huge_suffix = ranged("bytes=-" + huge);
+  EXPECT_EQ(huge_suffix.status, 206);
+  EXPECT_EQ(huge_suffix.body, full.body);
+  const auto huge_last = ranged("bytes=0-" + huge);
+  EXPECT_EQ(huge_last.status, 206);
+  EXPECT_EQ(huge_last.body, full.body);
+  EXPECT_EQ(huge_last.headers.at("content-range"),
+            "bytes 0-" + std::to_string(total - 1) + "/" + total_str);
+
   // Malformed and multi-range specs are ignored — full 200, not an error.
   EXPECT_EQ(ranged("bytes=abc").status, 200);
   const auto multi = ranged("bytes=0-1,4-5");
