@@ -1720,18 +1720,24 @@ int main(int argc, char** argv) {
   report["scenario"] = scenario;
   report["frame_interval_s"] = frame_interval_s;
   // The server-side thread budget — constant in the client count: the
-  // reactor loops, the HTTP handler workers, the hub fan-out workers, and
-  // the monitor loop. Everything else in the process is bench clients.
-  {
+  // reactor loops, the HTTP handler workers, the fan-out workers of every
+  // view shard's hub, the session's render pool, and the monitor loop.
+  // Everything else in the process is bench clients. The congestion
+  // scenario runs no server, so it reports none.
+  if (frontend) {
     const std::size_t reactors = std::max<std::size_t>(1, config.reactors);
+    const std::size_t shards = frontend->registry().stats().live;
+    const std::size_t session_pool = frontend->session_pool_threads();
     Json threads;
     threads["reactors"] = static_cast<double>(reactors);
     threads["http_workers"] = static_cast<double>(config.http_workers);
     threads["hub_workers"] = static_cast<double>(config.hub_workers);
+    threads["shards"] = static_cast<double>(shards);
+    threads["session_pool"] = static_cast<double>(session_pool);
     threads["monitor_loop"] = 1.0;
-    threads["total"] = static_cast<double>(1 + reactors +
-                                           config.http_workers +
-                                           config.hub_workers);
+    threads["total"] = static_cast<double>(
+        reactors + config.http_workers + config.hub_workers * shards +
+        session_pool + 1);
     report["server_threads"] = threads;
   }
   report["rounds"] = rounds;

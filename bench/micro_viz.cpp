@@ -2,7 +2,20 @@
 // isosurface extraction, ray casting, streamline advection, the DP mapper,
 // software rasterization, PNG encoding and the message codec. These are the
 // raw throughput numbers behind the calibrated cost models.
+//
+// The monitor loop's data-parallel stages (hydro step, ray cast, isosurface
+// extraction, mesh render) take a `pool` argument: 0 runs the serial path,
+// the other value a pool sized to the host, as the steering session runs
+// them. The ratio of the two is the stage's speed-up on the machine it runs
+// on:
+//
+//   ./build/bench/micro_viz --benchmark_filter='HydroStep|RayCast|Isosurface|RenderMesh'
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "core/mapper.hpp"
 #include "cost/network_profile.hpp"
@@ -10,6 +23,7 @@
 #include "hydro/setups.hpp"
 #include "steering/message.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 #include "viz/image.hpp"
 #include "viz/isosurface.hpp"
 #include "viz/rasterizer.hpp"
@@ -20,26 +34,46 @@ using namespace ricsa;
 
 namespace {
 
+/// Values of the `pool` argument: serial, and one worker per hardware
+/// thread.
+const std::vector<std::int64_t> kPoolSizes = {
+    0, static_cast<std::int64_t>(
+           std::max(1u, std::thread::hardware_concurrency()))};
+
+/// The pool a benchmark's `pool` argument asks for; null means serial.
+std::unique_ptr<util::ThreadPool> make_pool(std::int64_t threads) {
+  if (threads <= 0) return nullptr;
+  return std::make_unique<util::ThreadPool>(static_cast<std::size_t>(threads));
+}
+
 void BM_IsosurfaceExtract(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const data::ScalarVolume vol = data::make_rage(n, n, n);
+  const auto pool = make_pool(state.range(1));
+  viz::IsosurfaceOptions options;
+  options.pool = pool.get();
   std::size_t cells = 0;
   for (auto _ : state) {
-    const auto result = viz::extract_isosurface(vol, 0.6f);
+    const auto result = viz::extract_isosurface(vol, 0.6f, options);
     cells += result.stats.cells_scanned;
     benchmark::DoNotOptimize(result.mesh.triangle_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cells));
   state.SetLabel("cells/s");
 }
-BENCHMARK(BM_IsosurfaceExtract)->Arg(24)->Arg(48)->Arg(72);
+BENCHMARK(BM_IsosurfaceExtract)
+    ->ArgNames({"n", "pool"})
+    ->ArgsProduct({{24, 48, 72}, kPoolSizes})
+    ->UseRealTime();
 
 void BM_RayCast(benchmark::State& state) {
   const data::ScalarVolume vol = data::make_jet(48, 48, 48);
   const auto tf = viz::TransferFunction::preset(0.0f, 1.3f);
+  const auto pool = make_pool(state.range(1));
   viz::RayCastOptions opt;
   opt.width = static_cast<int>(state.range(0));
   opt.height = opt.width;
+  opt.pool = pool.get();
   std::size_t samples = 0;
   for (auto _ : state) {
     const auto result = viz::raycast(vol, tf, opt);
@@ -49,7 +83,10 @@ void BM_RayCast(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(samples));
   state.SetLabel("samples/s");
 }
-BENCHMARK(BM_RayCast)->Arg(64)->Arg(128);
+BENCHMARK(BM_RayCast)
+    ->ArgNames({"size", "pool"})
+    ->ArgsProduct({{64, 128}, kPoolSizes})
+    ->UseRealTime();
 
 void BM_Streamline(benchmark::State& state) {
   const data::VectorVolume field = data::make_tornado(48);
@@ -69,9 +106,11 @@ BENCHMARK(BM_Streamline);
 void BM_RenderMesh(benchmark::State& state) {
   const data::ScalarVolume vol = data::make_sphere(49, 18.0f);
   const auto iso = viz::extract_isosurface(vol, 0.0f);
+  const auto pool = make_pool(state.range(0));
   viz::RenderOptions opt;
   opt.width = 256;
   opt.height = 256;
+  opt.pool = pool.get();
   std::size_t tris = 0;
   for (auto _ : state) {
     const auto result = viz::render_mesh(iso.mesh, opt);
@@ -81,7 +120,10 @@ void BM_RenderMesh(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(tris));
   state.SetLabel("triangles/s");
 }
-BENCHMARK(BM_RenderMesh);
+BENCHMARK(BM_RenderMesh)
+    ->ArgNames({"pool"})
+    ->ArgsProduct({kPoolSizes})
+    ->UseRealTime();
 
 void BM_DpSolve(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
@@ -119,6 +161,8 @@ BENCHMARK(BM_DpSolve)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_HydroStep(benchmark::State& state) {
   auto solver = hydro::make_bowshock({.n = static_cast<int>(state.range(0))});
+  const auto pool = make_pool(state.range(1));
+  solver->set_pool(pool.get());
   for (auto _ : state) {
     solver->step();
     benchmark::DoNotOptimize(solver->time());
@@ -127,7 +171,10 @@ void BM_HydroStep(benchmark::State& state) {
                           state.range(0));
   state.SetLabel("cell-updates/s");
 }
-BENCHMARK(BM_HydroStep)->Arg(24)->Arg(48);
+BENCHMARK(BM_HydroStep)
+    ->ArgNames({"n", "pool"})
+    ->ArgsProduct({{24, 48}, kPoolSizes})
+    ->UseRealTime();
 
 void BM_PngEncode(benchmark::State& state) {
   viz::Image img(256, 256);

@@ -107,18 +107,27 @@ void EulerSolver3D::set_primitive(int i, int j, int k, const Primitive3& s) {
 }
 
 double EulerSolver3D::compute_dt() const {
+  // Per-slab maxima, combined afterwards: max is exact in any order, so the
+  // split cannot change dt.
+  std::vector<double> slab_max(static_cast<std::size_t>(nz_));
+  util::parallel_for(
+      pool_, 0, slab_max.size(), [&](std::size_t k0, std::size_t k1) {
+        for (std::size_t k = k0; k < k1; ++k) {
+          double max_speed = 1e-12;
+          for (int j = 0; j < ny_; ++j) {
+            for (int i = 0; i < nx_; ++i) {
+              const Primitive3 s = primitive(i, j, static_cast<int>(k));
+              const double a = std::sqrt(config_.gamma * s.p / s.rho);
+              const double vel =
+                  std::max({std::abs(s.u), std::abs(s.v), std::abs(s.w)});
+              max_speed = std::max(max_speed, vel + a);
+            }
+          }
+          slab_max[k] = max_speed;
+        }
+      });
   double max_speed = 1e-12;
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        const Primitive3 s = primitive(i, j, k);
-        const double a = std::sqrt(config_.gamma * s.p / s.rho);
-        const double vel =
-            std::max({std::abs(s.u), std::abs(s.v), std::abs(s.w)});
-        max_speed = std::max(max_speed, vel + a);
-      }
-    }
-  }
+  for (const double m : slab_max) max_speed = std::max(max_speed, m);
   return config_.cfl * config_.dx / max_speed;
 }
 
@@ -233,44 +242,54 @@ void EulerSolver3D::sweep_pencil(Conserved* line, int n, int axis, double dt,
   }
 }
 
-void EulerSolver3D::sweepx(double dt) {
-  if (nx_ < 2) return;
-  std::vector<Conserved> line(static_cast<std::size_t>(nx_));
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) line[static_cast<std::size_t>(i)] = cells_[index(i, j, k)];
-      sweep_pencil(line.data(), nx_, 0, dt, config_.boundaries[0],
-                   config_.boundaries[1]);
-      for (int i = 0; i < nx_; ++i) cells_[index(i, j, k)] = line[static_cast<std::size_t>(i)];
-    }
+void EulerSolver3D::sweep_axis(int axis, double dt) {
+  // A pencil runs along `axis` with `stride` between its cells; pencils are
+  // numbered p = a + na * b over the two transverse axes, a varying
+  // fastest, so neighbouring pencils share cache lines.
+  const std::size_t row = static_cast<std::size_t>(nx_);
+  const std::size_t plane = row * static_cast<std::size_t>(ny_);
+  int n = 0, na = 0;
+  std::size_t stride = 0, step_a = 0, step_b = 0, pencils = 0;
+  switch (axis) {
+    case 0:
+      n = nx_; stride = 1;
+      na = ny_; step_a = row; step_b = plane;
+      pencils = static_cast<std::size_t>(ny_) * static_cast<std::size_t>(nz_);
+      break;
+    case 1:
+      n = ny_; stride = row;
+      na = nx_; step_a = 1; step_b = plane;
+      pencils = static_cast<std::size_t>(nx_) * static_cast<std::size_t>(nz_);
+      break;
+    default:
+      n = nz_; stride = plane;
+      na = nx_; step_a = 1; step_b = row;
+      pencils = static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
+      break;
   }
+  if (n < 2) return;
+  const Boundary lo = config_.boundaries[static_cast<std::size_t>(2 * axis)];
+  const Boundary hi =
+      config_.boundaries[static_cast<std::size_t>(2 * axis + 1)];
+  const auto len = static_cast<std::size_t>(n);
+  util::parallel_for(pool_, 0, pencils, [&](std::size_t p0, std::size_t p1) {
+    std::vector<Conserved> line(len);
+    for (std::size_t p = p0; p < p1; ++p) {
+      const std::size_t a = p % static_cast<std::size_t>(na);
+      const std::size_t b = p / static_cast<std::size_t>(na);
+      Conserved* first = cells_.data() + a * step_a + b * step_b;
+      for (std::size_t i = 0; i < len; ++i) line[i] = first[i * stride];
+      sweep_pencil(line.data(), n, axis, dt, lo, hi);
+      for (std::size_t i = 0; i < len; ++i) first[i * stride] = line[i];
+    }
+  });
 }
 
-void EulerSolver3D::sweepy(double dt) {
-  if (ny_ < 2) return;
-  std::vector<Conserved> line(static_cast<std::size_t>(ny_));
-  for (int k = 0; k < nz_; ++k) {
-    for (int i = 0; i < nx_; ++i) {
-      for (int j = 0; j < ny_; ++j) line[static_cast<std::size_t>(j)] = cells_[index(i, j, k)];
-      sweep_pencil(line.data(), ny_, 1, dt, config_.boundaries[2],
-                   config_.boundaries[3]);
-      for (int j = 0; j < ny_; ++j) cells_[index(i, j, k)] = line[static_cast<std::size_t>(j)];
-    }
-  }
-}
+void EulerSolver3D::sweepx(double dt) { sweep_axis(0, dt); }
 
-void EulerSolver3D::sweepz(double dt) {
-  if (nz_ < 2) return;
-  std::vector<Conserved> line(static_cast<std::size_t>(nz_));
-  for (int j = 0; j < ny_; ++j) {
-    for (int i = 0; i < nx_; ++i) {
-      for (int k = 0; k < nz_; ++k) line[static_cast<std::size_t>(k)] = cells_[index(i, j, k)];
-      sweep_pencil(line.data(), nz_, 2, dt, config_.boundaries[4],
-                   config_.boundaries[5]);
-      for (int k = 0; k < nz_; ++k) cells_[index(i, j, k)] = line[static_cast<std::size_t>(k)];
-    }
-  }
-}
+void EulerSolver3D::sweepy(double dt) { sweep_axis(1, dt); }
+
+void EulerSolver3D::sweepz(double dt) { sweep_axis(2, dt); }
 
 void EulerSolver3D::step() {
   const double dt = compute_dt();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "data/volume.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ricsa::hydro {
 
@@ -52,6 +53,11 @@ class EulerSolver3D {
 
   EulerConfig& config() noexcept { return config_; }
   const EulerConfig& config() const noexcept { return config_; }
+
+  /// Lend a worker pool: the sweeps then split by pencil and compute_dt by
+  /// z-slab, bit-identical to the serial path. Null (the default) runs
+  /// serially; the pool must outlive its use here.
+  void set_pool(util::ThreadPool* pool) noexcept { pool_ = pool; }
 
   Primitive3 primitive(int i, int j, int k) const;
   void set_primitive(int i, int j, int k, const Primitive3& state);
@@ -97,6 +103,10 @@ class EulerSolver3D {
   /// momentum component is longitudinal; lo/hi are that axis's boundaries.
   void sweep_pencil(Conserved* line, int n, int axis, double dt, Boundary lo,
                     Boundary hi);
+  /// Sweep every pencil along `axis` (0 = x, 1 = y, 2 = z), in parallel on
+  /// the lent pool when there is one. Pencils are disjoint, so any split
+  /// gives the serial result.
+  void sweep_axis(int axis, double dt);
 
   int nx_, ny_, nz_;
   EulerConfig config_;
@@ -104,6 +114,7 @@ class EulerSolver3D {
   double time_ = 0.0;
   int cycle_ = 0;
   std::function<void(EulerSolver3D&)> post_step_;
+  util::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace ricsa::hydro

@@ -27,10 +27,10 @@ SteeringSession::SteeringSession(SessionConfig config)
     : config_(config),
       sim_(config.simulation, config.resolution),
       server_(sim_),
-      pool_(config.threads),
       testbed_(netsim::make_testbed()),
       profile_(cost::NetworkProfile::from_network(*testbed_.net)),
       models_(quick_models()) {
+  sim_.solver().set_pool(&pool_);
   // Attach like a client would: a simulation request opens the session.
   server_.post(make_simulation_request(1, sim_.name(), "density"));
   server_.receive_handle_message();

@@ -34,7 +34,6 @@ struct SessionConfig {
   cost::VizRequest viz;
   /// Simulation cycles advanced per produced frame.
   int cycles_per_frame = 2;
-  std::size_t threads = 2;
 };
 
 class SteeringSession {
@@ -69,6 +68,12 @@ class SteeringSession {
 
   void set_variable(const std::string& variable);
   const std::string& variable() const { return server_.monitored_variable(); }
+
+  /// The session's worker pool, sized to the host: the solver's sweeps and
+  /// every pipeline stage run on it. Lend it to other work on the thread
+  /// driving next_frame() (the web layer's frame encodes).
+  util::ThreadPool& pool() noexcept { return pool_; }
+  const util::ThreadPool& pool() const noexcept { return pool_; }
 
   cost::VizRequest& viz_request() noexcept { return config_.viz; }
   ExecuteOptions& view() noexcept { return view_; }

@@ -1,7 +1,8 @@
 // Fixed-size worker pool with a blocking task queue and a parallel_for
 // helper. This is the substrate for the "MPI-based visualization modules on
-// the cluster CS nodes" of the paper: data-parallel marching cubes and
-// scanline-parallel ray casting run their block/row ranges through it.
+// the cluster CS nodes" of the paper: the solver's pencil sweeps, marching
+// cubes, ray casting, rasterization and the hub's PNG encodes run their
+// index ranges through it.
 #pragma once
 
 #include <condition_variable>
@@ -28,9 +29,13 @@ class ThreadPool {
   /// Enqueue a task; the future resolves when it completes.
   std::future<void> submit(std::function<void()> task);
 
-  /// Statically partition [begin, end) into ~size() contiguous chunks and run
-  /// body(chunk_begin, chunk_end) on the pool; blocks until all finish.
-  /// Exceptions from chunks are rethrown (first one wins).
+  /// Run body(grain_begin, grain_end) over small contiguous grains covering
+  /// [begin, end) exactly once; blocks until all finish. The workers and
+  /// the calling thread claim grains from one atomic cursor, so uneven
+  /// ranges balance themselves and a nested or concurrent call never waits
+  /// on a queued task. After a grain throws, grains above it are skipped;
+  /// every started grain finishes before the lowest-index grain's
+  /// exception is rethrown.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
@@ -43,5 +48,10 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
+
+/// pool->parallel_for, or body(begin, end) on the caller when pool is null:
+/// the kernels' "null pool means serial" idiom.
+void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace ricsa::util

@@ -35,8 +35,9 @@ struct IsosurfaceOptions {
   /// Octree block edge length (cells). Blocks whose value range excludes the
   /// isovalue are skipped without scanning their cells.
   int block_size = 16;
-  /// Optional worker pool for block-parallel extraction (the "MPI-based
-  /// visualization module" of the cluster CS nodes). Null = serial.
+  /// Optional worker pool for slab-parallel extraction (the "MPI-based
+  /// visualization module" of the cluster CS nodes), bit-identical to the
+  /// serial scan. Null = serial.
   util::ThreadPool* pool = nullptr;
   /// Compute smooth per-vertex normals from the field gradient; otherwise
   /// flat face normals are used (cheaper).

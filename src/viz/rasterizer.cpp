@@ -6,6 +6,62 @@
 
 namespace ricsa::viz {
 
+namespace {
+
+/// Row bands (and triangle-setup chunks) per thread of a lent pool: enough
+/// that bands crowded with triangles leave the sparse ones to other
+/// threads.
+constexpr std::size_t kBandsPerThread = 4;
+
+/// A drawn triangle: its vertices and clamped pixel bounds.
+struct TriangleSetup {
+  std::uint32_t a, b, c;
+  int x0, x1, y0, y1;
+  float inv_area;
+};
+
+/// Z-buffered Gouraud fill of rows [y0, y1] of one triangle; returns the
+/// pixels shaded.
+std::size_t rasterize(const TriangleSetup& tri, int y0, int y1,
+                      const std::vector<Vec3>& screen,
+                      const std::vector<float>& shade, Rgba color,
+                      std::vector<float>& zbuf, Image& image) {
+  const Vec3 a = screen[tri.a];
+  const Vec3 b = screen[tri.b];
+  const Vec3 c = screen[tri.c];
+  const float sa = shade[tri.a], sb = shade[tri.b], sc = shade[tri.c];
+  const int x0 = tri.x0, x1 = tri.x1;
+  const float inv_area = tri.inv_area;
+  const auto width = static_cast<std::size_t>(image.width());
+  std::size_t shaded = 0;
+  for (int y = y0; y <= y1; ++y) {
+    float* const zrow = zbuf.data() + static_cast<std::size_t>(y) * width;
+    Rgba* const row = &image.at(0, y);
+    for (int x = x0; x <= x1; ++x) {
+      const float px = static_cast<float>(x) + 0.5f;
+      const float py = static_cast<float>(y) + 0.5f;
+      const float w0 = ((b.x - px) * (c.y - py) - (b.y - py) * (c.x - px)) * inv_area;
+      const float w1 = ((c.x - px) * (a.y - py) - (c.y - py) * (a.x - px)) * inv_area;
+      const float w2 = 1.0f - w0 - w1;
+      if (w0 < 0 || w1 < 0 || w2 < 0) continue;
+      const float z = w0 * a.z + w1 * b.z + w2 * c.z;
+      float& zref = zrow[x];
+      if (z >= zref) continue;
+      zref = z;
+      const float s = w0 * sa + w1 * sb + w2 * sc;
+      const auto to8 = [s](std::uint8_t base) {
+        return static_cast<std::uint8_t>(
+            std::clamp(s * static_cast<float>(base), 0.0f, 255.0f));
+      };
+      row[x] = Rgba{to8(color.r), to8(color.g), to8(color.b), 255};
+      ++shaded;
+    }
+  }
+  return shaded;
+}
+
+}  // namespace
+
 Mat4 Mat4::identity() {
   Mat4 r;
   for (int i = 0; i < 4; ++i) r.m[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)] = 1.0f;
@@ -147,74 +203,96 @@ RenderResult render_mesh(const TriangleMesh& mesh, const RenderOptions& opt) {
   const std::size_t nv = mesh.vertex_count();
   std::vector<Vec3> screen(nv);
   std::vector<float> shade(nv);
-  std::vector<bool> valid(nv);
-  for (std::size_t i = 0; i < nv; ++i) {
-    float w = 1;
-    const Vec3 ndc = mvp.transform(mesh.positions()[i], &w);
-    valid[i] = w > 0;  // behind-camera vertices are culled with the triangle
-    screen[i] = Vec3{(ndc.x * 0.5f + 0.5f) * static_cast<float>(opt.width),
-                     (0.5f - ndc.y * 0.5f) * static_cast<float>(opt.height),
-                     ndc.z};
-    const float lambert = std::abs(mesh.normals()[i].dot(light));
-    shade[i] = 0.25f + 0.75f * std::clamp(lambert, 0.0f, 1.0f);
-  }
-
-  std::size_t drawn = 0, shaded = 0;
-  const auto& idx = mesh.indices();
-  for (std::size_t t = 0; t + 2 < idx.size(); t += 3) {
-    const std::uint32_t ia = idx[t], ib = idx[t + 1], ic = idx[t + 2];
-    if (!valid[ia] || !valid[ib] || !valid[ic]) continue;
-    const Vec3& a = screen[ia];
-    const Vec3& b = screen[ib];
-    const Vec3& c = screen[ic];
-
-    const float min_x = std::min({a.x, b.x, c.x});
-    const float max_x = std::max({a.x, b.x, c.x});
-    const float min_y = std::min({a.y, b.y, c.y});
-    const float max_y = std::max({a.y, b.y, c.y});
-    if (max_x < 0 || max_y < 0 || min_x >= static_cast<float>(opt.width) ||
-        min_y >= static_cast<float>(opt.height)) {
-      continue;
+  std::vector<std::uint8_t> valid(nv);
+  util::parallel_for(opt.pool, 0, nv, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      float w = 1;
+      const Vec3 ndc = mvp.transform(mesh.positions()[i], &w);
+      valid[i] = w > 0;  // behind-camera vertices are culled with the triangle
+      screen[i] = Vec3{(ndc.x * 0.5f + 0.5f) * static_cast<float>(opt.width),
+                       (0.5f - ndc.y * 0.5f) * static_cast<float>(opt.height),
+                       ndc.z};
+      const float lambert = std::abs(mesh.normals()[i].dot(light));
+      shade[i] = 0.25f + 0.75f * std::clamp(lambert, 0.0f, 1.0f);
     }
-    const float area =
-        (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
-    if (std::abs(area) < 1e-9f) continue;
-    ++drawn;
+  });
 
-    const int x0 = std::max(0, static_cast<int>(std::floor(min_x)));
-    const int x1 = std::min(opt.width - 1, static_cast<int>(std::ceil(max_x)));
-    const int y0 = std::max(0, static_cast<int>(std::floor(min_y)));
-    const int y1 = std::min(opt.height - 1, static_cast<int>(std::ceil(max_y)));
-    const float inv_area = 1.0f / area;
+  // Row bands own their rows of the image and z-buffer. Triangles are set
+  // up in contiguous index chunks, each binning its drawn triangles to the
+  // bands they touch; a band then rasterizes chunk after chunk, so every
+  // pixel sees the serial sequence of depth tests and any split renders
+  // the serial image.
+  const std::size_t parts =
+      opt.pool ? kBandsPerThread * (opt.pool->size() + 1) : 1;
+  const int band_rows =
+      std::max(1, (opt.height + static_cast<int>(parts) - 1) /
+                      static_cast<int>(parts));
+  const auto bands =
+      static_cast<std::size_t>((opt.height + band_rows - 1) / band_rows);
+  const std::size_t triangles = mesh.indices().size() / 3;
+  const std::size_t chunks =
+      std::min(parts, std::max<std::size_t>(1, triangles));
+  std::vector<std::vector<TriangleSetup>> binned(chunks * bands);
+  std::vector<std::size_t> drawn(chunks, 0);
+  util::parallel_for(opt.pool, 0, chunks, [&](std::size_t lo, std::size_t hi) {
+    const auto& idx = mesh.indices();
+    for (std::size_t chunk = lo; chunk < hi; ++chunk) {
+      std::vector<TriangleSetup>* bins = &binned[chunk * bands];
+      for (std::size_t t = chunk * triangles / chunks;
+           t < (chunk + 1) * triangles / chunks; ++t) {
+        const std::uint32_t ia = idx[3 * t], ib = idx[3 * t + 1],
+                            ic = idx[3 * t + 2];
+        if (!valid[ia] || !valid[ib] || !valid[ic]) continue;
+        const Vec3& a = screen[ia];
+        const Vec3& b = screen[ib];
+        const Vec3& c = screen[ic];
 
-    for (int y = y0; y <= y1; ++y) {
-      for (int x = x0; x <= x1; ++x) {
-        const float px = static_cast<float>(x) + 0.5f;
-        const float py = static_cast<float>(y) + 0.5f;
-        const float w0 = ((b.x - px) * (c.y - py) - (b.y - py) * (c.x - px)) * inv_area;
-        const float w1 = ((c.x - px) * (a.y - py) - (c.y - py) * (a.x - px)) * inv_area;
-        const float w2 = 1.0f - w0 - w1;
-        if (w0 < 0 || w1 < 0 || w2 < 0) continue;
-        const float z = w0 * a.z + w1 * b.z + w2 * c.z;
-        float& zref = zbuf[static_cast<std::size_t>(y) *
-                               static_cast<std::size_t>(opt.width) +
-                           static_cast<std::size_t>(x)];
-        if (z >= zref) continue;
-        zref = z;
-        const float s = w0 * shade[ia] + w1 * shade[ib] + w2 * shade[ic];
-        const auto to8 = [s](std::uint8_t base) {
-          return static_cast<std::uint8_t>(
-              std::clamp(s * static_cast<float>(base), 0.0f, 255.0f));
-        };
-        result.image.at(x, y) = Rgba{to8(opt.base_color.r),
-                                     to8(opt.base_color.g),
-                                     to8(opt.base_color.b), 255};
-        ++shaded;
+        const float min_x = std::min({a.x, b.x, c.x});
+        const float max_x = std::max({a.x, b.x, c.x});
+        const float min_y = std::min({a.y, b.y, c.y});
+        const float max_y = std::max({a.y, b.y, c.y});
+        if (max_x < 0 || max_y < 0 ||
+            min_x >= static_cast<float>(opt.width) ||
+            min_y >= static_cast<float>(opt.height)) {
+          continue;
+        }
+        const float area =
+            (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
+        if (std::abs(area) < 1e-9f) continue;
+        ++drawn[chunk];
+        const TriangleSetup setup{
+            ia, ib, ic,
+            std::max(0, static_cast<int>(std::floor(min_x))),
+            std::min(opt.width - 1, static_cast<int>(std::ceil(max_x))),
+            std::max(0, static_cast<int>(std::floor(min_y))),
+            std::min(opt.height - 1, static_cast<int>(std::ceil(max_y))),
+            1.0f / area};
+        for (int band = setup.y0 / band_rows; band <= setup.y1 / band_rows;
+             ++band) {
+          bins[static_cast<std::size_t>(band)].push_back(setup);
+        }
       }
     }
-  }
-  result.triangles_drawn = drawn;
-  result.pixels_shaded = shaded;
+  });
+  for (const std::size_t n : drawn) result.triangles_drawn += n;
+
+  std::vector<std::size_t> shaded(bands, 0);
+  util::parallel_for(opt.pool, 0, bands, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t band = lo; band < hi; ++band) {
+      const int row0 = static_cast<int>(band) * band_rows;
+      const int row1 = std::min(opt.height, row0 + band_rows) - 1;
+      std::size_t count = 0;
+      for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+        for (const TriangleSetup& tri : binned[chunk * bands + band]) {
+          count += rasterize(tri, std::max(tri.y0, row0),
+                             std::min(tri.y1, row1), screen, shade,
+                             opt.base_color, zbuf, result.image);
+        }
+      }
+      shaded[band] = count;
+    }
+  });
+  for (const std::size_t n : shaded) result.pixels_shaded += n;
   return result;
 }
 

@@ -48,6 +48,8 @@ struct RenderOptions {
   Vec3 light_dir{0.4f, 0.3f, 0.85f};
   Rgba base_color{200, 160, 90, 255};
   Rgba background{12, 12, 24, 255};
+  /// Optional worker pool: vertices shade and row bands rasterize in
+  /// parallel, bit-identical to the serial render. Null = serial.
   util::ThreadPool* pool = nullptr;
 };
 

@@ -155,12 +155,8 @@ RayCastResult raycast(const data::ScalarVolume& volume,
     samples += local_samples;
   };
 
-  if (options.pool) {
-    options.pool->parallel_for(0, static_cast<std::size_t>(options.height),
-                               render_rows);
-  } else {
-    render_rows(0, static_cast<std::size_t>(options.height));
-  }
+  util::parallel_for(options.pool, 0, static_cast<std::size_t>(options.height),
+                     render_rows);
   result.rays = rays.load();
   result.samples = samples.load();
   return result;

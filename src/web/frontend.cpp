@@ -149,10 +149,12 @@ void AjaxFrontEnd::frame_loop() {
     // watching it. Each view publishes into its own hub shard, which fans
     // out to that shard's parked pollers. The reduced image is only built
     // while some client actually occupies the half tier (session-global:
-    // tiers are per client, not per view).
+    // tiers are per client, not per view). The session's pool, idle
+    // between renders, runs each frame's encodes.
     const bool build_half = registry.sessions().wants_half_tier();
+    util::ThreadPool& pool = session_.pool();
     registry.publish(registry.default_view_name(), std::move(state),
-                     frame.image, build_half);
+                     frame.image, build_half, &pool);
     for (const ViewSpec& spec : config_.views) {
       const auto exec = session_.render_view(spec.viz, spec.camera);
       if (!exec) continue;
@@ -173,7 +175,7 @@ void AjaxFrontEnd::frame_loop() {
               std::chrono::system_clock::now().time_since_epoch())
               .count()) / 1000.0;
       registry.publish(spec.name, std::move(view_state), exec->image,
-                       build_half);
+                       build_half, &pool);
     }
 
     const auto now = std::chrono::steady_clock::now();

@@ -62,11 +62,12 @@ struct FrontEndConfig {
   std::vector<ViewSpec> views;
   /// Idle-shard reaping horizon for the registry (0 disables).
   double view_idle_reap_s = 300.0;
-  /// Hub fan-out worker threads.
+  /// Hub fan-out worker threads, per view shard.
   std::size_t hub_workers = 4;
-  /// HTTP route-handler worker threads. Together with hub_workers, the
-  /// reactor threads, and the monitor loop this bounds *every* server-side
-  /// thread — client count never adds threads.
+  /// HTTP route-handler worker threads. Together with the reactor threads,
+  /// hub_workers per shard, the session's host-sized pool and the monitor
+  /// loop this bounds *every* server-side thread — client count never adds
+  /// threads.
   std::size_t http_workers = 4;
   /// Reactor (event-loop) threads; each owns its accepted connections
   /// outright. 1 reproduces the single-loop server.
@@ -105,6 +106,10 @@ class AjaxFrontEnd {
   int port() const noexcept { return service_.server().port(); }
   std::uint64_t frame_seq() const { return main_hub_->seq(); }
   std::uint64_t steer_count() const noexcept { return steers_.load(); }
+  /// Worker threads of the session's pool (solver, renderers, encodes).
+  std::size_t session_pool_threads() const noexcept {
+    return session_.pool().size();
+  }
   /// The default view's shard — the single-view API surface (back-compat
   /// for callers that predate sharding).
   const FrameHub& hub() const noexcept { return *main_hub_; }

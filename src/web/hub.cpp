@@ -98,40 +98,37 @@ FrameHub::FrameHub(Config config) : config_(config) {
 FrameHub::~FrameHub() { shutdown(); }
 
 std::uint64_t FrameHub::publish(util::Json state, const viz::Image& image,
-                                bool build_half) {
+                                bool build_half, util::ThreadPool* pool) {
   if (image.width() == 0 || image.height() == 0) {
-    return publish_impl(std::move(state), {}, {}, nullptr, nullptr);
+    return publish_impl(std::move(state), {}, nullptr, nullptr, nullptr);
   }
   auto raw_full = std::make_shared<const viz::Image>(image);
   std::shared_ptr<const viz::Image> raw_half;
   if (build_half) {
     raw_half = std::make_shared<const viz::Image>(viz::downsample(image, 2));
   }
-  // Encode before the argument list: a moved-from shared_ptr must not be
-  // dereferenced by a sibling argument (evaluation order is unspecified).
-  std::vector<std::uint8_t> png = raw_full->encode_png();
-  std::vector<std::uint8_t> png_half =
-      raw_half ? raw_half->encode_png() : std::vector<std::uint8_t>{};
-  return publish_impl(std::move(state), std::move(png), std::move(png_half),
-                      std::move(raw_full), std::move(raw_half));
+  return publish_impl(std::move(state), {}, std::move(raw_full),
+                      std::move(raw_half), pool);
 }
 
 std::uint64_t FrameHub::publish(util::Json state,
                                 std::vector<std::uint8_t> png) {
   // No raw pixels: no reduced image (half tier falls back to the full body)
   // and no tile deltas (image changes resend the whole image).
-  return publish_impl(std::move(state), std::move(png), {}, nullptr, nullptr);
+  return publish_impl(std::move(state), std::move(png), nullptr, nullptr,
+                      nullptr);
 }
 
 std::uint64_t FrameHub::publish_impl(util::Json state,
                                      std::vector<std::uint8_t> png,
-                                     std::vector<std::uint8_t> png_half,
                                      std::shared_ptr<const viz::Image> raw_full,
-                                     std::shared_ptr<const viz::Image> raw_half) {
-  // Publishers serialize here, which lets the expensive work — delta
-  // encoding, one base64 per image tier, rendering the per-tier response
-  // bodies — happen without holding mutex_, so concurrent polls never stall
-  // behind a frame build. Readers see seq_ and window_ change together below.
+                                     std::shared_ptr<const viz::Image> raw_half,
+                                     util::ThreadPool* pool) {
+  // Publishers serialize here, which lets the expensive work — PNG
+  // encodes, delta encoding, one base64 per image tier, rendering the
+  // per-tier response bodies — happen without holding mutex_, so
+  // concurrent polls never stall behind a frame build. Readers see seq_
+  // and window_ change together below.
   std::lock_guard<std::mutex> publishing(publish_mutex_);
   FramePtr prev = latest();
   EncodeCost cost;
@@ -140,8 +137,6 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
   frame->seq = (prev ? prev->seq : 0) + 1;
   frame->state = std::move(state);
   frame->png = std::move(png);
-  frame->png_half = std::move(png_half);
-  frame->image_changed = !prev || frame->png != prev->png;
 
   util::Json delta_state;
   if (prev && frame->state.is_object() && prev->state.is_object()) {
@@ -160,6 +155,28 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
         frame->state.is_object() ? frame->state.as_object().size() : 0;
   }
 
+  // The frame's encodes — full and half PNG with their base64, and each
+  // tier's dirty rects — are independent of one another, so they are
+  // queued here, each writing only its own slot, and run together below:
+  // concurrently on the publisher's lent pool, serially without one.
+  std::vector<std::function<void()>> encodes;
+  std::string b64_full;
+  std::string b64_half;
+  if (raw_full) {
+    encodes.emplace_back([&] {
+      frame->png = raw_full->encode_png();
+      b64_full = util::base64_encode(frame->png);
+    });
+  } else if (!frame->png.empty()) {
+    encodes.emplace_back([&] { b64_full = util::base64_encode(frame->png); });
+  }
+  if (raw_half) {
+    encodes.emplace_back([&] {
+      frame->png_half = raw_half->encode_png();
+      b64_half = util::base64_encode(frame->png_half);
+    });
+  }
+
   // Tile-delta pass, per image tier: diff the raw framebuffer against the
   // predecessor's on a fixed tile grid and PNG-encode only the dirty tiles
   // — once per frame per tier, shared by every client whose delta includes
@@ -168,6 +185,7 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
   frame->tiles[1].set_raw(raw_half);
   const std::array<std::shared_ptr<const viz::Image>, kImageTierCount> raws = {
       raw_full, raw_half};
+  std::array<std::vector<std::size_t>, kImageTierCount> rect_png_bytes;
   for (std::size_t t = 0; t < kImageTierCount; ++t) {
     Frame::TileData& td = frame->tiles[t];
     const std::shared_ptr<const viz::Image>& raw = raws[t];
@@ -198,14 +216,18 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
     // PNG/base64/JSON overhead and give DEFLATE longer runs to bite on.
     td.rects = grid.coalesce(td.dirty);
     td.rect_b64.resize(td.rects.size());
+    rect_png_bytes[t].resize(td.rects.size());
     td.tile_rect.assign(grid.count(), -1);
     for (std::size_t r = 0; r < td.rects.size(); ++r) {
       const viz::TileRect& rc = td.rects[r];
-      const viz::Image patch = viz::TileGrid::extract(*raw, rc);
-      const std::vector<std::uint8_t> png_bytes = patch.encode_png();
-      cost.bytes_in += patch.bytes();
-      cost.bytes_out += png_bytes.size();
-      td.rect_b64[r] = util::base64_encode(png_bytes);
+      encodes.emplace_back([&td, &rect_png_bytes, &raw, t, r] {
+        const std::vector<std::uint8_t> png_bytes =
+            viz::TileGrid::extract(*raw, td.rects[r]).encode_png();
+        rect_png_bytes[t][r] = png_bytes.size();
+        td.rect_b64[r] = util::base64_encode(png_bytes);
+      });
+      cost.bytes_in += static_cast<std::uint64_t>(rc.w) *
+                       static_cast<std::uint64_t>(rc.h) * 4;
       ++cost.encodes;
       const int col0 = rc.x / config_.tile_size;
       const int col1 = (rc.x + rc.w - 1) / config_.tile_size;
@@ -222,11 +244,14 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
     }
   }
 
-  const std::string b64_full =
-      frame->png.empty() ? std::string() : util::base64_encode(frame->png);
-  const std::string b64_half =
-      frame->png_half.empty() ? std::string()
-                              : util::base64_encode(frame->png_half);
+  util::parallel_for(pool, 0, encodes.size(),
+                     [&](std::size_t lo, std::size_t hi) {
+                       for (std::size_t i = lo; i < hi; ++i) encodes[i]();
+                     });
+  frame->image_changed = !prev || frame->png != prev->png;
+  for (const std::vector<std::size_t>& sizes : rect_png_bytes) {
+    for (const std::size_t size : sizes) cost.bytes_out += size;
+  }
   cost.encodes += (b64_full.empty() ? 0 : 1) + (b64_half.empty() ? 0 : 1);
   if (raw_full && !frame->png.empty()) {
     cost.bytes_in += raw_full->bytes();

@@ -235,9 +235,14 @@ class FrameHub {
   /// window, and fan out to every satisfied waiter on the worker pool.
   /// `build_half` skips the downsample + second encode when no client
   /// currently occupies the half tier (the common all-fast case) — such
-  /// frames serve the full body to half-tier requests. Returns the new seq.
+  /// frames serve the full body to half-tier requests. `encode_pool`, lent
+  /// by the publisher, runs the frame's full, half and dirty-rect PNG
+  /// encodes concurrently (the bodies are identical either way); null
+  /// encodes serially on the caller. The hub's own pool only fans out.
+  /// Returns the new seq.
   std::uint64_t publish(util::Json state, const viz::Image& image,
-                        bool build_half = true);
+                        bool build_half = true,
+                        util::ThreadPool* encode_pool = nullptr);
   /// Pre-encoded flavour (tests, image-less publishers): no reduced image
   /// exists, so the half tier serves the full body.
   std::uint64_t publish(util::Json state, std::vector<std::uint8_t> png);
@@ -326,10 +331,13 @@ class FrameHub {
     FrameHub* hub = nullptr;
   };
 
+  /// Build and commit a frame: `png` is a pre-encoded full image (then no
+  /// raws are given); otherwise the raws are encoded here, on `pool` when
+  /// one is lent.
   std::uint64_t publish_impl(util::Json state, std::vector<std::uint8_t> png,
-                             std::vector<std::uint8_t> png_half,
                              std::shared_ptr<const viz::Image> raw_full,
-                             std::shared_ptr<const viz::Image> raw_half);
+                             std::shared_ptr<const viz::Image> raw_half,
+                             util::ThreadPool* pool);
   /// Stats deltas a frame build accumulates for commit_frame.
   struct EncodeCost {
     std::uint64_t encodes = 0;    // PNG/base64 encodes performed

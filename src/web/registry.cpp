@@ -50,14 +50,16 @@ std::shared_ptr<FrameHub> HubRegistry::hub_for_publish(const std::string& view,
 }
 
 std::uint64_t HubRegistry::publish(const std::string& view, util::Json state,
-                                   const viz::Image& image, bool build_half) {
+                                   const viz::Image& image, bool build_half,
+                                   util::ThreadPool* encode_pool) {
   const double now_s = mono_now_s();
   const std::shared_ptr<FrameHub> hub = hub_for_publish(view, now_s);
   if (!hub) return 0;
   // Frame building happens outside the registry lock: concurrent publishes
   // into different shards encode in parallel, and subscribers of other
   // views never stall behind this one's render.
-  const std::uint64_t seq = hub->publish(std::move(state), image, build_half);
+  const std::uint64_t seq =
+      hub->publish(std::move(state), image, build_half, encode_pool);
   for (const auto& idle : sweep_locked_outside(now_s)) idle->shutdown();
   return seq;
 }

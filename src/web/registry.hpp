@@ -82,10 +82,12 @@ class HubRegistry {
   std::shared_ptr<FrameHub> default_hub();
 
   /// Publish a frame into `view`, creating or reviving its shard first.
+  /// `encode_pool` is lent to FrameHub::publish for the frame's encodes.
   /// Returns the shard's new seq, or 0 when refused (shutdown, or a new
   /// name beyond max_views).
   std::uint64_t publish(const std::string& view, util::Json state,
-                        const viz::Image& image, bool build_half = true);
+                        const viz::Image& image, bool build_half = true,
+                        util::ThreadPool* encode_pool = nullptr);
   std::uint64_t publish(const std::string& view, util::Json state,
                         std::vector<std::uint8_t> png);
   /// Inject a pre-encoded frame (FrameHub::publish_encoded): the relay's

@@ -1,15 +1,18 @@
 // Hydrodynamics tests: exact Riemann solver invariants, Sod shock tube vs
 // the exact solution, conservation properties, boundary conditions, the
-// bowshock/Sedov setups, and the Steerable adapter.
+// bowshock/Sedov setups, the Steerable adapter, and pooled sweeps matching
+// the serial solver bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "hydro/euler.hpp"
 #include "hydro/riemann_exact.hpp"
 #include "hydro/setups.hpp"
 #include "hydro/steerable.hpp"
+#include "util/thread_pool.hpp"
 
 namespace h = ricsa::hydro;
 
@@ -314,4 +317,59 @@ TEST(Steerable, SteeringMidRunChangesEvolution) {
     diff += std::abs(rho_a.at(i, 0, 0) - rho_b.at(i, 0, 0));
   }
   EXPECT_GT(diff, 0.01);
+}
+
+// ------------------------------------------------------- Pooled solver ----
+
+namespace {
+
+/// Every conserved cell equal to the bit, and the clocks too.
+void expect_bitwise_equal(const h::EulerSolver3D& a, const h::EulerSolver3D& b) {
+  ASSERT_EQ(a.nx(), b.nx());
+  ASSERT_EQ(a.ny(), b.ny());
+  ASSERT_EQ(a.nz(), b.nz());
+  EXPECT_EQ(a.cycle(), b.cycle());
+  const double ta = a.time(), tb = b.time();
+  EXPECT_EQ(std::memcmp(&ta, &tb, sizeof ta), 0) << ta << " vs " << tb;
+  int differing = 0;
+  for (int k = 0; k < a.nz(); ++k) {
+    for (int j = 0; j < a.ny(); ++j) {
+      for (int i = 0; i < a.nx(); ++i) {
+        if (std::memcmp(&a.conserved(i, j, k), &b.conserved(i, j, k),
+                        sizeof(h::Conserved)) != 0) {
+          ++differing;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(differing, 0);
+}
+
+}  // namespace
+
+TEST(EulerSolver, PooledStepsMatchSerialBitwise) {
+  // Pencil-split sweeps and the z-slab dt reduction on a pool must
+  // reproduce the serial solver exactly, through a mid-run steer.
+  ricsa::util::ThreadPool pool(4);
+  h::HydroSimulation serial(h::HydroSimulation::Kind::kBowshock, 20);
+  h::HydroSimulation pooled(h::HydroSimulation::Kind::kBowshock, 20);
+  pooled.solver().set_pool(&pool);
+  serial.advance(4);
+  pooled.advance(4);
+  ASSERT_TRUE(serial.set_parameter("mach", 4.0));
+  ASSERT_TRUE(pooled.set_parameter("mach", 4.0));
+  serial.advance(4);
+  pooled.advance(4);
+  expect_bitwise_equal(serial.solver(), pooled.solver());
+
+  auto sedov_serial = h::make_sedov({.n = 18});
+  auto sedov_pooled = h::make_sedov({.n = 18});
+  ricsa::util::ThreadPool small(3);
+  sedov_pooled->set_pool(&small);
+  for (int i = 0; i < 6; ++i) {
+    sedov_serial->step();
+    sedov_pooled->step();
+  }
+  EXPECT_EQ(sedov_serial->compute_dt(), sedov_pooled->compute_dt());
+  expect_bitwise_equal(*sedov_serial, *sedov_pooled);
 }

@@ -454,3 +454,24 @@ TEST(ThreadPool, ParallelForFirstExceptionWinsWhenSeveralThrow) {
     EXPECT_STREQ(e.what(), "chunk 0");  // chunks submit in order
   }
 }
+
+TEST(ThreadPool, NestedAndConcurrentParallelForsComplete) {
+  // Grains run on whichever thread claims them, the caller included, so a
+  // parallel_for issued from inside a grain, or from several threads at
+  // once, never waits on a task stuck behind it in the queue.
+  u::ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(8 * 100);
+  const auto nested = [&] {
+    pool.parallel_for(0, 8, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t outer = lo; outer < hi; ++outer) {
+        pool.parallel_for(0, 100, [&](std::size_t ilo, std::size_t ihi) {
+          for (std::size_t i = ilo; i < ihi; ++i) ++hits[outer * 100 + i];
+        });
+      }
+    });
+  };
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 3; ++c) callers.emplace_back(nested);
+  for (auto& t : callers) t.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 3);
+}

@@ -7,6 +7,9 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/generators.hpp"
 #include "data/octree.hpp"
@@ -192,16 +195,47 @@ TEST(Isosurface, BlockCullingScansOnlyActiveBlocks) {
   EXPECT_LT(result.stats.cells_scanned, 32u * 32 * 32);
 }
 
+namespace {
+
+/// Bitwise equality of two vectors' elements: float payloads must match to
+/// the bit, not within a tolerance, for "pooled == serial" to hold.
+template <typename T>
+bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+}  // namespace
+
 TEST(Isosurface, ParallelMatchesSerial) {
+  // Pooled extraction must be the serial scan, bit for bit, whatever the
+  // pool size and therefore however the (block, z) slabs are split.
   const d::ScalarVolume vol = d::make_jet(40, 40, 40);
-  const auto serial = v::extract_isosurface(vol, 0.5f);
-  ricsa::util::ThreadPool pool(4);
-  v::IsosurfaceOptions opt;
-  opt.pool = &pool;
-  const auto parallel = v::extract_isosurface(vol, 0.5f, opt);
-  EXPECT_EQ(parallel.mesh.triangle_count(), serial.mesh.triangle_count());
-  EXPECT_EQ(parallel.stats.cells_scanned, serial.stats.cells_scanned);
-  EXPECT_NEAR(parallel.mesh.surface_area(), serial.mesh.surface_area(), 1e-3);
+  for (const int block_size : {16, 7}) {
+    v::IsosurfaceOptions opt;
+    opt.block_size = block_size;
+    const auto serial = v::extract_isosurface(vol, 0.5f, opt);
+    ASSERT_GT(serial.mesh.triangle_count(), 1000u);
+    for (const std::size_t threads : {1u, 3u, 4u}) {
+      SCOPED_TRACE("block " + std::to_string(block_size) + ", pool " +
+                   std::to_string(threads));
+      ricsa::util::ThreadPool pool(threads);
+      opt.pool = &pool;
+      const auto parallel = v::extract_isosurface(vol, 0.5f, opt);
+      opt.pool = nullptr;
+      EXPECT_TRUE(bitwise_equal(parallel.mesh.positions(),
+                                serial.mesh.positions()));
+      EXPECT_TRUE(
+          bitwise_equal(parallel.mesh.normals(), serial.mesh.normals()));
+      EXPECT_EQ(parallel.mesh.indices(), serial.mesh.indices());
+      EXPECT_EQ(parallel.stats.blocks_total, serial.stats.blocks_total);
+      EXPECT_EQ(parallel.stats.blocks_active, serial.stats.blocks_active);
+      EXPECT_EQ(parallel.stats.cells_scanned, serial.stats.cells_scanned);
+      EXPECT_EQ(parallel.stats.triangles, serial.stats.triangles);
+      EXPECT_EQ(parallel.stats.class_cells, serial.stats.class_cells);
+      EXPECT_EQ(parallel.stats.class_triangles, serial.stats.class_triangles);
+    }
+  }
 }
 
 TEST(Isosurface, ClassHistogramAccountsAllCells) {
@@ -414,6 +448,39 @@ TEST(Rasterizer, ZBufferOcclusion) {
   const auto result = v::render_mesh(m, opt);
   EXPECT_EQ(result.triangles_drawn, 2u);
   EXPECT_GT(result.pixels_shaded, 0u);
+}
+
+TEST(Rasterizer, ParallelMatchesSerial) {
+  // Row-band rendering must reproduce the serial image exactly, including
+  // depth-test ties: the second copy of the surface sits at the same depth
+  // with different normals, so only strict index order decides which copy
+  // shades each pixel.
+  const d::ScalarVolume vol = d::make_jet(32, 32, 32);
+  v::TriangleMesh mesh = v::extract_isosurface(vol, 0.5f).mesh;
+  v::TriangleMesh twin = mesh;
+  for (auto& n : twin.normals()) n = d::Vec3{n.z, n.x, n.y};
+  mesh.append(twin);
+  for (const auto& [width, height] :
+       {std::pair{96, 61}, std::pair{40, 128}}) {
+    v::RenderOptions opt;
+    opt.width = width;
+    opt.height = height;
+    opt.azimuth = 1.1f;
+    opt.elevation = 0.4f;
+    const auto serial = v::render_mesh(mesh, opt);
+    ASSERT_GT(serial.pixels_shaded, 500u);
+    for (const std::size_t threads : {1u, 3u, 4u}) {
+      SCOPED_TRACE(std::to_string(width) + "x" + std::to_string(height) +
+                   ", pool " + std::to_string(threads));
+      ricsa::util::ThreadPool pool(threads);
+      opt.pool = &pool;
+      const auto parallel = v::render_mesh(mesh, opt);
+      opt.pool = nullptr;
+      EXPECT_EQ(parallel.image.pixels(), serial.image.pixels());
+      EXPECT_EQ(parallel.triangles_drawn, serial.triangles_drawn);
+      EXPECT_EQ(parallel.pixels_shaded, serial.pixels_shaded);
+    }
+  }
 }
 
 // ----------------------------------------------------------------- Image ----

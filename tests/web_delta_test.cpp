@@ -14,6 +14,7 @@
 #include "util/base64.hpp"
 #include "util/json.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 #include "web/frontend.hpp"
 #include "web/http.hpp"
 #include "web/hub.hpp"
@@ -311,6 +312,56 @@ TEST(TileDelta, TierSwitchForcesFullFrame) {
   // After a delivery at the new tier the contract holds again.
   session.on_delivered(now += 0.1, 1000, 0, session.tier(), 0.1);
   EXPECT_TRUE(session.decide(now, 0.1).allow_delta);
+}
+
+TEST(TileDelta, LentEncodePoolBuildsIdenticalFrames) {
+  // A publisher-lent pool only runs the frame's PNG encodes concurrently:
+  // every tier's full and delta body, and the encode accounting, must match
+  // the serial build exactly. The frames mix first/full-change frames, an
+  // unchanged frame and several dirty rects per tier.
+  const auto frame_image = [](int step) {
+    v::Image img = textured_scene(step, 96, 64);
+    const int x0 = 80 - (step * 7) % 72;
+    for (int y = 50; y < 58; ++y) {
+      for (int x = x0; x < x0 + 8; ++x) img.at(x, y) = {40, 220, 90, 255};
+    }
+    return img;
+  };
+  u::ThreadPool pool(4);
+  w::FrameHub serial(tile_hub_config());
+  w::FrameHub pooled(tile_hub_config());
+  const std::vector<int> steps = {0, 1, 2, 2, 3, 40, 41, 42};
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const v::Image image = frame_image(steps[i]);
+    const bool half = i % 3 != 1;
+    serial.publish(state_of(steps[i]), image, half);
+    pooled.publish(state_of(steps[i]), image, half, &pool);
+  }
+  std::size_t tiled = 0;
+  for (std::uint64_t seq = 1; seq <= steps.size(); ++seq) {
+    SCOPED_TRACE("seq " + std::to_string(seq));
+    const w::FramePtr a = serial.next_after(seq - 1);
+    const w::FramePtr b = pooled.next_after(seq - 1);
+    ASSERT_TRUE(a && b);
+    EXPECT_EQ(a->png, b->png);
+    EXPECT_EQ(a->png_half, b->png_half);
+    EXPECT_EQ(a->image_changed, b->image_changed);
+    for (std::size_t t = 0; t < w::kTierCount; ++t) {
+      EXPECT_EQ(a->bodies[t].full, b->bodies[t].full) << "tier " << t;
+      EXPECT_EQ(a->bodies[t].delta, b->bodies[t].delta) << "tier " << t;
+    }
+    for (std::size_t t = 0; t < w::kImageTierCount; ++t) {
+      EXPECT_EQ(a->tiles[t].rect_b64, b->tiles[t].rect_b64) << "tier " << t;
+      EXPECT_EQ(a->tiles[t].tile_rect, b->tiles[t].tile_rect) << "tier " << t;
+      if (a->tiles[t].rects.size() > 1) ++tiled;
+    }
+  }
+  EXPECT_GE(tiled, 3u);  // multi-rect encodes actually ran concurrently
+  const w::FrameHub::Stats sa = serial.stats();
+  const w::FrameHub::Stats sb = pooled.stats();
+  EXPECT_EQ(sa.image_encodes, sb.image_encodes);
+  EXPECT_EQ(sa.image_bytes_in, sb.image_bytes_in);
+  EXPECT_EQ(sa.image_bytes_out, sb.image_bytes_out);
 }
 
 // ------------------------------------------------- HTTP level (frontend) ----
