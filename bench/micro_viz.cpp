@@ -10,6 +10,11 @@
 // on:
 //
 //   ./build/bench/micro_viz --benchmark_filter='HydroStep|RayCast|Isosurface|RenderMesh'
+//
+// PNG encoding of the steering benchmark's rendered frame, with the filter
+// and deflate stages timed apart, and of stored-fallback noise:
+//
+//   ./build/bench/micro_viz --benchmark_filter='PngEncode|Deflate'
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,8 +27,10 @@
 #include "data/generators.hpp"
 #include "hydro/setups.hpp"
 #include "steering/message.hpp"
+#include "steering/session.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
+#include "viz/deflate.hpp"
 #include "viz/image.hpp"
 #include "viz/isosurface.hpp"
 #include "viz/rasterizer.hpp"
@@ -176,7 +183,74 @@ BENCHMARK(BM_HydroStep)
     ->ArgsProduct({{24, 48}, kPoolSizes})
     ->UseRealTime();
 
-void BM_PngEncode(benchmark::State& state) {
+/// The steering benchmark origin's main view (perfbench/steer_bench.cpp):
+/// a 40^3 bow shock ray-cast to 192x192, 40 frames in.
+const viz::Image& origin_frame() {
+  static const viz::Image frame = [] {
+    steering::SessionConfig config;
+    config.simulation = hydro::HydroSimulation::Kind::kBowshock;
+    config.resolution = 40;
+    config.viz.technique = cost::VizRequest::Technique::kRayCast;
+    config.viz.image_width = 192;
+    config.viz.image_height = 192;
+    config.cycles_per_frame = 1;
+    steering::SteeringSession session(config);
+    viz::Image image;
+    for (int f = 0; f < 40; ++f) image = session.next_frame().image;
+    return image;
+  }();
+  return frame;
+}
+
+/// The filtered scanlines a PNG from Image::encode_png carries: it writes
+/// one IDAT chunk, right after the signature and the 25-byte IHDR chunk.
+std::vector<std::uint8_t> png_scanlines(const std::vector<std::uint8_t>& png) {
+  constexpr std::size_t kIdat = 8 + 25;
+  const std::size_t length = (std::size_t{png[kIdat]} << 24) |
+                             (std::size_t{png[kIdat + 1]} << 16) |
+                             (std::size_t{png[kIdat + 2]} << 8) |
+                             std::size_t{png[kIdat + 3]};
+  return viz::zlib_decompress(png.data() + kIdat + 8, length);
+}
+
+// PNG encoding, split into its two stages on a rendered frame:
+// BM_PngEncodeFrame runs the whole encode_png, BM_DeflateFrame only the
+// deflate of that frame's filtered scanlines, so the difference is the
+// filter pass, the Adler-32 checksum and PNG framing. BM_PngEncodeNoise
+// encodes uniform noise, where every block takes the stored fallback
+// (ratio ~1).
+void BM_PngEncodeFrame(benchmark::State& state) {
+  const viz::Image& img = origin_frame();
+  std::size_t png_bytes = 0;
+  for (auto _ : state) {
+    const auto png = img.encode_png();
+    png_bytes = png.size();
+    benchmark::DoNotOptimize(png.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(img.bytes()));
+  state.counters["ratio"] =
+      static_cast<double>(img.bytes()) / static_cast<double>(png_bytes);
+}
+BENCHMARK(BM_PngEncodeFrame);
+
+void BM_DeflateFrame(benchmark::State& state) {
+  const std::vector<std::uint8_t> scanlines =
+      png_scanlines(origin_frame().encode_png());
+  std::size_t deflated = 0;
+  for (auto _ : state) {
+    const auto z = viz::deflate(scanlines);
+    deflated = z.size();
+    benchmark::DoNotOptimize(z.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(scanlines.size()));
+  state.counters["ratio"] = static_cast<double>(scanlines.size()) /
+                            static_cast<double>(deflated);
+}
+BENCHMARK(BM_DeflateFrame);
+
+void BM_PngEncodeNoise(benchmark::State& state) {
   viz::Image img(256, 256);
   util::Xoshiro256 rng(3);
   for (int y = 0; y < 256; ++y) {
@@ -192,8 +266,9 @@ void BM_PngEncode(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(img.bytes()));
+  state.SetLabel("stored fallback");
 }
-BENCHMARK(BM_PngEncode);
+BENCHMARK(BM_PngEncodeNoise);
 
 void BM_MessageRoundTrip(benchmark::State& state) {
   steering::Message m = steering::make_viz_request(1, "isosurface", 0.5f, 512, 512);

@@ -7,6 +7,10 @@
 #include <fstream>
 #include <stdexcept>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace ricsa::viz {
 
 Image::Image(int width, int height, Rgba fill)
@@ -101,15 +105,14 @@ void push_be32(std::vector<std::uint8_t>& out, std::uint32_t v) {
 void push_chunk(std::vector<std::uint8_t>& out, const char type[5],
                 const std::vector<std::uint8_t>& payload) {
   push_be32(out, static_cast<std::uint32_t>(payload.size()));
-  std::vector<std::uint8_t> body;
-  body.reserve(4 + payload.size());
-  for (int i = 0; i < 4; ++i) body.push_back(static_cast<std::uint8_t>(type[i]));
-  body.insert(body.end(), payload.begin(), payload.end());
-  out.insert(out.end(), body.begin(), body.end());
-  push_be32(out, crc32(body.data(), body.size()));
+  const std::size_t at = out.size();
+  out.insert(out.end(), type, type + 4);
+  out.insert(out.end(), payload.begin(), payload.end());
+  push_be32(out, crc32(out.data() + at, 4 + payload.size()));
 }
 
 constexpr int kBpp = 4;  // RGBA8
+static_assert(sizeof(Rgba) == kBpp, "pixels are read as packed RGBA bytes");
 
 /// PNG Paeth predictor (spec pseudocode, exact tie-break order a/b/c).
 std::uint8_t paeth(int a, int b, int c) {
@@ -120,65 +123,153 @@ std::uint8_t paeth(int a, int b, int c) {
   return static_cast<std::uint8_t>(c);
 }
 
-/// Filter-selection cost: sum of absolute values with filtered bytes read
-/// as signed (v < 128 ? v : 256 - v) — the heuristic from the PNG spec.
-std::uint64_t filter_sad(const std::uint8_t* row, std::size_t n) {
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t v = row[i];
-    sum += v < 128 ? v : 256u - v;
+/// Filter-selection cost of one filtered byte: its absolute value read as
+/// signed (v < 128 ? v : 256 - v) — the heuristic from the PNG spec.
+unsigned residual_cost(std::uint8_t v) { return v < 128 ? v : 256u - v; }
+
+/// Sub, Up and Paeth residuals of bytes [from, to) of `cur` against `prev`
+/// (the row above), into `sub`/`up`/`pth`; adds each byte's selection cost
+/// to `cost` (None, Sub, Up, Paeth).
+void filter_bytes(const std::uint8_t* cur, const std::uint8_t* prev,
+                  std::size_t from, std::size_t to, std::uint8_t* sub,
+                  std::uint8_t* up, std::uint8_t* pth,
+                  std::array<std::uint64_t, 4>& cost) {
+  for (std::size_t i = from; i < to; ++i) {
+    const int left = i >= kBpp ? cur[i - kBpp] : 0;
+    const int above = prev[i];
+    const int upleft = i >= kBpp ? prev[i - kBpp] : 0;
+    sub[i] = static_cast<std::uint8_t>(cur[i] - left);
+    up[i] = static_cast<std::uint8_t>(cur[i] - above);
+    pth[i] = static_cast<std::uint8_t>(cur[i] - paeth(left, above, upleft));
+    cost[0] += residual_cost(cur[i]);
+    cost[1] += residual_cost(sub[i]);
+    cost[2] += residual_cost(up[i]);
+    cost[3] += residual_cost(pth[i]);
   }
-  return sum;
+}
+
+#if defined(__SSE2__)
+/// residual_cost of 16 bytes at once: min(v, -v) as unsigned bytes.
+__m128i residual_cost16(__m128i v) {
+  return _mm_min_epu8(v, _mm_sub_epi8(_mm_setzero_si128(), v));
+}
+
+/// The Paeth predictor's choice masks for 8 bytes widened to 16
+/// bits: `not_a` where a loses (pa > pb or pa > pc), `use_c` where c beats
+/// b (pb > pc). With p = a + b - c: pa = |b - c|, pb = |a - c|,
+/// pc = |a + b - 2c|.
+void paeth_masks16(__m128i a, __m128i b, __m128i c, __m128i& not_a,
+                   __m128i& use_c) {
+  const __m128i zero = _mm_setzero_si128();
+  const auto abs16 = [zero](__m128i v) {
+    return _mm_max_epi16(v, _mm_sub_epi16(zero, v));
+  };
+  const __m128i bc = _mm_sub_epi16(b, c);
+  const __m128i ac = _mm_sub_epi16(a, c);
+  const __m128i pa = abs16(bc);
+  const __m128i pb = abs16(ac);
+  const __m128i pc = abs16(_mm_add_epi16(ac, bc));
+  not_a = _mm_or_si128(_mm_cmpgt_epi16(pa, pb), _mm_cmpgt_epi16(pa, pc));
+  use_c = _mm_cmpgt_epi16(pb, pc);
+}
+
+/// Paeth predictions for 16 bytes (spec tie-break order a/b/c).
+__m128i paeth16(__m128i a, __m128i b, __m128i c) {
+  const __m128i zero = _mm_setzero_si128();
+  __m128i not_a_lo, use_c_lo, not_a_hi, use_c_hi;
+  paeth_masks16(_mm_unpacklo_epi8(a, zero), _mm_unpacklo_epi8(b, zero),
+                _mm_unpacklo_epi8(c, zero), not_a_lo, use_c_lo);
+  paeth_masks16(_mm_unpackhi_epi8(a, zero), _mm_unpackhi_epi8(b, zero),
+                _mm_unpackhi_epi8(c, zero), not_a_hi, use_c_hi);
+  // 16-bit all-ones/all-zeros masks narrow to byte masks unchanged.
+  const __m128i not_a = _mm_packs_epi16(not_a_lo, not_a_hi);
+  const __m128i use_c = _mm_packs_epi16(use_c_lo, use_c_hi);
+  const __m128i b_or_c = _mm_or_si128(_mm_and_si128(use_c, c),
+                                      _mm_andnot_si128(use_c, b));
+  return _mm_or_si128(_mm_and_si128(not_a, b_or_c),
+                      _mm_andnot_si128(not_a, a));
+}
+#endif
+
+/// One pass over a row of `n` bytes: Sub, Up and Paeth residuals into
+/// `sub`/`up`/`pth`, and the selection cost of each of None, Sub, Up and
+/// Paeth. The first pixel (no left neighbour) and the tail go through the
+/// scalar loop; with SSE2 the rest takes 16 bytes per step.
+std::array<std::uint64_t, 4> filter_row(const std::uint8_t* cur,
+                                        const std::uint8_t* prev,
+                                        std::size_t n, std::uint8_t* sub,
+                                        std::uint8_t* up, std::uint8_t* pth) {
+  std::array<std::uint64_t, 4> cost{};
+  std::size_t i = std::min<std::size_t>(kBpp, n);
+  filter_bytes(cur, prev, 0, i, sub, up, pth, cost);
+#if defined(__SSE2__)
+  const __m128i zero = _mm_setzero_si128();
+  __m128i sums[4] = {zero, zero, zero, zero};
+  const auto load = [](const std::uint8_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  };
+  const auto store = [](std::uint8_t* p, __m128i v) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+  };
+  for (; i + 16 <= n; i += 16) {
+    const __m128i x = load(cur + i);
+    const __m128i a = load(cur + i - kBpp);
+    const __m128i b = load(prev + i);
+    const __m128i c = load(prev + i - kBpp);
+    const __m128i residual[4] = {
+        x, _mm_sub_epi8(x, a), _mm_sub_epi8(x, b),
+        _mm_sub_epi8(x, paeth16(a, b, c))};
+    store(sub + i, residual[1]);
+    store(up + i, residual[2]);
+    store(pth + i, residual[3]);
+    for (std::size_t f = 0; f < 4; ++f) {
+      sums[f] = _mm_add_epi64(
+          sums[f], _mm_sad_epu8(residual_cost16(residual[f]), zero));
+    }
+  }
+  for (std::size_t f = 0; f < 4; ++f) {
+    std::uint64_t lanes[2];
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), sums[f]);
+    cost[f] += lanes[0] + lanes[1];
+  }
+#endif
+  filter_bytes(cur, prev, i, n, sub, up, pth, cost);
+  return cost;
 }
 }  // namespace
 
 std::vector<std::uint8_t> Image::encode_png() const {
   // Filtered scanlines: per row, pick among None/Sub/Up/Paeth by minimum
-  // sum of absolute differences so the DEFLATE stage sees small residuals
-  // instead of raw pixel values.
+  // sum of absolute differences (the first of equal sums wins) so the
+  // DEFLATE stage sees small residuals instead of raw pixel values.
+  constexpr std::uint8_t kFilterType[4] = {0, 1, 2, 4};  // None/Sub/Up/Paeth
   const std::size_t row_bytes = kBpp * static_cast<std::size_t>(width_);
-  std::vector<std::uint8_t> raw;
-  raw.reserve(static_cast<std::size_t>(height_) * (1 + row_bytes));
-  std::vector<std::uint8_t> cur(row_bytes), prev(row_bytes, 0);
-  std::array<std::vector<std::uint8_t>, 3> trial;
-  for (auto& t : trial) t.resize(row_bytes);
-  for (int y = 0; y < height_; ++y) {
-    std::memcpy(cur.data(),
-                pixels_.data() + static_cast<std::size_t>(y) *
-                                     static_cast<std::size_t>(width_),
+  const std::size_t stride = 1 + row_bytes;
+  std::vector<std::uint8_t> raw(static_cast<std::size_t>(height_) * stride);
+  std::vector<std::uint8_t> trial(3 * row_bytes);  // Sub, Up, Paeth rows
+  const std::vector<std::uint8_t> zero_row(row_bytes, 0);
+  const auto* pixels = reinterpret_cast<const std::uint8_t*>(pixels_.data());
+  for (std::size_t y = 0; y < static_cast<std::size_t>(height_); ++y) {
+    const std::uint8_t* cur = pixels + y * row_bytes;
+    const std::uint8_t* prev = y == 0 ? zero_row.data() : cur - row_bytes;
+    const std::array<std::uint64_t, 4> cost =
+        filter_row(cur, prev, row_bytes, trial.data(),
+                   trial.data() + row_bytes, trial.data() + 2 * row_bytes);
+    std::size_t best = 0;
+    for (std::size_t f = 1; f < 4; ++f) {
+      if (cost[f] < cost[best]) best = f;
+    }
+    std::uint8_t* out = raw.data() + y * stride;
+    out[0] = kFilterType[best];
+    std::memcpy(out + 1,
+                best == 0 ? cur : trial.data() + (best - 1) * row_bytes,
                 row_bytes);
-    auto& sub = trial[0];
-    auto& up = trial[1];
-    auto& pth = trial[2];
-    for (std::size_t i = 0; i < row_bytes; ++i) {
-      const int left = i >= kBpp ? cur[i - kBpp] : 0;
-      const int above = prev[i];
-      const int upleft = i >= kBpp ? prev[i - kBpp] : 0;
-      sub[i] = static_cast<std::uint8_t>(cur[i] - left);
-      up[i] = static_cast<std::uint8_t>(cur[i] - above);
-      pth[i] = static_cast<std::uint8_t>(cur[i] - paeth(left, above, upleft));
-    }
-    int best = 0;  // filter type None
-    std::uint64_t best_sad = filter_sad(cur.data(), row_bytes);
-    const int types[3] = {1, 2, 4};  // Sub, Up, Paeth
-    for (int t = 0; t < 3; ++t) {
-      const std::uint64_t sad = filter_sad(trial[t].data(), row_bytes);
-      if (sad < best_sad) {
-        best_sad = sad;
-        best = types[t];
-      }
-    }
-    raw.push_back(static_cast<std::uint8_t>(best));
-    const std::uint8_t* chosen =
-        best == 0 ? cur.data()
-                  : trial[best == 1 ? 0 : best == 2 ? 1 : 2].data();
-    raw.insert(raw.end(), chosen, chosen + row_bytes);
-    std::swap(prev, cur);
   }
 
-  std::vector<std::uint8_t> z = zlib_compress(raw.data(), raw.size());
+  const std::vector<std::uint8_t> z = zlib_compress(raw.data(), raw.size());
 
   std::vector<std::uint8_t> png = {0x89, 'P', 'N', 'G', 0x0D, 0x0A, 0x1A, 0x0A};
+  png.reserve(png.size() + 3 * 12 + 13 + z.size());
   std::vector<std::uint8_t> ihdr;
   push_be32(ihdr, static_cast<std::uint32_t>(width_));
   push_be32(ihdr, static_cast<std::uint32_t>(height_));

@@ -3,10 +3,13 @@
 // Round-trips every small image size the tile path produces, checks the
 // stored fallback on incompressible input, and decodes golden vectors
 // produced by a reference zlib so the inflater is validated against real
-// fixed- and dynamic-Huffman streams, not just our own compressor.
+// fixed- and dynamic-Huffman streams, not just our own compressor. A golden
+// corpus pins the encoder's own output byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -370,4 +373,232 @@ TEST(PngCodec, CompressesStructuredContentWell) {
   const auto png = img.encode_png();
   EXPECT_LT(png.size(), img.bytes() / 20);
   EXPECT_EQ(v::Image::decode_png(png).pixels(), img.pixels());
+}
+
+// ------------------------------------------------ golden encoder output ----
+//
+// The encoder's parse (3-byte hash, 128-candidate chain budget, first
+// longest match wins, one-step lazy rule, 65535-byte block split,
+// fixed/stored choice) and the PNG filter choice (None/Sub/Up/Paeth by
+// strict < in that order) are pinned by CRC-32 and length over a generated
+// corpus. Any change to a decision changes a value below; a faster encoder
+// must leave them all as they are.
+
+namespace {
+
+/// `n` bytes drawn from a skewed 17-symbol alphabet: long hash chains, so
+/// the chain budget and the lazy rule both bind.
+std::vector<std::uint8_t> skewed_bytes(std::size_t n, std::uint64_t seed) {
+  static const char kAlphabet[] = "aaaaabbbcddeefg h";
+  ricsa::util::Xoshiro256 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(kAlphabet[rng() % 17]);
+  return out;
+}
+
+/// Words from a small vocabulary: matches at many lengths and distances.
+std::vector<std::uint8_t> word_text(std::size_t n, std::uint64_t seed) {
+  static const char* const kWords[] = {
+      "shock",   "density", "pressure", "mach",    "steer", "frame",
+      "render",  "tile",    "delta",    "viewer",  "relay", "hub",
+      "cycle",   "gamma",   "isosurface", "ray",   "cast",  "bow",
+      "wave",    "cell",    "flux",     "solver",  "step",  "grid"};
+  ricsa::util::Xoshiro256 rng(seed);
+  std::vector<std::uint8_t> out;
+  out.reserve(n + 16);
+  while (out.size() < n) {
+    const std::string word = kWords[rng() % std::size(kWords)];
+    out.insert(out.end(), word.begin(), word.end());
+    out.push_back(rng() % 7 == 0 ? '\n' : ' ');
+  }
+  out.resize(n);
+  return out;
+}
+
+struct NamedInput {
+  std::string name;
+  std::vector<std::uint8_t> bytes;
+};
+
+std::vector<NamedInput> byte_corpus() {
+  std::vector<NamedInput> corpus;
+  corpus.push_back({"empty", {}});
+  corpus.push_back({"one byte", {0x42}});
+  const std::string repeat = "abcabcabcabcXabcabcabcab";
+  corpus.push_back({"short repeat", {repeat.begin(), repeat.end()}});
+  std::string text;
+  for (int i = 0; i < 50; ++i) {
+    text += "the quick brown fox jumps over the lazy dog. ";
+  }
+  corpus.push_back({"text", {text.begin(), text.end()}});
+  corpus.push_back({"skewed 100k", skewed_bytes(100000, 1)});
+  corpus.push_back({"random 150k", random_bytes(150000, 2)});
+  // A max-length match straddling the 65535-byte block boundary, over
+  // random bytes (the block falls back to stored and splits) and over
+  // compressible bytes (the block stays fixed-Huffman).
+  auto straddle_stored = random_bytes(70000, 3);
+  std::copy(straddle_stored.begin() + 45400, straddle_stored.begin() + 45658,
+            straddle_stored.begin() + 65400);
+  corpus.push_back({"max match straddles block, stored", straddle_stored});
+  auto straddle_fixed = skewed_bytes(140000, 4);
+  std::fill(straddle_fixed.begin() + 65400, straddle_fixed.begin() + 66000,
+            0x55);
+  corpus.push_back({"max match straddles block, fixed", straddle_fixed});
+  // Repeats at distance exactly 32768 (inside the window) and 32769 (just
+  // outside it).
+  const auto a = random_bytes(32768, 5);
+  const auto b = random_bytes(32769, 6);
+  std::vector<std::uint8_t> window_edge;
+  for (const auto* part : {&a, &a, &b, &b}) {
+    window_edge.insert(window_edge.end(), part->begin(), part->end());
+  }
+  corpus.push_back({"window edge", window_edge});
+  // Longer than 1 MiB, where the match finder rebases its 32-bit offsets.
+  corpus.push_back({"words 1.3M", word_text(1300000, 7)});
+  // 30 distinct 9-bit literals: 3 + 30 * 9 + 7 fixed bits against
+  // 3 + 5 + 32 + 30 * 8 stored bits, a tie that stored wins.
+  std::vector<std::uint8_t> tie(30);
+  for (std::size_t i = 0; i < tie.size(); ++i) {
+    tie[i] = static_cast<std::uint8_t>(144 + i);
+  }
+  corpus.push_back({"fixed/stored cost tie", tie});
+  return corpus;
+}
+
+enum class Pattern { kConstant, kGradient, kNoise, kShapes };
+
+/// Images of the PNG corpus. Shapes are shaded discs on a flat background,
+/// like a rendered frame; all arithmetic is integer so the corpus is the
+/// same on every platform.
+v::Image pattern_image(Pattern pattern, int w, int h, std::uint64_t seed) {
+  ricsa::util::Xoshiro256 rng(seed);
+  if (pattern == Pattern::kConstant) return v::Image(w, h, {12, 34, 56, 255});
+  v::Image img(w, h, {20, 24, 32, 255});
+  if (pattern == Pattern::kShapes) {
+    const int discs = 2 + w * h / 2048;
+    for (int k = 0; k < discs; ++k) {
+      const int cx = static_cast<int>(rng() % static_cast<unsigned>(w));
+      const int cy = static_cast<int>(rng() % static_cast<unsigned>(h));
+      const int r = 1 + static_cast<int>(rng() % static_cast<unsigned>(
+                            std::max(2, std::min(w, h) / 3)));
+      const v::Rgba color{static_cast<std::uint8_t>(rng() & 0xFF),
+                          static_cast<std::uint8_t>(rng() & 0xFF),
+                          static_cast<std::uint8_t>(rng() & 0xFF), 255};
+      for (int y = std::max(0, cy - r); y < std::min(h, cy + r + 1); ++y) {
+        for (int x = std::max(0, cx - r); x < std::min(w, cx + r + 1); ++x) {
+          const int d2 = (x - cx) * (x - cx) + (y - cy) * (y - cy);
+          if (d2 > r * r) continue;
+          const int shade = 128 + 127 * (r * r - d2) / (r * r);
+          img.at(x, y) = {static_cast<std::uint8_t>(color.r * shade / 255),
+                          static_cast<std::uint8_t>(color.g * shade / 255),
+                          static_cast<std::uint8_t>(color.b * shade / 255),
+                          255};
+        }
+      }
+    }
+    return img;
+  }
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      if (pattern == Pattern::kGradient) {
+        img.at(x, y) = {static_cast<std::uint8_t>(x * 3 + y),
+                        static_cast<std::uint8_t>(y * 5),
+                        static_cast<std::uint8_t>((x + y) * 2),
+                        static_cast<std::uint8_t>(255 - x)};
+      } else {
+        img.at(x, y) = {static_cast<std::uint8_t>(rng() & 0xFF),
+                        static_cast<std::uint8_t>(rng() & 0xFF),
+                        static_cast<std::uint8_t>(rng() & 0xFF),
+                        static_cast<std::uint8_t>(rng() & 0xFF)};
+      }
+    }
+  }
+  return img;
+}
+
+/// Widths 1-33 reach every tail length of a 16-byte filter step on both
+/// sides of the first whole step; 192 is the steering view's frame width.
+std::vector<int> golden_widths() {
+  std::vector<int> widths;
+  for (int w = 1; w <= 33; ++w) widths.push_back(w);
+  widths.push_back(192);
+  return widths;
+}
+
+int golden_height(int width) { return width > 33 ? 192 : 1 + width * 5 % 9; }
+
+}  // namespace
+
+TEST(EncoderGolden, DeflateAndZlibOutputIsPinned) {
+  struct Expected {
+    std::uint32_t deflate_crc;
+    std::size_t deflate_bytes;
+    std::uint32_t zlib_crc;
+    std::size_t zlib_bytes;
+  };
+  static const Expected kExpected[] = {
+      {0x4564cc52u, 5, 0xba2d22a8u, 11},             // empty
+      {0x9bc06d99u, 3, 0xd81c9cd3u, 9},              // one byte
+      {0xbf9a8d3fu, 9, 0xeaeaae63u, 15},             // short repeat
+      {0x90d72f8eu, 64, 0xa9a9e8b3u, 70},            // text
+      {0x2f6e8ea1u, 58572, 0x2d3cde14u, 58578},      // skewed 100k
+      {0x9e2e88dbu, 150015, 0x77fe139eu, 150021},    // random 150k
+      {0x58609c3au, 70015, 0x66e254c2u, 70021},      // straddle, stored
+      {0x3b222897u, 81378, 0x6801cf56u, 81384},      // straddle, fixed
+      {0xc0a340fdu, 100510, 0xe4238422u, 100516},    // window edge
+      {0xe64cd876u, 312870, 0x8ad80596u, 312876},    // words 1.3M
+      {0x86b48611u, 35, 0x9bbb78d4u, 41},            // fixed/stored tie
+  };
+  const std::vector<NamedInput> corpus = byte_corpus();
+  ASSERT_EQ(corpus.size(), std::size(kExpected));
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const NamedInput& in = corpus[i];
+    const auto z = v::deflate(in.bytes);
+    const auto zlib = v::zlib_compress(in.bytes.data(), in.bytes.size());
+    EXPECT_EQ(v::crc32(z.data(), z.size()), kExpected[i].deflate_crc)
+        << in.name;
+    EXPECT_EQ(z.size(), kExpected[i].deflate_bytes) << in.name;
+    EXPECT_EQ(v::crc32(zlib.data(), zlib.size()), kExpected[i].zlib_crc)
+        << in.name;
+    EXPECT_EQ(zlib.size(), kExpected[i].zlib_bytes) << in.name;
+    EXPECT_EQ(v::inflate(z), in.bytes) << in.name;
+  }
+  // The straddling match lands in a stored block in one input and in a
+  // fixed-Huffman block in the other (BTYPE sits in bits 1-2); the cost
+  // tie goes to stored.
+  EXPECT_EQ((v::deflate(corpus[6].bytes)[0] >> 1) & 0x3, 0u);
+  EXPECT_EQ((v::deflate(corpus[7].bytes)[0] >> 1) & 0x3, 1u);
+  EXPECT_EQ((v::deflate(corpus[10].bytes)[0] >> 1) & 0x3, 0u);
+}
+
+TEST(EncoderGolden, PngOutputIsPinned) {
+  struct Expected {
+    Pattern pattern;
+    const char* name;
+    std::uint32_t crc;
+    std::size_t bytes;
+  };
+  static const Expected kExpected[] = {
+      {Pattern::kConstant, "constant", 0x4d517fafu, 3934},
+      {Pattern::kGradient, "gradient", 0x89024b67u, 4536},
+      {Pattern::kNoise, "noise", 0xbc0936cau, 161285},
+      {Pattern::kShapes, "shapes", 0x30e8ffdcu, 32780},
+  };
+  for (const Expected& e : kExpected) {
+    // One CRC chained over every width's PNG, and their total length.
+    std::uint32_t crc = 0;
+    std::size_t total = 0;
+    for (const int w : golden_widths()) {
+      const int h = golden_height(w);
+      const v::Image img =
+          pattern_image(e.pattern, w, h, static_cast<std::uint64_t>(w));
+      const auto bytes = img.encode_png();
+      crc = v::crc32(bytes.data(), bytes.size(), crc);
+      total += bytes.size();
+      ASSERT_EQ(v::Image::decode_png(bytes).pixels(), img.pixels())
+          << e.name << " " << w << "x" << h;
+    }
+    EXPECT_EQ(crc, e.crc) << e.name;
+    EXPECT_EQ(total, e.bytes) << e.name;
+  }
 }

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -572,6 +573,50 @@ TEST(Image, PngDecodeRoundTrip) {
   bytes[bytes.size() / 2] ^= 0xFF;
   EXPECT_THROW(v::Image::decode_png(bytes), std::runtime_error);
   EXPECT_THROW(v::Image::decode_png({1, 2, 3}), std::runtime_error);
+}
+
+TEST(Image, ConcurrentEncodesMatchSerialBytes) {
+  // Every encoding thread keeps its own match-finder scratch and reuses it
+  // across calls. Four threads encoding different images at once must each
+  // get the bytes a serial encode gives. Each thread cycles through all
+  // four sizes, so its scratch is reused across inputs of other lengths.
+  constexpr int kThreads = 4;
+  ricsa::util::Xoshiro256 rng(17);
+  std::vector<v::Image> images;
+  for (int t = 0; t < kThreads; ++t) {
+    v::Image img(64 + 40 * t, 48 + 24 * t);
+    for (int y = 0; y < img.height(); ++y) {
+      for (int x = 0; x < img.width(); ++x) {
+        img.at(x, y) = {static_cast<std::uint8_t>(x / 8 * 20),
+                        static_cast<std::uint8_t>(y / 6 * 15),
+                        static_cast<std::uint8_t>(t * 50), 255};
+      }
+    }
+    for (int k = 0; k < 200; ++k) {
+      img.at(static_cast<int>(rng() % static_cast<unsigned>(img.width())),
+             static_cast<int>(rng() % static_cast<unsigned>(img.height()))) =
+          {static_cast<std::uint8_t>(rng() & 0xFF), 0, 0, 255};
+    }
+    images.push_back(std::move(img));
+  }
+  std::vector<std::vector<std::uint8_t>> serial;
+  for (const v::Image& img : images) serial.push_back(img.encode_png());
+
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&images, &serial, &mismatches, t] {
+      for (int round = 0; round < 8; ++round) {
+        // In any round the threads hold four different images.
+        const std::size_t i = static_cast<std::size_t>((t + round) % kThreads);
+        if (images[i].encode_png() != serial[i]) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
 }
 
 TEST(Image, RleRoundTrip) {
