@@ -12,7 +12,8 @@
 //   ./build/bench/micro_viz --benchmark_filter='HydroStep|RayCast|Isosurface|RenderMesh'
 //
 // PNG encoding of the steering benchmark's rendered frame, with the filter
-// and deflate stages timed apart, and of stored-fallback noise:
+// and deflate stages timed apart, of the dirty rects its delta bodies
+// carry, and of stored-fallback noise:
 //
 //   ./build/bench/micro_viz --benchmark_filter='PngEncode|Deflate'
 #include <benchmark/benchmark.h>
@@ -36,6 +37,7 @@
 #include "viz/rasterizer.hpp"
 #include "viz/raycast.hpp"
 #include "viz/streamline.hpp"
+#include "viz/tiles.hpp"
 
 using namespace ricsa;
 
@@ -183,23 +185,71 @@ BENCHMARK(BM_HydroStep)
     ->ArgsProduct({{24, 48}, kPoolSizes})
     ->UseRealTime();
 
-/// The steering benchmark origin's main view (perfbench/steer_bench.cpp):
-/// a 40^3 bow shock ray-cast to 192x192, 40 frames in.
+/// The steering benchmark origin's session (perfbench/steer_bench.cpp): a
+/// 40^3 bow shock ray-cast to 192x192.
+steering::SessionConfig origin_config() {
+  steering::SessionConfig config;
+  config.simulation = hydro::HydroSimulation::Kind::kBowshock;
+  config.resolution = 40;
+  config.viz.technique = cost::VizRequest::Technique::kRayCast;
+  config.viz.image_width = 192;
+  config.viz.image_height = 192;
+  config.cycles_per_frame = 1;
+  return config;
+}
+
+/// The origin's main view, 40 frames in.
 const viz::Image& origin_frame() {
   static const viz::Image frame = [] {
-    steering::SessionConfig config;
-    config.simulation = hydro::HydroSimulation::Kind::kBowshock;
-    config.resolution = 40;
-    config.viz.technique = cost::VizRequest::Technique::kRayCast;
-    config.viz.image_width = 192;
-    config.viz.image_height = 192;
-    config.cycles_per_frame = 1;
-    steering::SteeringSession session(config);
+    steering::SteeringSession session(origin_config());
     viz::Image image;
     for (int f = 0; f < 40; ++f) image = session.next_frame().image;
     return image;
   }();
   return frame;
+}
+
+/// What the origin's delta bodies carry over those 40 frames: for both of
+/// its views (the main view and the isosurface view from a second camera),
+/// each frame diffed against the one before on 24 px tiles, the dirty tiles
+/// coalesced into rects, and each rect cut out, as the hub encodes them.
+struct OriginRects {
+  std::vector<viz::Image> rects;
+  int frames = 0;  // view-frames diffed against a predecessor
+};
+
+const OriginRects& origin_rects() {
+  static const OriginRects set = [] {
+    const steering::SessionConfig config = origin_config();
+    cost::VizRequest iso = config.viz;
+    iso.technique = cost::VizRequest::Technique::kIsosurface;
+    iso.isovalue = 1.1f;
+    steering::ExecuteOptions iso_camera;
+    iso_camera.azimuth = 2.2f;
+    iso_camera.elevation = 0.5f;
+    steering::SteeringSession session(config);
+    OriginRects out;
+    viz::Image prev[2];
+    for (int f = 0; f < 40; ++f) {
+      const viz::Image views[2] = {session.next_frame().image,
+                                   session.render_view(iso, iso_camera)->image};
+      for (int v = 0; v < 2; ++v) {
+        const viz::Image& image = views[v];
+        if (prev[v].width() == image.width() &&
+            prev[v].height() == image.height()) {
+          const viz::TileGrid grid(image.width(), image.height(), 24);
+          for (const viz::TileRect& rect :
+               grid.coalesce(grid.diff(prev[v], image))) {
+            out.rects.push_back(viz::TileGrid::extract(image, rect));
+          }
+          ++out.frames;
+        }
+        prev[v] = image;
+      }
+    }
+    return out;
+  }();
+  return set;
 }
 
 /// The filtered scanlines a PNG from Image::encode_png carries: it writes
@@ -216,9 +266,11 @@ std::vector<std::uint8_t> png_scanlines(const std::vector<std::uint8_t>& png) {
 // PNG encoding, split into its two stages on a rendered frame:
 // BM_PngEncodeFrame runs the whole encode_png, BM_DeflateFrame only the
 // deflate of that frame's filtered scanlines, so the difference is the
-// filter pass, the Adler-32 checksum and PNG framing. BM_PngEncodeNoise
-// encodes uniform noise, where every block takes the stored fallback
-// (ratio ~1).
+// filter pass, the Adler-32 checksum and PNG framing. BM_PngEncodeRects
+// encodes every dirty rect of 40 frames of both views, the payload delta
+// bodies carry: `png_bytes_per_frame` is their PNG bytes per view-frame.
+// BM_PngEncodeNoise encodes uniform noise, where every block takes the
+// stored fallback (ratio ~1). `ratio` is raw RGBA bytes over PNG bytes.
 void BM_PngEncodeFrame(benchmark::State& state) {
   const viz::Image& img = origin_frame();
   std::size_t png_bytes = 0;
@@ -249,6 +301,29 @@ void BM_DeflateFrame(benchmark::State& state) {
                             static_cast<double>(deflated);
 }
 BENCHMARK(BM_DeflateFrame);
+
+void BM_PngEncodeRects(benchmark::State& state) {
+  const OriginRects& set = origin_rects();
+  std::size_t raw_bytes = 0;
+  for (const viz::Image& rect : set.rects) raw_bytes += rect.bytes();
+  std::size_t png_bytes = 0;
+  for (auto _ : state) {
+    png_bytes = 0;
+    for (const viz::Image& rect : set.rects) {
+      const auto png = rect.encode_png();
+      png_bytes += png.size();
+      benchmark::DoNotOptimize(png.data());
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(raw_bytes));
+  state.counters["rects"] = static_cast<double>(set.rects.size());
+  state.counters["png_bytes_per_frame"] =
+      static_cast<double>(png_bytes) / static_cast<double>(set.frames);
+  state.counters["ratio"] =
+      static_cast<double>(raw_bytes) / static_cast<double>(png_bytes);
+}
+BENCHMARK(BM_PngEncodeRects);
 
 void BM_PngEncodeNoise(benchmark::State& state) {
   viz::Image img(256, 256);

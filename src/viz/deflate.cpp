@@ -182,74 +182,95 @@ struct BitCode {
   std::uint32_t count = 0;
 };
 
-/// A Huffman code of `count` bits, reversed: the spec transmits Huffman
-/// codes most-significant bit first.
+/// Every byte with its bits in reverse order.
+constexpr std::array<std::uint8_t, 256> kReversedByte = [] {
+  std::array<std::uint8_t, 256> reversed{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      reversed[b] |= static_cast<std::uint8_t>(((b >> i) & 1) << (7 - i));
+    }
+  }
+  return reversed;
+}();
+
+/// A Huffman code of `count` (1..16) bits, reversed: the spec transmits
+/// Huffman codes most-significant bit first.
 constexpr BitCode huffman_code(int code, std::uint32_t count) {
-  std::uint32_t rev = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    rev = (rev << 1) | ((static_cast<std::uint32_t>(code) >> i) & 1);
-  }
-  return {rev, count};
+  const auto c = static_cast<std::uint32_t>(code);
+  const std::uint32_t reversed16 =
+      static_cast<std::uint32_t>(kReversedByte[c & 0xFF]) << 8 |
+      kReversedByte[(c >> 8) & 0xFF];
+  return {reversed16 >> (16 - count), count};
 }
 
-/// Fixed-Huffman literal/length code for symbol `sym` (0..287), RFC 1951
-/// section 3.2.6.
-constexpr BitCode fixed_litlen_code(int sym) {
-  if (sym < 144) return huffman_code(0x30 + sym, 8);
-  if (sym < 256) return huffman_code(0x190 + (sym - 144), 9);
-  if (sym < 280) return huffman_code(sym - 256, 7);
-  return huffman_code(0xC0 + (sym - 280), 8);
+constexpr int kNumLitLen = 286;    // literal/length symbols a stream may use
+constexpr int kNumDist = 30;       // distance symbols a stream may use
+constexpr int kNumCodeLen = 19;    // code-length symbols
+constexpr int kMaxCodeBits = 15;   // literal/length and distance codes
+constexpr int kMaxCodeLenBits = 7; // the code-length code
+
+/// Code lengths of the fixed-Huffman alphabets, RFC 1951 section 3.2.6.
+constexpr std::array<std::uint8_t, 288> kFixedLitLenLengths = [] {
+  std::array<std::uint8_t, 288> lengths{};
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    lengths[i] = i < 144 ? 8 : i < 256 ? 9 : i < 280 ? 7 : 8;
+  }
+  return lengths;
+}();
+constexpr std::array<std::uint8_t, kNumDist> kFixedDistLengths = [] {
+  std::array<std::uint8_t, kNumDist> lengths{};
+  lengths.fill(5);
+  return lengths;
+}();
+
+/// The canonical code of every symbol with a non-zero length in
+/// `lengths[0..n)` (RFC 1951 section 3.2.2), reversed for transmission.
+constexpr void canonical_codes(const std::uint8_t* lengths, int n,
+                               BitCode* codes) {
+  std::array<int, kMaxCodeBits + 1> count{};
+  for (int i = 0; i < n; ++i) ++count[lengths[i]];
+  count[0] = 0;
+  std::array<int, kMaxCodeBits + 1> next{};
+  for (int bits = 1, code = 0; bits <= kMaxCodeBits; ++bits) {
+    code = (code + count[bits - 1]) << 1;
+    next[bits] = code;
+  }
+  for (int i = 0; i < n; ++i) {
+    if (lengths[i] != 0) {
+      codes[i] = huffman_code(next[lengths[i]]++, lengths[i]);
+    }
+  }
 }
 
-/// The fixed-Huffman alphabet as lookup tables, so neither costing nor
-/// emitting a token scans or reverses anything.
-struct FixedTables {
-  std::array<BitCode, 256> literal{};
-  /// By match length 3..258: length symbol and its extra bits.
-  std::array<BitCode, kMaxMatch + 1> length{};
-  BitCode end_of_block{};
-  /// Distance symbol by distance: [d - 1] for d <= 256, then
-  /// [256 + ((d - 1) >> 7)] (every symbol above 15 spans whole multiples
-  /// of 128 distances).
-  std::array<std::uint8_t, 512> dist_code{};
-  /// By distance symbol: its reversed 5-bit code, counting its extra bits.
-  std::array<BitCode, 30> dist_symbol{};
-};
-
-constexpr FixedTables make_fixed_tables() {
-  FixedTables t;
-  for (int b = 0; b < 256; ++b) {
-    t.literal[static_cast<std::size_t>(b)] = fixed_litlen_code(b);
-  }
+/// Length symbol (0..28, i.e. 257..285) of every match length 3..258.
+constexpr std::array<std::uint8_t, kMaxMatch + 1> kLengthSymbol = [] {
+  std::array<std::uint8_t, kMaxMatch + 1> symbol{};
   for (int len = kMinMatch; len <= kMaxMatch; ++len) {
-    const int lc = length_code(len);
-    const BitCode c = fixed_litlen_code(257 + lc);
-    t.length[static_cast<std::size_t>(len)] = {
-        c.bits | static_cast<std::uint32_t>(len - kLengthBase[lc]) << c.count,
-        c.count + kLengthExtra[lc]};
+    symbol[static_cast<std::size_t>(len)] =
+        static_cast<std::uint8_t>(length_code(len));
   }
-  t.end_of_block = fixed_litlen_code(256);
+  return symbol;
+}();
+
+/// Distance symbol by distance: [d - 1] for d <= 256, then
+/// [256 + ((d - 1) >> 7)] (every symbol above 15 spans whole multiples of
+/// 128 distances).
+constexpr std::array<std::uint8_t, 512> kDistSymbol = [] {
+  std::array<std::uint8_t, 512> symbol{};
   for (int i = 0; i < 256; ++i) {
-    t.dist_code[static_cast<std::size_t>(i)] =
+    symbol[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(dist_code_scan(i + 1));
-    t.dist_code[static_cast<std::size_t>(256 + i)] =
+    symbol[static_cast<std::size_t>(256 + i)] =
         static_cast<std::uint8_t>(dist_code_scan((i << 7) + 1));
   }
-  for (int dc = 0; dc < 30; ++dc) {
-    const BitCode c = huffman_code(dc, 5);
-    t.dist_symbol[static_cast<std::size_t>(dc)] = {c.bits,
-                                                   c.count + kDistExtra[dc]};
-  }
-  return t;
-}
-
-constexpr FixedTables kFixed = make_fixed_tables();
+  return symbol;
+}();
 
 /// Distance symbol of a distance in 1..32768.
 constexpr int dist_code(int dist) {
   return dist <= 256
-             ? kFixed.dist_code[static_cast<std::size_t>(dist - 1)]
-             : kFixed.dist_code[static_cast<std::size_t>(256 + ((dist - 1) >> 7))];
+             ? kDistSymbol[static_cast<std::size_t>(dist - 1)]
+             : kDistSymbol[static_cast<std::size_t>(256 + ((dist - 1) >> 7))];
 }
 
 /// Every distance in the window maps to the symbol the linear scan picks.
@@ -261,13 +282,46 @@ constexpr bool dist_table_matches_scan() {
 }
 static_assert(dist_table_matches_scan());
 
-/// Distance symbol and extra bits of a back-reference.
-BitCode distance_bits(int dist) {
-  const int dc = dist_code(dist);
-  const BitCode& symbol = kFixed.dist_symbol[static_cast<std::size_t>(dc)];
-  return {symbol.bits | static_cast<std::uint32_t>(dist - kDistBase[dc]) << 5,
-          symbol.count};
+/// One block's Huffman alphabets as lookup tables, so emitting a token
+/// neither scans nor reverses anything.
+struct BlockCodes {
+  std::array<BitCode, 256> literal{};
+  /// By match length 3..258: length symbol and its extra bits.
+  std::array<BitCode, kMaxMatch + 1> length{};
+  BitCode end_of_block{};
+  /// By distance symbol: its reversed code, counting its extra bits.
+  std::array<BitCode, kNumDist> dist_symbol{};
+};
+
+/// The lookup tables of the codes with lengths `litlen[0..n_litlen)` and
+/// `dist[0..kNumDist)`.
+constexpr void build_block_codes(const std::uint8_t* litlen, int n_litlen,
+                                 const std::uint8_t* dist, BlockCodes& out) {
+  std::array<BitCode, 288> symbol{};
+  canonical_codes(litlen, n_litlen, symbol.data());
+  for (std::size_t b = 0; b < 256; ++b) out.literal[b] = symbol[b];
+  for (int len = kMinMatch; len <= kMaxMatch; ++len) {
+    const int lc = kLengthSymbol[static_cast<std::size_t>(len)];
+    const BitCode c = symbol[static_cast<std::size_t>(257 + lc)];
+    out.length[static_cast<std::size_t>(len)] = {
+        c.bits | static_cast<std::uint32_t>(len - kLengthBase[lc]) << c.count,
+        c.count + kLengthExtra[lc]};
+  }
+  out.end_of_block = symbol[256];
+  std::array<BitCode, kNumDist> dist_codes{};
+  canonical_codes(dist, kNumDist, dist_codes.data());
+  for (std::size_t dc = 0; dc < kNumDist; ++dc) {
+    out.dist_symbol[dc] = {dist_codes[dc].bits,
+                           dist_codes[dc].count + kDistExtra[dc]};
+  }
 }
+
+constexpr BlockCodes kFixedCodes = [] {
+  BlockCodes codes;
+  build_block_codes(kFixedLitLenLengths.data(), 288, kFixedDistLengths.data(),
+                    codes);
+  return codes;
+}();
 
 // ------------------------------------------------------------ deflate ----
 
@@ -278,23 +332,33 @@ struct Token {
   std::uint16_t value = 0;
 };
 
-void emit_fixed_block(BitWriter& bw, const std::vector<Token>& tokens,
-                      bool final) {
-  bw.put(final ? 0b011 : 0b010, 3);  // BFINAL, then BTYPE=01: fixed Huffman
+/// The tokens and the end-of-block code of a fixed or dynamic block,
+/// after its header.
+void emit_tokens(BitWriter& bw, const std::vector<Token>& tokens,
+                 const BlockCodes& codes) {
   for (const Token& t : tokens) {
     if (t.dist == 0) {
-      const BitCode& c = kFixed.literal[t.value];
+      const BitCode& c = codes.literal[t.value];
       bw.put(c.bits, static_cast<int>(c.count));
+      continue;
+    }
+    const BitCode& len = codes.length[t.value];
+    const int dc = dist_code(t.dist);
+    const BitCode& symbol = codes.dist_symbol[static_cast<std::size_t>(dc)];
+    const std::uint32_t dist =
+        symbol.bits | static_cast<std::uint32_t>(t.dist - kDistBase[dc])
+                          << (symbol.count - kDistExtra[dc]);
+    // Length and distance go out as one put when they fit in 32 bits, as
+    // fixed codes always do (at most 8 + 5 + 5 + 13 bits).
+    if (len.count + symbol.count <= 32) {
+      bw.put(len.bits | static_cast<std::uint64_t>(dist) << len.count,
+             static_cast<int>(len.count + symbol.count));
     } else {
-      // Length and distance go out as one put: at most 8 + 5 + 5 + 13 bits.
-      const BitCode& len = kFixed.length[t.value];
-      const BitCode dist = distance_bits(t.dist);
-      bw.put(len.bits | static_cast<std::uint64_t>(dist.bits) << len.count,
-             static_cast<int>(len.count + dist.count));
+      bw.put(len.bits, static_cast<int>(len.count));
+      bw.put(dist, static_cast<int>(symbol.count));
     }
   }
-  bw.put(kFixed.end_of_block.bits,
-         static_cast<int>(kFixed.end_of_block.count));
+  bw.put(codes.end_of_block.bits, static_cast<int>(codes.end_of_block.count));
 }
 
 /// Stored LEN/NLEN is 16 bits, so spans beyond 65535 bytes (a match may
@@ -320,19 +384,289 @@ void emit_stored_block(BitWriter& bw, const std::uint8_t* data,
   } while (len > 0);
 }
 
+/// Work space of limited_code_lengths, kept in the per-thread scratch so
+/// building a code neither allocates nor clears anything: every element
+/// is written before it is read.
+struct CodeScratch {
+  struct Leaf {
+    std::uint32_t weight = 0;
+    std::uint16_t symbol = 0;
+  };
+  /// A tree, or a package-merge list, has fewer than twice as many nodes
+  /// as there are leaves.
+  static constexpr std::size_t kMaxNodes = 2 * kNumLitLen;
+  std::array<Leaf, kNumLitLen> leaf{};
+  std::array<std::uint32_t, kMaxNodes> weight{};
+  /// Huffman: each node's parent and depth.
+  std::array<std::uint16_t, kMaxNodes> parent{};
+  std::array<std::uint16_t, kMaxNodes> depth{};
+  /// Package-merge: the list being merged.
+  std::array<std::uint32_t, kMaxNodes> merged{};
+  /// Package-merge: whether item k of list j is a leaf, at
+  /// [j * kMaxNodes + k].
+  std::array<bool, kMaxCodeBits * kMaxNodes> is_leaf{};
+};
+
+/// Huffman code lengths of the `count` (>= 2) leaves of `cs`, sorted by
+/// weight, into cs.depth[0..count), by the two-queue method: merged
+/// nodes come out in order of weight, so each step joins the two lightest
+/// of the unjoined leaves and merged nodes (a leaf first on equal
+/// weights). Returns the longest length.
+int huffman_lengths(CodeScratch& cs, int count) {
+  std::uint32_t* weight = cs.weight.data();
+  std::uint16_t* parent = cs.parent.data();
+  for (int k = 0; k < count; ++k) {
+    weight[k] = cs.leaf[static_cast<std::size_t>(k)].weight;
+  }
+  const int root = 2 * count - 2;
+  int next_leaf = 0, next_node = count;
+  for (int node = count; node <= root; ++node) {
+    int pair[2];
+    for (int& pick : pair) {
+      const bool leaf =
+          next_leaf < count &&
+          (next_node == node || weight[next_leaf] <= weight[next_node]);
+      pick = leaf ? next_leaf++ : next_node++;
+    }
+    weight[node] = weight[pair[0]] + weight[pair[1]];
+    parent[pair[0]] = parent[pair[1]] = static_cast<std::uint16_t>(node);
+  }
+  // A node's parent has a higher index: depths from the root down.
+  std::uint16_t* depth = cs.depth.data();
+  depth[root] = 0;
+  for (int node = root - 1; node >= 0; --node) {
+    depth[node] = static_cast<std::uint16_t>(depth[parent[node]] + 1);
+  }
+  return static_cast<int>(*std::max_element(depth, depth + count));
+}
+
+/// Optimal code lengths of at most `max_bits` bits for the symbol counts
+/// `freq[0..n)` (n <= kNumLitLen), into `lengths`: the Huffman lengths, or
+/// by package-merge when one of them is longer. Uncounted symbols get no
+/// code, except that a code always has at least two: while fewer are
+/// counted, the lowest uncounted symbols join with a count of zero. An
+/// optimal code of two or more symbols is complete, as a strict inflater
+/// requires.
+void limited_code_lengths(CodeScratch& cs, const std::uint32_t* freq, int n,
+                          int max_bits, std::uint8_t* lengths) {
+  CodeScratch::Leaf* leaf = cs.leaf.data();
+  int count = 0;
+  for (int s = 0; s < n; ++s) {
+    lengths[s] = 0;
+    if (freq[s] != 0) leaf[count++] = {freq[s], static_cast<std::uint16_t>(s)};
+  }
+  for (int s = 0; count < 2; ++s) {
+    if (freq[s] == 0) leaf[count++] = {0, static_cast<std::uint16_t>(s)};
+  }
+  std::sort(leaf, leaf + count,
+            [](const CodeScratch::Leaf& a, const CodeScratch::Leaf& b) {
+              return a.weight != b.weight ? a.weight < b.weight
+                                          : a.symbol < b.symbol;
+            });
+  if (huffman_lengths(cs, count) <= max_bits) {
+    for (int i = 0; i < count; ++i) {
+      lengths[leaf[i].symbol] =
+          static_cast<std::uint8_t>(cs.depth[static_cast<std::size_t>(i)]);
+    }
+    return;
+  }
+  // Package-merge. List j holds the leaves merged with the pairs
+  // ("packages") of list j - 1, by weight, a leaf first on equal weights.
+  // Only each item's weight and whether it is a leaf are kept.
+  std::uint32_t* weight = cs.weight.data();
+  std::uint32_t* merged = cs.merged.data();
+  int size = count;
+  for (int k = 0; k < count; ++k) {
+    weight[k] = leaf[k].weight;
+    cs.is_leaf[static_cast<std::size_t>(k)] = true;
+  }
+  for (int j = 1; j < max_bits; ++j) {
+    bool* is_leaf = cs.is_leaf.data() + j * CodeScratch::kMaxNodes;
+    const int packages = size / 2;
+    int a = 0, b = 0, k = 0;
+    for (; a < count || b < packages; ++k) {
+      const std::uint32_t package =
+          b < packages ? weight[2 * b] + weight[2 * b + 1] : 0;
+      is_leaf[k] = b == packages || (a < count && leaf[a].weight <= package);
+      if (is_leaf[k]) {
+        merged[k] = leaf[a++].weight;
+      } else {
+        merged[k] = package;
+        ++b;
+      }
+    }
+    size = k;
+    std::swap(weight, merged);
+  }
+  // Select the first 2 * count - 2 items of the last list. A selected
+  // package selects the two items of the list below it was made of, so
+  // the selected packages of list j are the first ones, made of the
+  // first 2 * packages items of list j - 1. Each list where the i-th
+  // lightest leaf is selected adds one bit to its code.
+  for (int j = max_bits - 1, selected = 2 * count - 2; j >= 0; --j) {
+    const bool* is_leaf = cs.is_leaf.data() + j * CodeScratch::kMaxNodes;
+    const int leaves =
+        static_cast<int>(std::count(is_leaf, is_leaf + selected, true));
+    for (int i = 0; i < leaves; ++i) ++lengths[leaf[i].symbol];
+    selected = 2 * (selected - leaves);
+  }
+}
+
+/// A dynamic-Huffman block's codes and header (RFC 1951 section 3.2.7).
+struct DynamicHeader {
+  std::array<std::uint8_t, kNumLitLen> litlen{};
+  std::array<std::uint8_t, kNumDist> dist{};
+  int hlit = 0, hdist = 0, hclen = 0;
+  /// Code-length code lengths, by code-length symbol.
+  std::array<std::uint8_t, kNumCodeLen> code_length{};
+  /// The literal/length then distance code lengths, run-length coded:
+  /// code-length symbols, and the value of each one's extra bits.
+  std::array<std::uint8_t, kNumLitLen + kNumDist> rle_symbol{};
+  std::array<std::uint8_t, kNumLitLen + kNumDist> rle_extra{};
+  int rle_count = 0;
+  /// Bits after the 3-bit block header up to the first token.
+  long long bits = 0;
+};
+
+/// Extra bits of code-length symbols 16, 17 and 18.
+constexpr int code_length_extra(int symbol) {
+  return symbol == 16 ? 2 : symbol == 17 ? 3 : symbol == 18 ? 7 : 0;
+}
+
 constexpr int kHashBits = 15;
 constexpr std::size_t kHashSize = std::size_t{1} << kHashBits;
 constexpr std::size_t kWindowMask = kWindowSize - 1;
 
 /// Per-thread encoder scratch, reused by every call on the thread, so an
-/// encode allocates no tables: the match finder's hash heads (reset per
-/// call) and chain links (never reset: every link a chain walk reads was
-/// written earlier in the same call), and the current block's tokens.
+/// encode allocates no tables and clears none: the match finder's hash
+/// heads and chain links, and the current block's tokens, symbol counts,
+/// code-building work space and dynamic codes. Positions are offsets that
+/// keep growing from call to call, so a head entry below `next_offset`
+/// was written by an earlier call and reads as empty; every chain link a
+/// walk reads was written earlier in the same call.
 struct EncoderScratch {
-  std::vector<std::int32_t> head = std::vector<std::int32_t>(kHashSize);
+  std::vector<std::int32_t> head = std::vector<std::int32_t>(kHashSize, -1);
   std::vector<std::int32_t> prev = std::vector<std::int32_t>(kWindowSize);
+  /// Offset of the next call's first position.
+  std::int32_t next_offset = 0;
   std::vector<Token> tokens;
+  std::array<std::uint32_t, kNumLitLen> litlen_freq{};
+  std::array<std::uint32_t, kNumDist> dist_freq{};
+  CodeScratch code_scratch;
+  DynamicHeader header;
+  BlockCodes dynamic;
 };
+
+/// Bits that code the counted symbols, end-of-block included, under the
+/// code lengths `litlen` and `dist`, with their extra bits.
+long long symbol_bits(const EncoderScratch& s, const std::uint8_t* litlen,
+                      const std::uint8_t* dist) {
+  long long bits = 0;
+  for (int sym = 0; sym < kNumLitLen; ++sym) {
+    const auto i = static_cast<std::size_t>(sym);
+    bits += static_cast<long long>(s.litlen_freq[i]) *
+            (litlen[i] + (sym > 256 ? kLengthExtra[sym - 257] : 0));
+  }
+  for (std::size_t dc = 0; dc < kNumDist; ++dc) {
+    bits += static_cast<long long>(s.dist_freq[dc]) *
+            (dist[dc] + kDistExtra[dc]);
+  }
+  return bits;
+}
+
+/// Builds the block's dynamic header from the counts in `s` into
+/// `s.header`: length-limited codes, HLIT and HDIST trimmed of trailing
+/// zero lengths, the lengths run-length coded with symbols 16/17/18, the
+/// code-length code, and HCLEN trimmed likewise.
+void build_dynamic_header(EncoderScratch& s) {
+  DynamicHeader& h = s.header;
+  limited_code_lengths(s.code_scratch, s.litlen_freq.data(), kNumLitLen,
+                       kMaxCodeBits, h.litlen.data());
+  limited_code_lengths(s.code_scratch, s.dist_freq.data(), kNumDist,
+                       kMaxCodeBits, h.dist.data());
+  h.hlit = kNumLitLen;
+  while (h.hlit > 257 && h.litlen[static_cast<std::size_t>(h.hlit - 1)] == 0) {
+    --h.hlit;
+  }
+  h.hdist = kNumDist;
+  while (h.hdist > 1 && h.dist[static_cast<std::size_t>(h.hdist - 1)] == 0) {
+    --h.hdist;
+  }
+  // The two length sequences form one run-length-coded sequence: runs may
+  // cross from the literal/length lengths into the distance lengths.
+  std::array<std::uint8_t, kNumLitLen + kNumDist> seq{};
+  std::copy_n(h.litlen.begin(), h.hlit, seq.begin());
+  std::copy_n(h.dist.begin(), h.hdist, seq.begin() + h.hlit);
+  const int n = h.hlit + h.hdist;
+  std::array<std::uint32_t, kNumCodeLen> freq{};
+  h.rle_count = 0;
+  const auto emit = [&h, &freq](int symbol, int extra) {
+    h.rle_symbol[static_cast<std::size_t>(h.rle_count)] =
+        static_cast<std::uint8_t>(symbol);
+    h.rle_extra[static_cast<std::size_t>(h.rle_count)] =
+        static_cast<std::uint8_t>(extra);
+    ++h.rle_count;
+    ++freq[static_cast<std::size_t>(symbol)];
+  };
+  for (int i = 0; i < n;) {
+    const int len = seq[static_cast<std::size_t>(i)];
+    int run = 1;
+    while (i + run < n && seq[static_cast<std::size_t>(i + run)] == len) ++run;
+    i += run;
+    if (len == 0) {
+      for (; run >= 11; run -= std::min(run, 138)) {
+        emit(18, std::min(run, 138) - 11);  // 11..138 zeros
+      }
+      if (run >= 3) {
+        emit(17, run - 3);  // 3..10 zeros
+        run = 0;
+      }
+    } else {
+      emit(len, 0);
+      for (--run; run >= 3; run -= std::min(run, 6)) {
+        emit(16, std::min(run, 6) - 3);  // the previous length 3..6 times
+      }
+    }
+    for (; run > 0; --run) emit(len, 0);
+  }
+  limited_code_lengths(s.code_scratch, freq.data(), kNumCodeLen,
+                       kMaxCodeLenBits, h.code_length.data());
+  h.hclen = kNumCodeLen;
+  while (h.hclen > 4 &&
+         h.code_length[kClOrder[static_cast<std::size_t>(h.hclen - 1)]] == 0) {
+    --h.hclen;
+  }
+  h.bits = 5 + 5 + 4 + 3LL * h.hclen;
+  for (int k = 0; k < h.rle_count; ++k) {
+    const int symbol = h.rle_symbol[static_cast<std::size_t>(k)];
+    h.bits += h.code_length[static_cast<std::size_t>(symbol)] +
+              code_length_extra(symbol);
+  }
+}
+
+void emit_dynamic_block(BitWriter& bw, EncoderScratch& s, bool final) {
+  const DynamicHeader& h = s.header;
+  bw.put(final ? 0b101 : 0b100, 3);  // BFINAL, then BTYPE=10: dynamic
+  bw.put(static_cast<std::uint64_t>(h.hlit - 257), 5);
+  bw.put(static_cast<std::uint64_t>(h.hdist - 1), 5);
+  bw.put(static_cast<std::uint64_t>(h.hclen - 4), 4);
+  for (int i = 0; i < h.hclen; ++i) {
+    bw.put(h.code_length[kClOrder[static_cast<std::size_t>(i)]], 3);
+  }
+  std::array<BitCode, kNumCodeLen> cl{};
+  canonical_codes(h.code_length.data(), kNumCodeLen, cl.data());
+  for (int k = 0; k < h.rle_count; ++k) {
+    const std::size_t symbol = h.rle_symbol[static_cast<std::size_t>(k)];
+    const BitCode& c = cl[symbol];
+    bw.put(c.bits | static_cast<std::uint64_t>(
+                        h.rle_extra[static_cast<std::size_t>(k)])
+                        << c.count,
+           static_cast<int>(c.count) +
+               code_length_extra(static_cast<int>(symbol)));
+  }
+  build_block_codes(h.litlen.data(), kNumLitLen, h.dist.data(), s.dynamic);
+  emit_tokens(bw, s.tokens, s.dynamic);
+}
 
 EncoderScratch& encoder_scratch() {
   thread_local EncoderScratch scratch;
@@ -365,8 +699,9 @@ int match_length(const std::uint8_t* a, const std::uint8_t* b, int max_len) {
 }
 
 /// Hash-chain match finder over a 32 KiB sliding window. Positions are
-/// stored as 32-bit offsets from `base_`; a position's chain link lives in
-/// slot (position modulo the window size).
+/// stored as 32-bit offsets that continue from the scratch's previous call
+/// (`floor_` is the first one of this call); a position's chain link lives
+/// in slot (offset modulo the window size).
 class MatchFinder {
  public:
   /// Chain-walk budget per position: deep enough to find the long runs PNG
@@ -375,9 +710,8 @@ class MatchFinder {
 
   MatchFinder(const std::uint8_t* data, std::size_t n, EncoderScratch& scratch)
       : data_(data), n_(n), head_(scratch.head.data()),
-        prev_(scratch.prev.data()) {
-    std::fill(scratch.head.begin(), scratch.head.end(), -1);
-  }
+        prev_(scratch.prev.data()), origin_(-scratch.next_offset),
+        floor_(scratch.next_offset) {}
 
   struct Match {
     int len = 0;
@@ -389,7 +723,8 @@ class MatchFinder {
   Match find(std::size_t pos) const {
     if (pos + kMinMatch > n_) return {};
     const std::int32_t p = offset(pos);
-    const std::int32_t limit = p > kWindowSize ? p - kWindowSize : 0;
+    // Older candidates are outside the window or from an earlier call.
+    const std::int32_t limit = std::max(p - kWindowSize, floor_);
     const int max_len =
         static_cast<int>(std::min<std::size_t>(kMaxMatch, n_ - pos));
     const std::uint8_t* cur = data_ + pos;
@@ -424,15 +759,15 @@ class MatchFinder {
     head = p;
   }
 
-  /// Keep offsets within 32 bits on any input length: once `pos` is
-  /// kRebaseAt past the base, move the base up to the window's lower edge,
-  /// rounded down to a multiple of the window so every slot stays put.
-  /// Links below the new base become empty; they were already outside the
-  /// window, so no later walk changes.
+  /// Keep offsets within 32 bits on any input length and across calls:
+  /// once `pos` has offset kRebaseAt, lower every offset to put the
+  /// window's lower edge near zero, by a multiple of the window so every
+  /// slot stays put. Links that would go negative become empty; they were
+  /// already outside the window, so no later walk changes.
   void rebase(std::size_t pos) {
-    if (pos - base_ < kRebaseAt) return;
-    const auto shift = static_cast<std::int32_t>(
-        (pos - base_ - kWindowSize) / kWindowSize * kWindowSize);
+    if (offset(pos) < kRebaseAt) return;
+    const std::int32_t shift =
+        (offset(pos) - kWindowSize) / kWindowSize * kWindowSize;
     const auto slide = [shift](std::int32_t* table, std::size_t size) {
       for (std::size_t i = 0; i < size; ++i) {
         table[i] = table[i] >= shift ? table[i] - shift : -1;
@@ -440,14 +775,18 @@ class MatchFinder {
     };
     slide(head_, kHashSize);
     slide(prev_, kWindowSize);
-    base_ += static_cast<std::size_t>(shift);
+    origin_ += shift;
+    floor_ = std::max(floor_ - shift, 0);
   }
 
+  /// Offset one past the last position: where the next call starts.
+  std::int32_t end_offset() const { return offset(n_); }
+
  private:
-  static constexpr std::size_t kRebaseAt = std::size_t{1} << 20;
+  static constexpr std::int32_t kRebaseAt = std::int32_t{1} << 20;
 
   std::int32_t offset(std::size_t pos) const {
-    return static_cast<std::int32_t>(pos - base_);
+    return static_cast<std::int32_t>(static_cast<std::int64_t>(pos) - origin_);
   }
 
   static std::size_t hash(const std::uint8_t* p) {
@@ -461,7 +800,8 @@ class MatchFinder {
   std::size_t n_;
   std::int32_t* head_;
   std::int32_t* prev_;
-  std::size_t base_ = 0;
+  std::int64_t origin_;  // the position whose offset is 0
+  std::int32_t floor_;   // the offset of this call's first position
 };
 
 /// Append the raw DEFLATE stream of `data` to `out`.
@@ -488,24 +828,35 @@ void deflate_into(std::vector<std::uint8_t>& out, const std::uint8_t* data,
   MatchFinder finder(data, n, scratch);
   std::vector<Token>& tokens = scratch.tokens;
   tokens.clear();
-  long long token_bits = 0;  // fixed-Huffman cost of `tokens`
+  scratch.litlen_freq.fill(0);
+  scratch.dist_freq.fill(0);
   std::size_t block_start = 0;
   std::size_t pos = 0;
 
   const auto push_literal = [&](std::uint8_t byte) {
     tokens.push_back({0, byte});
-    token_bits += kFixed.literal[byte].count;
+    ++scratch.litlen_freq[byte];
   };
   const auto push_match = [&](const MatchFinder::Match& m) {
     tokens.push_back({static_cast<std::uint16_t>(m.dist),
                       static_cast<std::uint16_t>(m.len)});
-    token_bits +=
-        kFixed.length[static_cast<std::size_t>(m.len)].count +
-        kFixed.dist_symbol[static_cast<std::size_t>(dist_code(m.dist))].count;
+    ++scratch
+          .litlen_freq[257u + kLengthSymbol[static_cast<std::size_t>(m.len)]];
+    ++scratch.dist_freq[static_cast<std::size_t>(dist_code(m.dist))];
   };
+  // Each block is emitted in whichever of its three codings takes the
+  // fewest bits; on a tie stored beats fixed and fixed beats dynamic.
   const auto flush_block = [&](std::size_t block_end, bool final) {
     const std::size_t span = block_end - block_start;
-    const long long fixed_bits = 3 + 7 + token_bits;  // header + end-of-block
+    scratch.litlen_freq[256] = 1;  // end-of-block
+    const long long fixed_bits =
+        3 + symbol_bits(scratch, kFixedLitLenLengths.data(),
+                        kFixedDistLengths.data());
+    build_dynamic_header(scratch);
+    const long long dynamic_bits =
+        3 + scratch.header.bits +
+        symbol_bits(scratch, scratch.header.litlen.data(),
+                    scratch.header.dist.data());
     // Stored: header + alignment padding + LEN/NLEN + the bytes. A span
     // past 65535 splits into extra chunks of 40 overhead bits each
     // (3-bit header, 5 padding bits from the aligned position, LEN/NLEN).
@@ -514,13 +865,17 @@ void deflate_into(std::vector<std::uint8_t>& out, const std::uint8_t* data,
     const long long stored_bits =
         3 + ((8 - ((bw.pending_bits() + 3) % 8)) % 8) + 32 +
         extra_chunks * 40 + 8 * static_cast<long long>(span);
-    if (fixed_bits < stored_bits) {
-      emit_fixed_block(bw, tokens, final);
+    if (dynamic_bits < fixed_bits && dynamic_bits < stored_bits) {
+      emit_dynamic_block(bw, scratch, final);
+    } else if (fixed_bits < stored_bits) {
+      bw.put(final ? 0b011 : 0b010, 3);  // BFINAL, then BTYPE=01: fixed
+      emit_tokens(bw, tokens, kFixedCodes);
     } else {
       emit_stored_block(bw, data + block_start, span, final);
     }
     tokens.clear();
-    token_bits = 0;
+    scratch.litlen_freq.fill(0);
+    scratch.dist_freq.fill(0);
     block_start = block_end;
   };
 
@@ -561,16 +916,25 @@ void deflate_into(std::vector<std::uint8_t>& out, const std::uint8_t* data,
     m = finder.find(pos);
   }
   flush_block(n, true);
+  scratch.next_offset = finder.end_offset();
   bw.align();
   out.resize(static_cast<std::size_t>(bw.end() - out.data()));
 }
 
 // ------------------------------------------------------------ inflate ----
 
+/// Which incomplete codes a table accepts, by zlib's inflate_table rule: a
+/// dynamic block's code-length code must be complete, and so must its
+/// literal/length and distance codes unless they hold a single 1-bit code.
+/// The fixed codes are exempt: the fixed distance code uses 30 of its 32
+/// five-bit codes.
+enum class Completeness { kExempt, kComplete, kCompleteOrSingle };
+
 /// Canonical Huffman decoder built from code lengths (RFC 1951 3.2.2).
 class HuffmanTable {
  public:
-  void build(const std::uint8_t* lengths, std::size_t n) {
+  void build(const std::uint8_t* lengths, std::size_t n,
+             Completeness rule) {
     counts_.fill(0);
     symbols_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -583,11 +947,19 @@ class HuffmanTable {
     empty_ = counts_[0] == static_cast<int>(n);
     counts_[0] = 0;
     if (empty_) return;
-    // Over-subscribed sets of lengths cannot form a prefix code.
+    // Over-subscribed sets of lengths cannot form a prefix code; an
+    // incomplete set leaves codes that decode to nothing.
     int left = 1;
+    int max_len = 0;
     for (int len = 1; len <= 15; ++len) {
       left = (left << 1) - counts_[len];
       if (left < 0) throw std::runtime_error("inflate: over-subscribed code");
+      if (counts_[len] != 0) max_len = len;
+    }
+    if (left > 0 &&
+        (rule == Completeness::kComplete ||
+         (rule == Completeness::kCompleteOrSingle && max_len != 1))) {
+      throw std::runtime_error("inflate: incomplete code");
     }
     std::array<int, 16> offsets{};
     for (int len = 1; len < 15; ++len) {
@@ -626,13 +998,9 @@ class HuffmanTable {
 
 const HuffmanTable& fixed_litlen_table() {
   static const HuffmanTable table = [] {
-    std::array<std::uint8_t, 288> lengths{};
-    for (int i = 0; i < 144; ++i) lengths[static_cast<std::size_t>(i)] = 8;
-    for (int i = 144; i < 256; ++i) lengths[static_cast<std::size_t>(i)] = 9;
-    for (int i = 256; i < 280; ++i) lengths[static_cast<std::size_t>(i)] = 7;
-    for (int i = 280; i < 288; ++i) lengths[static_cast<std::size_t>(i)] = 8;
     HuffmanTable t;
-    t.build(lengths.data(), lengths.size());
+    t.build(kFixedLitLenLengths.data(), kFixedLitLenLengths.size(),
+            Completeness::kExempt);
     return t;
   }();
   return table;
@@ -640,10 +1008,9 @@ const HuffmanTable& fixed_litlen_table() {
 
 const HuffmanTable& fixed_dist_table() {
   static const HuffmanTable table = [] {
-    std::array<std::uint8_t, 30> lengths{};
-    lengths.fill(5);
     HuffmanTable t;
-    t.build(lengths.data(), lengths.size());
+    t.build(kFixedDistLengths.data(), kFixedDistLengths.size(),
+            Completeness::kExempt);
     return t;
   }();
   return table;
@@ -693,7 +1060,7 @@ void inflate_dynamic_block(BitReader& br, std::vector<std::uint8_t>& out,
     cl_lengths[kClOrder[i]] = static_cast<std::uint8_t>(br.get(3));
   }
   HuffmanTable cl;
-  cl.build(cl_lengths.data(), cl_lengths.size());
+  cl.build(cl_lengths.data(), cl_lengths.size(), Completeness::kComplete);
 
   std::vector<std::uint8_t> lengths;
   lengths.reserve(hlit + hdist);
@@ -721,8 +1088,8 @@ void inflate_dynamic_block(BitReader& br, std::vector<std::uint8_t>& out,
     throw std::runtime_error("inflate: no end-of-block code");
   }
   HuffmanTable litlen, dist;
-  litlen.build(lengths.data(), hlit);
-  dist.build(lengths.data() + hlit, hdist);
+  litlen.build(lengths.data(), hlit, Completeness::kCompleteOrSingle);
+  dist.build(lengths.data() + hlit, hdist, Completeness::kCompleteOrSingle);
   inflate_block(br, litlen, dist, out, max_output);
 }
 

@@ -4,12 +4,14 @@
 // PNG tiles are the dominant payload, so their IDAT stream deserves real
 // compression instead of stored blocks. The compressor runs LZ77 over a
 // 32 KiB window (hash-chain match search, greedy with one-step lazy
-// evaluation) and emits fixed-Huffman blocks, falling back to a stored
-// block whenever entropy coding would expand that block — so the output is
-// never materially larger than the input. The decompressor is a full
-// inflater (stored + fixed + dynamic Huffman), enough to read any
-// conforming stream: round-trip verification in tests, tile reassembly
-// checks in the bench, and relay-side assertions all decode through it.
+// evaluation) and emits each block in whichever coding takes the fewest
+// bits: stored, fixed Huffman, or dynamic Huffman with the block's own
+// length-limited codes — so the output is never materially larger than
+// the input. The decompressor is a full inflater (stored + fixed + dynamic
+// Huffman) as strict as zlib's, which browsers use: it rejects incomplete
+// dynamic codes. Round-trip verification in tests, tile reassembly checks
+// in the bench, and relay-side assertions all decode through it; a test
+// checks every encoder output against reference zlib too.
 #pragma once
 
 #include <cstddef>
@@ -22,15 +24,17 @@ namespace ricsa::viz {
 std::uint32_t adler32(const std::uint8_t* data, std::size_t n);
 
 /// Compress `n` bytes into a raw DEFLATE stream: LZ77 with hash-chain
-/// match search and one-step lazy evaluation, fixed-Huffman entropy
-/// coding, per-block stored fallback when coding would expand the data.
+/// match search and one-step lazy evaluation, then per block of at most
+/// 65535 input bytes the cheapest of stored, fixed- and dynamic-Huffman
+/// coding by exact bit count.
 std::vector<std::uint8_t> deflate(const std::uint8_t* data, std::size_t n);
 inline std::vector<std::uint8_t> deflate(const std::vector<std::uint8_t>& in) {
   return deflate(in.data(), in.size());
 }
 
 /// Decompress a raw DEFLATE stream (stored, fixed- and dynamic-Huffman
-/// blocks). Throws std::runtime_error on malformed input, on more than
+/// blocks). Throws std::runtime_error on malformed input (incomplete
+/// dynamic codes included, as zlib rejects them), on more than
 /// `max_output` decoded bytes (0 = unlimited), or on trailing garbage
 /// unless `consumed` is non-null (then it receives the number of input
 /// bytes the stream actually used, trailing data left to the caller).

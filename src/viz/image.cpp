@@ -111,8 +111,26 @@ void push_chunk(std::vector<std::uint8_t>& out, const char type[5],
   push_be32(out, crc32(out.data() + at, 4 + payload.size()));
 }
 
-constexpr int kBpp = 4;  // RGBA8
-static_assert(sizeof(Rgba) == kBpp, "pixels are read as packed RGBA bytes");
+static_assert(sizeof(Rgba) == 4, "pixels are read as packed RGBA bytes");
+
+/// PNG colour types the codec writes and reads, both 8 bits per sample.
+constexpr std::uint8_t kColorRgb = 2;
+constexpr std::uint8_t kColorRgba = 6;
+
+/// The pixels as packed RGB bytes when every alpha is 255; empty as soon
+/// as one is not.
+std::vector<std::uint8_t> opaque_rgb(const std::vector<Rgba>& pixels) {
+  std::vector<std::uint8_t> rgb(3 * pixels.size());
+  std::uint8_t* out = rgb.data();
+  for (const Rgba& p : pixels) {
+    if (p.a != 255) return {};
+    out[0] = p.r;
+    out[1] = p.g;
+    out[2] = p.b;
+    out += 3;
+  }
+  return rgb;
+}
 
 /// PNG Paeth predictor (spec pseudocode, exact tie-break order a/b/c).
 std::uint8_t paeth(int a, int b, int c) {
@@ -128,16 +146,16 @@ std::uint8_t paeth(int a, int b, int c) {
 unsigned residual_cost(std::uint8_t v) { return v < 128 ? v : 256u - v; }
 
 /// Sub, Up and Paeth residuals of bytes [from, to) of `cur` against `prev`
-/// (the row above), into `sub`/`up`/`pth`; adds each byte's selection cost
-/// to `cost` (None, Sub, Up, Paeth).
+/// (the row above), `bpp` bytes per pixel, into `sub`/`up`/`pth`; adds
+/// each byte's selection cost to `cost` (None, Sub, Up, Paeth).
 void filter_bytes(const std::uint8_t* cur, const std::uint8_t* prev,
-                  std::size_t from, std::size_t to, std::uint8_t* sub,
-                  std::uint8_t* up, std::uint8_t* pth,
+                  std::size_t bpp, std::size_t from, std::size_t to,
+                  std::uint8_t* sub, std::uint8_t* up, std::uint8_t* pth,
                   std::array<std::uint64_t, 4>& cost) {
   for (std::size_t i = from; i < to; ++i) {
-    const int left = i >= kBpp ? cur[i - kBpp] : 0;
+    const int left = i >= bpp ? cur[i - bpp] : 0;
     const int above = prev[i];
-    const int upleft = i >= kBpp ? prev[i - kBpp] : 0;
+    const int upleft = i >= bpp ? prev[i - bpp] : 0;
     sub[i] = static_cast<std::uint8_t>(cur[i] - left);
     up[i] = static_cast<std::uint8_t>(cur[i] - above);
     pth[i] = static_cast<std::uint8_t>(cur[i] - paeth(left, above, upleft));
@@ -191,17 +209,19 @@ __m128i paeth16(__m128i a, __m128i b, __m128i c) {
 }
 #endif
 
-/// One pass over a row of `n` bytes: Sub, Up and Paeth residuals into
-/// `sub`/`up`/`pth`, and the selection cost of each of None, Sub, Up and
-/// Paeth. The first pixel (no left neighbour) and the tail go through the
-/// scalar loop; with SSE2 the rest takes 16 bytes per step.
+/// One pass over a row of `n` bytes, `bpp` (3 or 4) bytes per pixel: Sub,
+/// Up and Paeth residuals into `sub`/`up`/`pth`, and the selection cost of
+/// each of None, Sub, Up and Paeth. The first pixel (no left neighbour)
+/// and the tail go through the scalar loop; with SSE2 the rest takes 16
+/// bytes per step.
 std::array<std::uint64_t, 4> filter_row(const std::uint8_t* cur,
                                         const std::uint8_t* prev,
-                                        std::size_t n, std::uint8_t* sub,
-                                        std::uint8_t* up, std::uint8_t* pth) {
+                                        std::size_t n, std::size_t bpp,
+                                        std::uint8_t* sub, std::uint8_t* up,
+                                        std::uint8_t* pth) {
   std::array<std::uint64_t, 4> cost{};
-  std::size_t i = std::min<std::size_t>(kBpp, n);
-  filter_bytes(cur, prev, 0, i, sub, up, pth, cost);
+  std::size_t i = std::min(bpp, n);
+  filter_bytes(cur, prev, bpp, 0, i, sub, up, pth, cost);
 #if defined(__SSE2__)
   const __m128i zero = _mm_setzero_si128();
   __m128i sums[4] = {zero, zero, zero, zero};
@@ -213,9 +233,9 @@ std::array<std::uint64_t, 4> filter_row(const std::uint8_t* cur,
   };
   for (; i + 16 <= n; i += 16) {
     const __m128i x = load(cur + i);
-    const __m128i a = load(cur + i - kBpp);
+    const __m128i a = load(cur + i - bpp);
     const __m128i b = load(prev + i);
-    const __m128i c = load(prev + i - kBpp);
+    const __m128i c = load(prev + i - bpp);
     const __m128i residual[4] = {
         x, _mm_sub_epi8(x, a), _mm_sub_epi8(x, b),
         _mm_sub_epi8(x, paeth16(a, b, c))};
@@ -233,27 +253,34 @@ std::array<std::uint64_t, 4> filter_row(const std::uint8_t* cur,
     cost[f] += lanes[0] + lanes[1];
   }
 #endif
-  filter_bytes(cur, prev, i, n, sub, up, pth, cost);
+  filter_bytes(cur, prev, bpp, i, n, sub, up, pth, cost);
   return cost;
 }
 }  // namespace
 
 std::vector<std::uint8_t> Image::encode_png() const {
+  // An opaque image (every rendered frame is one) drops its alpha channel:
+  // RGB scanlines leave a quarter fewer bytes to filter and deflate.
+  const std::vector<std::uint8_t> rgb = opaque_rgb(pixels_);
+  const bool opaque = !rgb.empty();
+  const std::size_t bpp = opaque ? 3 : 4;
+  const std::uint8_t* pixels =
+      opaque ? rgb.data()
+             : reinterpret_cast<const std::uint8_t*>(pixels_.data());
   // Filtered scanlines: per row, pick among None/Sub/Up/Paeth by minimum
   // sum of absolute differences (the first of equal sums wins) so the
   // DEFLATE stage sees small residuals instead of raw pixel values.
   constexpr std::uint8_t kFilterType[4] = {0, 1, 2, 4};  // None/Sub/Up/Paeth
-  const std::size_t row_bytes = kBpp * static_cast<std::size_t>(width_);
+  const std::size_t row_bytes = bpp * static_cast<std::size_t>(width_);
   const std::size_t stride = 1 + row_bytes;
   std::vector<std::uint8_t> raw(static_cast<std::size_t>(height_) * stride);
   std::vector<std::uint8_t> trial(3 * row_bytes);  // Sub, Up, Paeth rows
   const std::vector<std::uint8_t> zero_row(row_bytes, 0);
-  const auto* pixels = reinterpret_cast<const std::uint8_t*>(pixels_.data());
   for (std::size_t y = 0; y < static_cast<std::size_t>(height_); ++y) {
     const std::uint8_t* cur = pixels + y * row_bytes;
     const std::uint8_t* prev = y == 0 ? zero_row.data() : cur - row_bytes;
     const std::array<std::uint64_t, 4> cost =
-        filter_row(cur, prev, row_bytes, trial.data(),
+        filter_row(cur, prev, row_bytes, bpp, trial.data(),
                    trial.data() + row_bytes, trial.data() + 2 * row_bytes);
     std::size_t best = 0;
     for (std::size_t f = 1; f < 4; ++f) {
@@ -274,7 +301,7 @@ std::vector<std::uint8_t> Image::encode_png() const {
   push_be32(ihdr, static_cast<std::uint32_t>(width_));
   push_be32(ihdr, static_cast<std::uint32_t>(height_));
   ihdr.push_back(8);   // bit depth
-  ihdr.push_back(6);   // color type RGBA
+  ihdr.push_back(opaque ? kColorRgb : kColorRgba);
   ihdr.push_back(0);   // compression
   ihdr.push_back(0);   // filter
   ihdr.push_back(0);   // interlace
@@ -294,29 +321,29 @@ std::uint32_t read_be32(const std::vector<std::uint8_t>& b, std::size_t off) {
          static_cast<std::uint32_t>(b[off + 3]);
 }
 
-/// Undo a scanline filter in place; `prev` is the reconstructed row above
-/// (all zeros for the first row).
+/// Undo a scanline filter in place, `bpp` bytes per pixel; `prev` is the
+/// reconstructed row above (all zeros for the first row).
 void defilter_row(std::uint8_t filter, std::uint8_t* row,
-                  const std::uint8_t* prev, std::size_t n) {
+                  const std::uint8_t* prev, std::size_t n, std::size_t bpp) {
   switch (filter) {
     case 0:  // None
       break;
     case 1:  // Sub
-      for (std::size_t i = kBpp; i < n; ++i) row[i] += row[i - kBpp];
+      for (std::size_t i = bpp; i < n; ++i) row[i] += row[i - bpp];
       break;
     case 2:  // Up
       for (std::size_t i = 0; i < n; ++i) row[i] += prev[i];
       break;
     case 3:  // Average
       for (std::size_t i = 0; i < n; ++i) {
-        const int left = i >= kBpp ? row[i - kBpp] : 0;
+        const int left = i >= bpp ? row[i - bpp] : 0;
         row[i] = static_cast<std::uint8_t>(row[i] + (left + prev[i]) / 2);
       }
       break;
     case 4:  // Paeth
       for (std::size_t i = 0; i < n; ++i) {
-        const int left = i >= kBpp ? row[i - kBpp] : 0;
-        const int upleft = i >= kBpp ? prev[i - kBpp] : 0;
+        const int left = i >= bpp ? row[i - bpp] : 0;
+        const int upleft = i >= bpp ? prev[i - bpp] : 0;
         row[i] = static_cast<std::uint8_t>(row[i] +
                                            paeth(left, prev[i], upleft));
       }
@@ -335,6 +362,7 @@ Image Image::decode_png(const std::vector<std::uint8_t>& bytes) {
     throw std::runtime_error("png: bad signature");
   }
   int width = 0, height = 0;
+  std::size_t bpp = 0;
   std::vector<std::uint8_t> idat;
   std::size_t off = 8;
   bool done = false;
@@ -347,14 +375,26 @@ Image Image::decode_png(const std::vector<std::uint8_t>& bytes) {
     if (crc32(bytes.data() + off + 4, 4 + len) != read_be32(bytes, payload + len)) {
       throw std::runtime_error("png: chunk crc mismatch");
     }
+    if ((off == 8) != (type == "IHDR")) {
+      throw std::runtime_error("png: IHDR must be the first chunk");
+    }
     if (type == "IHDR") {
       if (len != 13) throw std::runtime_error("png: bad IHDR");
       width = static_cast<int>(read_be32(bytes, payload));
       height = static_cast<int>(read_be32(bytes, payload + 4));
-      if (bytes[payload + 8] != 8 || bytes[payload + 9] != 6 ||
-          bytes[payload + 12] != 0) {
-        throw std::runtime_error("png: only RGBA8 non-interlaced supported");
+      // PNG defines only compression method 0 (deflate) and filter
+      // method 0 (the five adaptive filters).
+      if (bytes[payload + 10] != 0 || bytes[payload + 11] != 0) {
+        throw std::runtime_error("png: unknown compression or filter method");
       }
+      const std::uint8_t color = bytes[payload + 9];
+      if (bytes[payload + 8] != 8 ||
+          (color != kColorRgb && color != kColorRgba) ||
+          bytes[payload + 12] != 0) {
+        throw std::runtime_error(
+            "png: only RGB8/RGBA8 non-interlaced supported");
+      }
+      bpp = color == kColorRgb ? 3 : 4;
     } else if (type == "IDAT") {
       idat.insert(idat.end(), bytes.begin() + static_cast<std::ptrdiff_t>(payload),
                   bytes.begin() + static_cast<std::ptrdiff_t>(payload + len));
@@ -364,7 +404,8 @@ Image Image::decode_png(const std::vector<std::uint8_t>& bytes) {
     off = payload + len + 4;
   }
   if (width <= 0 || height <= 0) throw std::runtime_error("png: missing IHDR");
-  const std::size_t stride = 1 + kBpp * static_cast<std::size_t>(width);
+  const std::size_t row_bytes = bpp * static_cast<std::size_t>(width);
+  const std::size_t stride = 1 + row_bytes;
   const std::size_t expect = stride * static_cast<std::size_t>(height);
   std::vector<std::uint8_t> raw =
       zlib_decompress(idat.data(), idat.size(), expect);
@@ -372,17 +413,23 @@ Image Image::decode_png(const std::vector<std::uint8_t>& bytes) {
     throw std::runtime_error("png: scanline size mismatch");
   }
   Image img(width, height);
-  const std::size_t row_bytes = kBpp * static_cast<std::size_t>(width);
   std::vector<std::uint8_t> zero(row_bytes, 0);
   for (int y = 0; y < height; ++y) {
     std::uint8_t* row = raw.data() + static_cast<std::size_t>(y) * stride;
     const std::uint8_t* prev =
         y == 0 ? zero.data()
                : raw.data() + static_cast<std::size_t>(y - 1) * stride + 1;
-    defilter_row(row[0], row + 1, prev, row_bytes);
-    std::memcpy(img.pixels_.data() +
-                    static_cast<std::size_t>(y) * static_cast<std::size_t>(width),
-                row + 1, row_bytes);
+    defilter_row(row[0], row + 1, prev, row_bytes, bpp);
+    Rgba* out = img.pixels_.data() +
+                static_cast<std::size_t>(y) * static_cast<std::size_t>(width);
+    if (bpp == 4) {
+      std::memcpy(out, row + 1, row_bytes);
+      continue;
+    }
+    for (std::size_t x = 0; x < static_cast<std::size_t>(width); ++x) {
+      const std::uint8_t* p = row + 1 + 3 * x;
+      out[x] = Rgba{p[0], p[1], p[2], 255};
+    }
   }
   return img;
 }

@@ -1,4 +1,4 @@
-// RGBA8 image with PPM/PNG writers and an RLE codec.
+// RGBA8 image with PPM/PNG writers (RGB8 or RGBA8 PNGs) and an RLE codec.
 //
 // The Ajax front end "save[s] the received images as fixed-size files that
 // are to be delivered to the browser through the object exchange mechanism
@@ -38,17 +38,21 @@ class Image {
   /// Binary PPM (P6, alpha dropped).
   void write_ppm(const std::string& path) const;
 
-  /// Complete PNG byte stream: per-row scanline filter selection
-  /// (None/Sub/Up/Paeth by minimum sum of absolute differences) over a
-  /// real DEFLATE stream (LZ77 + fixed Huffman, stored fallback).
+  /// Complete PNG byte stream: RGB8 (colour type 2) when every alpha is
+  /// 255, RGBA8 (colour type 6) otherwise; per-row scanline filter
+  /// selection (None/Sub/Up/Paeth by minimum sum of absolute differences)
+  /// over a real DEFLATE stream (LZ77, each block stored, fixed- or
+  /// dynamic-Huffman, whichever is smallest).
   std::vector<std::uint8_t> encode_png() const;
   void write_png(const std::string& path) const;
 
-  /// Decode an RGBA8 non-interlaced PNG: full inflate (stored, fixed- and
-  /// dynamic-Huffman blocks) and all five scanline filters, so any
-  /// conforming RGBA8 stream round-trips — encoder outputs in particular.
-  /// Throws std::runtime_error on malformed input or unsupported formats
-  /// (non-RGBA8 color types, interlacing).
+  /// Decode an RGB8 or RGBA8 non-interlaced PNG (RGB pixels get alpha
+  /// 255): full inflate (stored, fixed- and dynamic-Huffman blocks) and all
+  /// five scanline filters, so any conforming stream of those two formats
+  /// round-trips — encoder outputs in particular. Throws std::runtime_error
+  /// on malformed input (IHDR not the first chunk, compression or filter
+  /// method other than 0 included) or unsupported formats (other colour
+  /// types and bit depths, interlacing).
   static Image decode_png(const std::vector<std::uint8_t>& bytes);
 
  private:

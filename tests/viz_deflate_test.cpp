@@ -3,33 +3,29 @@
 // Round-trips every small image size the tile path produces, checks the
 // stored fallback on incompressible input, and decodes golden vectors
 // produced by a reference zlib so the inflater is validated against real
-// fixed- and dynamic-Huffman streams, not just our own compressor. A golden
-// corpus pins the encoder's own output byte for byte.
+// fixed- and dynamic-Huffman streams, not just our own compressor.
+// Hand-built streams check that the inflater rejects the incomplete codes
+// zlib rejects, seeded property tests round-trip generated inputs and
+// images, and a golden corpus pins the encoder's own output byte for byte.
+// viz_zlib_oracle_test.cpp checks the same outputs against zlib itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "codec_corpus.hpp"
 #include "util/prng.hpp"
 #include "viz/deflate.hpp"
 #include "viz/image.hpp"
 
 namespace v = ricsa::viz;
+using namespace ricsa::codec_corpus;
 
-namespace {
-
-std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
-  ricsa::util::Xoshiro256 rng(seed);
-  std::vector<std::uint8_t> out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng() & 0xFF);
-  return out;
-}
-
-}  // namespace
 
 TEST(Deflate, RoundTripsEmptyConstantAndRandomBuffers) {
   EXPECT_TRUE(v::inflate(v::deflate(nullptr, 0)).empty());
@@ -63,19 +59,48 @@ TEST(Deflate, StoredFallbackBoundsIncompressibleExpansion) {
 TEST(Deflate, StoredFallbackSplitsSpansPastSixtyFourK) {
   // A match appended just before the 65535-byte block boundary carries the
   // block's span past the 16-bit stored LEN limit; the stored fallback
-  // (which random data always takes) must split the span into multiple
-  // blocks rather than truncate LEN. Cover several alignments of the
-  // match against the boundary, including a span of exactly 65536.
-  for (const std::size_t start : {65278u, 65300u, 65400u, 65500u, 65534u}) {
-    auto data = random_bytes(70000, 9000 + start);
-    // Plant a max-length (258) match whose source is inside the 32 KiB
-    // window so the LZ77 search finds it and straddles the boundary.
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(start - 20000),
-              data.begin() + static_cast<std::ptrdiff_t>(start - 20000 + 258),
-              data.begin() + static_cast<std::ptrdiff_t>(start));
-    const auto z = v::deflate(data);
-    EXPECT_EQ(v::inflate(z), data) << "match at " << start;
+  // must split the span into multiple blocks rather than truncate LEN.
+  // Cover several alignments of the match against the boundary, including
+  // a span of exactly 65536. A max-length (258) match pays for a dynamic
+  // block even over random bytes; a short one leaves the block stored.
+  for (const std::size_t len : {258u, 6u}) {
+    for (const std::size_t start : {65278u, 65300u, 65400u, 65500u, 65533u,
+                                    65534u}) {
+      auto data = random_bytes(70000, 9000 + start);
+      // Plant the match with its source inside the 32 KiB window so the
+      // LZ77 search finds it and straddles the boundary.
+      std::copy(data.begin() + static_cast<std::ptrdiff_t>(start - 20000),
+                data.begin() +
+                    static_cast<std::ptrdiff_t>(start - 20000 + len),
+                data.begin() + static_cast<std::ptrdiff_t>(start));
+      const auto z = v::deflate(data);
+      EXPECT_EQ(v::inflate(z), data) << "match of " << len << " at " << start;
+      if (len == 258 || start + len <= 65535) continue;
+      // Stored: a non-final 65535-byte block, then a non-final block of
+      // the span's remaining bytes, then the final block.
+      const std::size_t rest = start + len - 65535;
+      ASSERT_GT(z.size(), 65543u);
+      EXPECT_EQ(z[0] & 0x7, 0u) << start;
+      EXPECT_EQ(z[1] | z[2] << 8, 65535) << start;
+      EXPECT_EQ(z[65540] & 0x7, 0u) << start;
+      EXPECT_EQ(static_cast<std::size_t>(z[65541] | z[65542] << 8), rest)
+          << start;
+    }
   }
+}
+
+TEST(Deflate, ConsecutiveCallsDoNotMatchIntoEarlierInput) {
+  // The encoder keeps its match tables across calls on a thread. Two
+  // inputs back to back in memory, encoded one after the other, must not
+  // see each other: the second stream references only its own bytes, so
+  // it is the stream of the same input with no history.
+  const std::vector<std::uint8_t> text = word_text(20000, 11);
+  std::vector<std::uint8_t> both = text;
+  both.insert(both.end(), text.begin(), text.end());
+  const auto first = v::deflate(both.data(), text.size());
+  const auto second = v::deflate(both.data() + text.size(), text.size());
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(v::inflate(second), text);
 }
 
 TEST(Deflate, CompressesRepetitiveText) {
@@ -88,8 +113,16 @@ TEST(Deflate, CompressesRepetitiveText) {
   EXPECT_LT(z.size(), text.size() / 10);
   const auto back = v::inflate(z);
   EXPECT_EQ(std::string(back.begin(), back.end()), text);
-  // And the block is entropy-coded (fixed Huffman), not stored.
-  EXPECT_EQ((z[0] >> 1) & 0x3, 1u);
+  // And the block is entropy-coded with its own codes (dynamic Huffman).
+  EXPECT_EQ((z[0] >> 1) & 0x3, 2u);
+  // A short input cannot pay for a dynamic header: fixed Huffman.
+  const std::string repeat = "abcabcabcabcXabcabcabcab";
+  const auto short_z = v::deflate(
+      reinterpret_cast<const std::uint8_t*>(repeat.data()), repeat.size());
+  EXPECT_LT(short_z.size(), repeat.size());
+  EXPECT_EQ((short_z[0] >> 1) & 0x3, 1u);
+  const auto short_back = v::inflate(short_z);
+  EXPECT_EQ(std::string(short_back.begin(), short_back.end()), repeat);
 }
 
 TEST(Deflate, DecodesFixedHuffmanGoldenVector) {
@@ -222,6 +255,94 @@ struct BitSink {
   }
 };
 
+/// Canonical Huffman codes (RFC 1951 3.2.2) of `lengths`, by symbol.
+std::vector<std::uint32_t> canonical_codes(const std::vector<int>& lengths) {
+  int count[16] = {};
+  for (const int len : lengths) ++count[len];
+  count[0] = 0;
+  std::uint32_t next[16] = {};
+  for (std::uint32_t bits = 1, code = 0; bits < 16; ++bits) {
+    code = (code + static_cast<std::uint32_t>(count[bits - 1])) << 1;
+    next[bits] = code;
+  }
+  std::vector<std::uint32_t> codes(lengths.size());
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    if (lengths[i] != 0) codes[i] = next[lengths[i]]++;
+  }
+  return codes;
+}
+
+/// A dynamic block's literal/length and distance codes, by symbol.
+struct DynamicCodes {
+  std::vector<int> litlen_lengths, dist_lengths;
+  std::vector<std::uint32_t> litlen, dist;
+  void put_litlen(BitSink& s, int sym) const {
+    s.put_huff(litlen[static_cast<std::size_t>(sym)],
+               litlen_lengths[static_cast<std::size_t>(sym)]);
+  }
+  void put_dist(BitSink& s, int sym) const {
+    s.put_huff(dist[static_cast<std::size_t>(sym)],
+               dist_lengths[static_cast<std::size_t>(sym)]);
+  }
+};
+
+/// Opens a final dynamic block: HCLEN = 19 with the code-length code
+/// lengths `cl` (by code-length symbol), then every literal/length length
+/// (HLIT = litlen.size()) and distance length (HDIST = dist.size()) as one
+/// code-length symbol each, no repeat codes.
+DynamicCodes put_dynamic_header(BitSink& s, const std::vector<int>& cl,
+                                const std::vector<int>& litlen,
+                                const std::vector<int>& dist) {
+  static const int kOrder[19] = {16, 17, 18, 0, 8,  7, 9,  6, 10, 5,
+                                 11, 4,  12, 3, 13, 2, 14, 1, 15};
+  s.put(1, 1);  // BFINAL
+  s.put(2, 2);  // BTYPE=10: dynamic
+  s.put(static_cast<std::uint32_t>(litlen.size() - 257), 5);
+  s.put(static_cast<std::uint32_t>(dist.size() - 1), 5);
+  s.put(19 - 4, 4);
+  for (const int sym : kOrder) {
+    s.put(static_cast<std::uint32_t>(cl[static_cast<std::size_t>(sym)]), 3);
+  }
+  const std::vector<std::uint32_t> cl_codes = canonical_codes(cl);
+  for (const std::vector<int>* lengths : {&litlen, &dist}) {
+    for (const int len : *lengths) {
+      s.put_huff(cl_codes[static_cast<std::size_t>(len)],
+                 cl[static_cast<std::size_t>(len)]);
+    }
+  }
+  return {litlen, dist, canonical_codes(litlen), canonical_codes(dist)};
+}
+
+/// Code-length code lengths giving length symbols 0, 1 and 2 the codes
+/// 0, 10 and 11: complete.
+std::vector<int> complete_cl() {
+  std::vector<int> cl(19, 0);
+  cl[0] = 1;
+  cl[1] = 2;
+  cl[2] = 2;
+  return cl;
+}
+
+/// Literal/length lengths (HLIT = 258): 'A' 1 bit, end-of-block and the
+/// length-3 symbol 257 2 bits each. A complete code.
+std::vector<int> a_eob_len3_litlen() {
+  std::vector<int> litlen(258, 0);
+  litlen['A'] = 1;
+  litlen[256] = 2;
+  litlen[257] = 2;
+  return litlen;
+}
+
+/// "A", then a match of length 3 at distance 1 (distance symbol 0), then
+/// end-of-block: "AAAA".
+void put_a_then_match(BitSink& s, const DynamicCodes& codes) {
+  codes.put_litlen(s, 'A');
+  codes.put_litlen(s, 257);
+  codes.put_dist(s, 0);
+  codes.put_litlen(s, 256);
+  s.flush();
+}
+
 }  // namespace
 
 TEST(Deflate, AcceptsDynamicBlockWithZeroDistanceCodes) {
@@ -258,6 +379,66 @@ TEST(Deflate, AcceptsDynamicBlockWithZeroDistanceCodes) {
   s.flush();
   const auto out = v::inflate(s.bytes.data(), s.bytes.size());
   EXPECT_EQ(std::string(out.begin(), out.end()), "AB");
+}
+
+// zlib's inflate_table rejects incomplete codes, so browsers do too; each
+// stream below decodes under a lenient inflater, and must not under ours.
+TEST(Deflate, RejectsIncompleteCodeLengthCode) {
+  // Length symbols 0, 1 and 2 get codes of 1, 2 and 3 bits: 7/8 of the
+  // code space. The lengths it sends form a complete "AB" block.
+  std::vector<int> cl(19, 0);
+  cl[0] = 1;
+  cl[1] = 2;
+  cl[2] = 3;
+  std::vector<int> litlen(257, 0);
+  litlen['A'] = 1;
+  litlen['B'] = 2;
+  litlen[256] = 2;
+  BitSink s;
+  const DynamicCodes codes = put_dynamic_header(s, cl, litlen, {0});
+  codes.put_litlen(s, 'A');
+  codes.put_litlen(s, 'B');
+  codes.put_litlen(s, 256);
+  s.flush();
+  EXPECT_THROW(v::inflate(s.bytes.data(), s.bytes.size()),
+               std::runtime_error);
+}
+
+TEST(Deflate, RejectsIncompleteLiteralLengthCode) {
+  // 'A', 'B' and end-of-block get 2 bits each: 3/4 of the code space.
+  std::vector<int> litlen(257, 0);
+  litlen['A'] = 2;
+  litlen['B'] = 2;
+  litlen[256] = 2;
+  BitSink s;
+  const DynamicCodes codes =
+      put_dynamic_header(s, complete_cl(), litlen, {0});
+  codes.put_litlen(s, 'A');
+  codes.put_litlen(s, 'B');
+  codes.put_litlen(s, 256);
+  s.flush();
+  EXPECT_THROW(v::inflate(s.bytes.data(), s.bytes.size()),
+               std::runtime_error);
+}
+
+TEST(Deflate, RejectsIncompleteDistanceCode) {
+  // Two 2-bit distance codes: half the code space.
+  BitSink s;
+  const DynamicCodes codes =
+      put_dynamic_header(s, complete_cl(), a_eob_len3_litlen(), {2, 2});
+  put_a_then_match(s, codes);
+  EXPECT_THROW(v::inflate(s.bytes.data(), s.bytes.size()),
+               std::runtime_error);
+}
+
+TEST(Deflate, AcceptsSingleOneBitDistanceCode) {
+  // The one incomplete code zlib allows: a single 1-bit code.
+  BitSink s;
+  const DynamicCodes codes =
+      put_dynamic_header(s, complete_cl(), a_eob_len3_litlen(), {1});
+  put_a_then_match(s, codes);
+  const auto out = v::inflate(s.bytes.data(), s.bytes.size());
+  EXPECT_EQ(std::string(out.begin(), out.end()), "AAAA");
 }
 
 TEST(Deflate, RejectsLengthCodeWithEmptyDistanceTable) {
@@ -375,159 +556,143 @@ TEST(PngCodec, CompressesStructuredContentWell) {
   EXPECT_EQ(v::Image::decode_png(png).pixels(), img.pixels());
 }
 
+namespace {
+
+/// Writes `x` big-endian at bytes [at, at + 4) of `out`.
+void put_be32(std::vector<std::uint8_t>& out, std::size_t at,
+              std::uint32_t x) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[at + i] = static_cast<std::uint8_t>(x >> (24 - 8 * i));
+  }
+}
+
+/// A PNG chunk: length, type, payload and CRC.
+std::vector<std::uint8_t> png_chunk(const std::string& type,
+                                    const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> out(12 + payload.size());
+  put_be32(out, 0, static_cast<std::uint32_t>(payload.size()));
+  std::copy(type.begin(), type.end(), out.begin() + 4);
+  std::copy(payload.begin(), payload.end(), out.begin() + 8);
+  put_be32(out, 8 + payload.size(),
+           v::crc32(out.data() + 4, 4 + payload.size()));
+  return out;
+}
+
+/// The encoder's PNG of a small image: the 8-byte signature, then IHDR
+/// (bytes 8-32, payload at 16-28), then IDAT and IEND.
+std::vector<std::uint8_t> small_png() {
+  v::Image img(5, 4, {10, 20, 30, 255});
+  img.at(2, 1) = {200, 100, 50, 255};
+  return img.encode_png();
+}
+
+/// `png` with IHDR payload byte `offset` (0-12) set to `value`, its CRC
+/// recomputed so only the field itself is wrong.
+std::vector<std::uint8_t> with_ihdr_byte(std::vector<std::uint8_t> png,
+                                         std::size_t offset,
+                                         std::uint8_t value) {
+  png[16 + offset] = value;
+  put_be32(png, 29, v::crc32(png.data() + 12, 4 + 13));
+  return png;
+}
+
+}  // namespace
+
+TEST(PngCodec, RejectsUnknownCompressionOrFilterMethod) {
+  const std::vector<std::uint8_t> png = small_png();
+  ASSERT_NO_THROW(v::Image::decode_png(with_ihdr_byte(png, 10, 0)));
+  EXPECT_THROW(v::Image::decode_png(with_ihdr_byte(png, 10, 1)),
+               std::runtime_error);  // compression method
+  EXPECT_THROW(v::Image::decode_png(with_ihdr_byte(png, 11, 1)),
+               std::runtime_error);  // filter method
+}
+
+TEST(PngCodec, RejectsIhdrThatIsNotTheFirstChunk) {
+  const std::vector<std::uint8_t> png = small_png();
+  const auto insert_at = [&png](std::size_t at,
+                                const std::vector<std::uint8_t>& chunk) {
+    std::vector<std::uint8_t> out = png;
+    out.insert(out.begin() + static_cast<std::ptrdiff_t>(at), chunk.begin(),
+               chunk.end());
+    return out;
+  };
+  const std::vector<std::uint8_t> text = png_chunk("tEXt", {'a', 0, 'b'});
+  // An ancillary chunk after IHDR is skipped ...
+  EXPECT_EQ(v::Image::decode_png(insert_at(33, text)).pixels(),
+            v::Image::decode_png(png).pixels());
+  // ... but IHDR must come first ...
+  EXPECT_THROW(v::Image::decode_png(insert_at(8, text)), std::runtime_error);
+  // ... and only there: a second IHDR is not first.
+  const std::vector<std::uint8_t> ihdr(png.begin() + 8, png.begin() + 33);
+  EXPECT_THROW(v::Image::decode_png(insert_at(33, ihdr)), std::runtime_error);
+}
+
+TEST(CodecProperty, DeflateRoundTripsGeneratedInputs) {
+  // inflate(deflate(x)) == x, and the same through the zlib wrapper, over
+  // a seeded family of inputs in which every block type turns up first.
+  std::array<int, 4> first_block_type{};
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    const std::vector<std::uint8_t> in = generated_input(i);
+    const auto z = v::deflate(in);
+    ASSERT_EQ(v::inflate(z), in) << "input " << i;
+    const auto zlib = v::zlib_compress(in.data(), in.size());
+    ASSERT_EQ(v::zlib_decompress(zlib.data(), zlib.size()), in)
+        << "input " << i;
+    ++first_block_type[(z[0] >> 1) & 0x3];
+  }
+  EXPECT_GT(first_block_type[0], 0);
+  EXPECT_GT(first_block_type[1], 0);
+  EXPECT_GT(first_block_type[2], 0);
+}
+
+TEST(CodecProperty, PngRoundTripsOpaqueAndTranslucentImages) {
+  // decode_png(encode_png(img)) == img at every width 1-33 and 192. An
+  // opaque image travels as RGB (colour type 2, IHDR byte 25), any other
+  // as RGBA (6), down to one translucent pixel in the last position.
+  for (const int w : golden_widths()) {
+    const int h = golden_height(w);
+    for (const Pattern pattern :
+         {Pattern::kGradient, Pattern::kNoise, Pattern::kShapes}) {
+      v::Image opaque =
+          pattern_image(pattern, w, h, static_cast<std::uint64_t>(w));
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) opaque.at(x, y).a = 255;
+      }
+      v::Image last_translucent = opaque;
+      last_translucent.at(w - 1, h - 1).a = 254;
+      v::Image translucent = opaque;
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          translucent.at(x, y).a = static_cast<std::uint8_t>(x * 7 + y * 13);
+        }
+      }
+      const std::pair<const v::Image*, std::uint8_t> cases[] = {
+          {&opaque, 2}, {&last_translucent, 6}, {&translucent, 6}};
+      for (const auto& [img, color_type] : cases) {
+        const auto png = img->encode_png();
+        ASSERT_EQ(png[25], color_type) << w << "x" << h;
+        ASSERT_EQ(v::Image::decode_png(png).pixels(), img->pixels())
+            << w << "x" << h << " colour type " << int{color_type};
+      }
+    }
+  }
+}
+
 // ------------------------------------------------ golden encoder output ----
 //
 // The encoder's parse (3-byte hash, 128-candidate chain budget, first
-// longest match wins, one-step lazy rule, 65535-byte block split,
-// fixed/stored choice) and the PNG filter choice (None/Sub/Up/Paeth by
-// strict < in that order) are pinned by CRC-32 and length over a generated
-// corpus. Any change to a decision changes a value below; a faster encoder
-// must leave them all as they are.
-
-namespace {
-
-/// `n` bytes drawn from a skewed 17-symbol alphabet: long hash chains, so
-/// the chain budget and the lazy rule both bind.
-std::vector<std::uint8_t> skewed_bytes(std::size_t n, std::uint64_t seed) {
-  static const char kAlphabet[] = "aaaaabbbcddeefg h";
-  ricsa::util::Xoshiro256 rng(seed);
-  std::vector<std::uint8_t> out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(kAlphabet[rng() % 17]);
-  return out;
-}
-
-/// Words from a small vocabulary: matches at many lengths and distances.
-std::vector<std::uint8_t> word_text(std::size_t n, std::uint64_t seed) {
-  static const char* const kWords[] = {
-      "shock",   "density", "pressure", "mach",    "steer", "frame",
-      "render",  "tile",    "delta",    "viewer",  "relay", "hub",
-      "cycle",   "gamma",   "isosurface", "ray",   "cast",  "bow",
-      "wave",    "cell",    "flux",     "solver",  "step",  "grid"};
-  ricsa::util::Xoshiro256 rng(seed);
-  std::vector<std::uint8_t> out;
-  out.reserve(n + 16);
-  while (out.size() < n) {
-    const std::string word = kWords[rng() % std::size(kWords)];
-    out.insert(out.end(), word.begin(), word.end());
-    out.push_back(rng() % 7 == 0 ? '\n' : ' ');
-  }
-  out.resize(n);
-  return out;
-}
-
-struct NamedInput {
-  std::string name;
-  std::vector<std::uint8_t> bytes;
-};
-
-std::vector<NamedInput> byte_corpus() {
-  std::vector<NamedInput> corpus;
-  corpus.push_back({"empty", {}});
-  corpus.push_back({"one byte", {0x42}});
-  const std::string repeat = "abcabcabcabcXabcabcabcab";
-  corpus.push_back({"short repeat", {repeat.begin(), repeat.end()}});
-  std::string text;
-  for (int i = 0; i < 50; ++i) {
-    text += "the quick brown fox jumps over the lazy dog. ";
-  }
-  corpus.push_back({"text", {text.begin(), text.end()}});
-  corpus.push_back({"skewed 100k", skewed_bytes(100000, 1)});
-  corpus.push_back({"random 150k", random_bytes(150000, 2)});
-  // A max-length match straddling the 65535-byte block boundary, over
-  // random bytes (the block falls back to stored and splits) and over
-  // compressible bytes (the block stays fixed-Huffman).
-  auto straddle_stored = random_bytes(70000, 3);
-  std::copy(straddle_stored.begin() + 45400, straddle_stored.begin() + 45658,
-            straddle_stored.begin() + 65400);
-  corpus.push_back({"max match straddles block, stored", straddle_stored});
-  auto straddle_fixed = skewed_bytes(140000, 4);
-  std::fill(straddle_fixed.begin() + 65400, straddle_fixed.begin() + 66000,
-            0x55);
-  corpus.push_back({"max match straddles block, fixed", straddle_fixed});
-  // Repeats at distance exactly 32768 (inside the window) and 32769 (just
-  // outside it).
-  const auto a = random_bytes(32768, 5);
-  const auto b = random_bytes(32769, 6);
-  std::vector<std::uint8_t> window_edge;
-  for (const auto* part : {&a, &a, &b, &b}) {
-    window_edge.insert(window_edge.end(), part->begin(), part->end());
-  }
-  corpus.push_back({"window edge", window_edge});
-  // Longer than 1 MiB, where the match finder rebases its 32-bit offsets.
-  corpus.push_back({"words 1.3M", word_text(1300000, 7)});
-  // 30 distinct 9-bit literals: 3 + 30 * 9 + 7 fixed bits against
-  // 3 + 5 + 32 + 30 * 8 stored bits, a tie that stored wins.
-  std::vector<std::uint8_t> tie(30);
-  for (std::size_t i = 0; i < tie.size(); ++i) {
-    tie[i] = static_cast<std::uint8_t>(144 + i);
-  }
-  corpus.push_back({"fixed/stored cost tie", tie});
-  return corpus;
-}
-
-enum class Pattern { kConstant, kGradient, kNoise, kShapes };
-
-/// Images of the PNG corpus. Shapes are shaded discs on a flat background,
-/// like a rendered frame; all arithmetic is integer so the corpus is the
-/// same on every platform.
-v::Image pattern_image(Pattern pattern, int w, int h, std::uint64_t seed) {
-  ricsa::util::Xoshiro256 rng(seed);
-  if (pattern == Pattern::kConstant) return v::Image(w, h, {12, 34, 56, 255});
-  v::Image img(w, h, {20, 24, 32, 255});
-  if (pattern == Pattern::kShapes) {
-    const int discs = 2 + w * h / 2048;
-    for (int k = 0; k < discs; ++k) {
-      const int cx = static_cast<int>(rng() % static_cast<unsigned>(w));
-      const int cy = static_cast<int>(rng() % static_cast<unsigned>(h));
-      const int r = 1 + static_cast<int>(rng() % static_cast<unsigned>(
-                            std::max(2, std::min(w, h) / 3)));
-      const v::Rgba color{static_cast<std::uint8_t>(rng() & 0xFF),
-                          static_cast<std::uint8_t>(rng() & 0xFF),
-                          static_cast<std::uint8_t>(rng() & 0xFF), 255};
-      for (int y = std::max(0, cy - r); y < std::min(h, cy + r + 1); ++y) {
-        for (int x = std::max(0, cx - r); x < std::min(w, cx + r + 1); ++x) {
-          const int d2 = (x - cx) * (x - cx) + (y - cy) * (y - cy);
-          if (d2 > r * r) continue;
-          const int shade = 128 + 127 * (r * r - d2) / (r * r);
-          img.at(x, y) = {static_cast<std::uint8_t>(color.r * shade / 255),
-                          static_cast<std::uint8_t>(color.g * shade / 255),
-                          static_cast<std::uint8_t>(color.b * shade / 255),
-                          255};
-        }
-      }
-    }
-    return img;
-  }
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      if (pattern == Pattern::kGradient) {
-        img.at(x, y) = {static_cast<std::uint8_t>(x * 3 + y),
-                        static_cast<std::uint8_t>(y * 5),
-                        static_cast<std::uint8_t>((x + y) * 2),
-                        static_cast<std::uint8_t>(255 - x)};
-      } else {
-        img.at(x, y) = {static_cast<std::uint8_t>(rng() & 0xFF),
-                        static_cast<std::uint8_t>(rng() & 0xFF),
-                        static_cast<std::uint8_t>(rng() & 0xFF),
-                        static_cast<std::uint8_t>(rng() & 0xFF)};
-      }
-    }
-  }
-  return img;
-}
-
-/// Widths 1-33 reach every tail length of a 16-byte filter step on both
-/// sides of the first whole step; 192 is the steering view's frame width.
-std::vector<int> golden_widths() {
-  std::vector<int> widths;
-  for (int w = 1; w <= 33; ++w) widths.push_back(w);
-  widths.push_back(192);
-  return widths;
-}
-
-int golden_height(int width) { return width > 33 ? 192 : 1 + width * 5 % 9; }
-
-}  // namespace
+// longest match wins, one-step lazy rule, 65535-byte block split), its
+// block coding (stored, fixed or dynamic by exact bit cost, the code
+// lengths and their run-length coding) and the PNG colour type and filter
+// choice (None/Sub/Up/Paeth by strict < in that order) are pinned by
+// CRC-32 and length over a generated corpus (tests/codec_corpus.hpp). Any
+// change to a decision changes a value below.
+//
+// The last column of each table is the length the encoder gave when every
+// block was fixed-Huffman or stored and every PNG was RGBA: no entry may
+// exceed it. The parse is unchanged and each block takes the cheapest of
+// three codings, so no DEFLATE output can grow; an opaque PNG deflates a
+// quarter fewer scanline bytes.
 
 TEST(EncoderGolden, DeflateAndZlibOutputIsPinned) {
   struct Expected {
@@ -535,19 +700,21 @@ TEST(EncoderGolden, DeflateAndZlibOutputIsPinned) {
     std::size_t deflate_bytes;
     std::uint32_t zlib_crc;
     std::size_t zlib_bytes;
+    std::size_t fixed_or_stored_bytes;  // raw DEFLATE
   };
   static const Expected kExpected[] = {
-      {0x4564cc52u, 5, 0xba2d22a8u, 11},             // empty
-      {0x9bc06d99u, 3, 0xd81c9cd3u, 9},              // one byte
-      {0xbf9a8d3fu, 9, 0xeaeaae63u, 15},             // short repeat
-      {0x90d72f8eu, 64, 0xa9a9e8b3u, 70},            // text
-      {0x2f6e8ea1u, 58572, 0x2d3cde14u, 58578},      // skewed 100k
-      {0x9e2e88dbu, 150015, 0x77fe139eu, 150021},    // random 150k
-      {0x58609c3au, 70015, 0x66e254c2u, 70021},      // straddle, stored
-      {0x3b222897u, 81378, 0x6801cf56u, 81384},      // straddle, fixed
-      {0xc0a340fdu, 100510, 0xe4238422u, 100516},    // window edge
-      {0xe64cd876u, 312870, 0x8ad80596u, 312876},    // words 1.3M
-      {0x86b48611u, 35, 0x9bbb78d4u, 41},            // fixed/stored tie
+      {0x4564cc52u, 5, 0xba2d22a8u, 11, 5},                  // empty
+      {0x9bc06d99u, 3, 0xd81c9cd3u, 9, 3},                   // one byte
+      {0xbf9a8d3fu, 9, 0xeaeaae63u, 15, 9},                  // short repeat
+      {0xf4020fe3u, 62, 0xd271c09du, 68, 64},                // text
+      {0xcdc9afafu, 43338, 0x9774d9e5u, 43344, 58572},       // skewed 100k
+      {0x9e2e88dbu, 150015, 0x77fe139eu, 150021, 150015},    // random 150k
+      {0x56dffa16u, 69823, 0x794ebeb2u, 69829, 70015},       // straddle, random
+      {0x5041f98eu, 60135, 0x35fd8f1eu, 60141, 81378},       // straddle, skewed
+      {0xc367fc99u, 98746, 0xc4ddc1b1u, 98752, 100510},      // window edge
+      {0x20a8a73du, 245361, 0xdd82f070u, 245367, 312870},    // words 1.3M
+      {0x86b48611u, 35, 0x9bbb78d4u, 41, 35},                // fixed/stored tie
+      {0x4dadc74cu, 70015, 0x38de7354u, 70021, 70015},       // short straddle
   };
   const std::vector<NamedInput> corpus = byte_corpus();
   ASSERT_EQ(corpus.size(), std::size(kExpected));
@@ -561,14 +728,21 @@ TEST(EncoderGolden, DeflateAndZlibOutputIsPinned) {
     EXPECT_EQ(v::crc32(zlib.data(), zlib.size()), kExpected[i].zlib_crc)
         << in.name;
     EXPECT_EQ(zlib.size(), kExpected[i].zlib_bytes) << in.name;
+    EXPECT_LE(z.size(), kExpected[i].fixed_or_stored_bytes) << in.name;
     EXPECT_EQ(v::inflate(z), in.bytes) << in.name;
   }
-  // The straddling match lands in a stored block in one input and in a
-  // fixed-Huffman block in the other (BTYPE sits in bits 1-2); the cost
-  // tie goes to stored.
-  EXPECT_EQ((v::deflate(corpus[6].bytes)[0] >> 1) & 0x3, 0u);
-  EXPECT_EQ((v::deflate(corpus[7].bytes)[0] >> 1) & 0x3, 1u);
-  EXPECT_EQ((v::deflate(corpus[10].bytes)[0] >> 1) & 0x3, 0u);
+  // Every block type stays covered (BTYPE sits in bits 1-2 of the first
+  // block): the short repeat is fixed-Huffman; the max-length straddling
+  // matches land in dynamic blocks; the cost tie goes to stored, and the
+  // short straddling match leaves its block stored and split.
+  const auto btype = [&corpus](std::size_t i) {
+    return (v::deflate(corpus[i].bytes)[0] >> 1) & 0x3;
+  };
+  EXPECT_EQ(btype(2), 1u);
+  EXPECT_EQ(btype(6), 2u);
+  EXPECT_EQ(btype(7), 2u);
+  EXPECT_EQ(btype(10), 0u);
+  EXPECT_EQ(btype(11), 0u);
 }
 
 TEST(EncoderGolden, PngOutputIsPinned) {
@@ -577,12 +751,15 @@ TEST(EncoderGolden, PngOutputIsPinned) {
     const char* name;
     std::uint32_t crc;
     std::size_t bytes;
+    std::size_t fixed_or_stored_rgba_bytes;
   };
+  // The constant and shapes images are opaque (RGB), the gradient is
+  // opaque only at width 1, and the noise is translucent (RGBA, stored).
   static const Expected kExpected[] = {
-      {Pattern::kConstant, "constant", 0x4d517fafu, 3934},
-      {Pattern::kGradient, "gradient", 0x89024b67u, 4536},
-      {Pattern::kNoise, "noise", 0xbc0936cau, 161285},
-      {Pattern::kShapes, "shapes", 0x30e8ffdcu, 32780},
+      {Pattern::kConstant, "constant", 0xee948785u, 3092, 3934},
+      {Pattern::kGradient, "gradient", 0x85ff2eb9u, 3875, 4536},
+      {Pattern::kNoise, "noise", 0xbc0936cau, 161285, 161285},
+      {Pattern::kShapes, "shapes", 0x6c11e750u, 26612, 32780},
   };
   for (const Expected& e : kExpected) {
     // One CRC chained over every width's PNG, and their total length.
@@ -600,5 +777,6 @@ TEST(EncoderGolden, PngOutputIsPinned) {
     }
     EXPECT_EQ(crc, e.crc) << e.name;
     EXPECT_EQ(total, e.bytes) << e.name;
+    EXPECT_LE(total, e.fixed_or_stored_rgba_bytes) << e.name;
   }
 }

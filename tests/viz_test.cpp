@@ -576,10 +576,12 @@ TEST(Image, PngDecodeRoundTrip) {
 }
 
 TEST(Image, ConcurrentEncodesMatchSerialBytes) {
-  // Every encoding thread keeps its own match-finder scratch and reuses it
-  // across calls. Four threads encoding different images at once must each
-  // get the bytes a serial encode gives. Each thread cycles through all
-  // four sizes, so its scratch is reused across inputs of other lengths.
+  // Every encoding thread keeps its own match-finder and block-code
+  // scratch and reuses it across calls. Four threads encoding different
+  // images at once must each get the bytes a serial encode gives. Each
+  // thread cycles through all four sizes, so its scratch is reused across
+  // inputs of other lengths, and through both colour types: images 1 and
+  // 3 are translucent (RGBA), 0 and 2 opaque (RGB).
   constexpr int kThreads = 4;
   ricsa::util::Xoshiro256 rng(17);
   std::vector<v::Image> images;
@@ -589,7 +591,9 @@ TEST(Image, ConcurrentEncodesMatchSerialBytes) {
       for (int x = 0; x < img.width(); ++x) {
         img.at(x, y) = {static_cast<std::uint8_t>(x / 8 * 20),
                         static_cast<std::uint8_t>(y / 6 * 15),
-                        static_cast<std::uint8_t>(t * 50), 255};
+                        static_cast<std::uint8_t>(t * 50),
+                        static_cast<std::uint8_t>(t % 2 == 1 ? 255 - x % 16
+                                                             : 255)};
       }
     }
     for (int k = 0; k < 200; ++k) {
@@ -601,6 +605,9 @@ TEST(Image, ConcurrentEncodesMatchSerialBytes) {
   }
   std::vector<std::vector<std::uint8_t>> serial;
   for (const v::Image& img : images) serial.push_back(img.encode_png());
+  for (int t = 0; t < kThreads; ++t) {  // IHDR colour type: 2 RGB, 6 RGBA
+    EXPECT_EQ(serial[static_cast<std::size_t>(t)][25], t % 2 == 1 ? 6 : 2);
+  }
 
   std::vector<int> mismatches(kThreads, 0);
   std::vector<std::thread> threads;
