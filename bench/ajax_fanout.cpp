@@ -21,8 +21,9 @@
 // in a mixed population — fast, slow, and adaptively paced — against one
 // reactor-driven server. Besides the latency/throughput metrics it samples
 // process-wide fd count, thread count, and peak RSS during the round and
-// reports the configured server thread budget (reactor + worker pools +
-// monitor loop), which stays constant while client count scales 8x. The
+// reports the configured server thread budget (reactors + HTTP workers +
+// session pool + monitor loop), which stays constant while client count
+// scales 8x. The
 // clients are driven by the epoll fleet (bench/epoll_client.hpp): ONE
 // load-generator thread, so generator scheduling jitter no longer inflates
 // the tail latency attributed to the server.
@@ -1245,7 +1246,6 @@ int main(int argc, char** argv) {
   config.pacing.controller.kind = controller_kind;
   config.frame_interval_s = frame_interval_s;
   config.frame_window = 256;
-  config.hub_workers = 4;
   if (scenario == "fanout" || scenario == "shard" || scenario == "transport" ||
       scenario == "multireactor" || scenario == "relay") {
     const int biggest =
@@ -1719,25 +1719,21 @@ int main(int argc, char** argv) {
   report["bench"] = "ajax_fanout";
   report["scenario"] = scenario;
   report["frame_interval_s"] = frame_interval_s;
-  // The server-side thread budget — constant in the client count: the
-  // reactor loops, the HTTP handler workers, the fan-out workers of every
-  // view shard's hub, the session's render pool, and the monitor loop.
+  // The server-side thread budget — constant in the client count and in
+  // the view count (hub shards run on reactor 0): the reactor loops, the
+  // HTTP handler workers, the session's render pool, and the monitor loop.
   // Everything else in the process is bench clients. The congestion
   // scenario runs no server, so it reports none.
   if (frontend) {
     const std::size_t reactors = std::max<std::size_t>(1, config.reactors);
-    const std::size_t shards = frontend->registry().stats().live;
     const std::size_t session_pool = frontend->session_pool_threads();
     Json threads;
     threads["reactors"] = static_cast<double>(reactors);
     threads["http_workers"] = static_cast<double>(config.http_workers);
-    threads["hub_workers"] = static_cast<double>(config.hub_workers);
-    threads["shards"] = static_cast<double>(shards);
     threads["session_pool"] = static_cast<double>(session_pool);
     threads["monitor_loop"] = 1.0;
     threads["total"] = static_cast<double>(
-        reactors + config.http_workers + config.hub_workers * shards +
-        session_pool + 1);
+        reactors + config.http_workers + session_pool + 1);
     report["server_threads"] = threads;
   }
   report["rounds"] = rounds;

@@ -38,12 +38,16 @@ void Reactor::wake() {
 }
 
 bool Reactor::post(Task task) {
+  bool first = false;
   {
     std::lock_guard<std::mutex> lock(tasks_mutex_);
     if (drained_) return false;
+    first = tasks_.empty();
     tasks_.push_back(std::move(task));
   }
-  wake();
+  // Only the first task of a batch needs a wakeup: the loop drains them all.
+  // (A hub fan-out posts one task per client.)
+  if (first) wake();
   return true;
 }
 

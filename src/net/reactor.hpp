@@ -13,8 +13,8 @@
 //  * I/O readiness — level-triggered epoll on registered fds;
 //  * timers — a hashed TimerWheel (poll timeouts, idle deadlines, pacing);
 //  * cross-thread tasks — post() enqueues a closure and wakes the loop via
-//    eventfd; hub workers use this to turn "response ready" completions
-//    into write-readiness processing on the loop thread.
+//    eventfd; hub completions and route handlers' responses reach the loop
+//    thread this way.
 //
 // Threading contract: add/modify/remove and the timer API are loop-thread
 // only (or before run() starts); post() and stop() are thread-safe. All

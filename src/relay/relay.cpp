@@ -12,7 +12,6 @@ namespace {
 web::HubRegistry::Config registry_config(const RelayNodeConfig& config) {
   web::HubRegistry::Config out;
   out.hub.window = config.frame_window;
-  out.hub.workers = config.hub_workers;
   if (!config.subscriber.views.empty()) {
     out.default_view = config.subscriber.views.front();
   }

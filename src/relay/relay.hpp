@@ -42,7 +42,6 @@ struct RelayNodeConfig {
   double poll_timeout_s = 15.0;
   /// Local frame window (catch-up replay depth for downstream clients).
   std::size_t frame_window = 256;
-  std::size_t hub_workers = 2;
   std::size_t http_workers = 2;
   std::size_t reactors = 1;
   std::size_t max_connections = 8192;

@@ -69,8 +69,13 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > Json::kMaxDepth) fail("nesting too deep");
+        Json nested = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -196,6 +201,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects currently open
 };
 
 void dump_string(const std::string& s, std::string& out) {
@@ -223,8 +229,9 @@ void dump_string(const std::string& s, std::string& out) {
 }
 
 void dump_number(double d, std::string& out) {
-  if (d == static_cast<double>(static_cast<std::int64_t>(d)) &&
-      std::abs(d) < 1e15) {
+  // Range first: casting a double outside int64 is undefined.
+  if (std::abs(d) < 1e15 &&
+      d == static_cast<double>(static_cast<std::int64_t>(d))) {
     out += std::to_string(static_cast<std::int64_t>(d));
   } else {
     char buf[32];

@@ -57,8 +57,12 @@ class Json {
 
   std::string dump(int indent = -1) const;
 
+  /// Deepest array/object nesting parse() accepts: the parser recurses
+  /// per level, and request bodies are untrusted.
+  static constexpr int kMaxDepth = 256;
+
   /// Parse a complete JSON document. Throws std::runtime_error on malformed
-  /// input with a byte-offset diagnostic.
+  /// input (or nesting deeper than kMaxDepth) with a byte-offset diagnostic.
   static Json parse(std::string_view text);
 
   friend bool operator==(const Json& a, const Json& b) { return a.value_ == b.value_; }

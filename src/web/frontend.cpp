@@ -14,7 +14,6 @@ HubRegistry::Config registry_config_of(const FrontEndConfig& config) {
   HubRegistry::Config registry;
   registry.hub.window = config.frame_window;
   registry.hub.raw_window = config.raw_window;
-  registry.hub.workers = config.hub_workers;
   registry.hub.tile_size = config.tile_size;
   registry.pacing = config.pacing;
   registry.pacing.frame_interval_s = config.frame_interval_s;

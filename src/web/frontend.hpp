@@ -62,12 +62,10 @@ struct FrontEndConfig {
   std::vector<ViewSpec> views;
   /// Idle-shard reaping horizon for the registry (0 disables).
   double view_idle_reap_s = 300.0;
-  /// Hub fan-out worker threads, per view shard.
-  std::size_t hub_workers = 4;
   /// HTTP route-handler worker threads. Together with the reactor threads,
-  /// hub_workers per shard, the session's host-sized pool and the monitor
-  /// loop this bounds *every* server-side thread — client count never adds
-  /// threads.
+  /// the session's host-sized pool and the monitor loop this bounds *every*
+  /// server-side thread — neither the client count nor the view count adds
+  /// threads (hub shards run on reactor 0).
   std::size_t http_workers = 4;
   /// Reactor (event-loop) threads; each owns its accepted connections
   /// outright. 1 reproduces the single-loop server.

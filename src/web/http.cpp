@@ -69,6 +69,7 @@ void append_last_chunk(std::string& out) { out += "0\r\n\r\n"; }
 
 namespace {
 
+using detail::ParseResult;
 using detail::write_all;
 
 const char* status_text(int status) {
@@ -79,8 +80,10 @@ const char* status_text(int status) {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 409: return "Conflict";
     case 416: return "Range Not Satisfiable";
     case 500: return "Internal Server Error";
+    case 501: return "Not Implemented";
     case 503: return "Service Unavailable";
     default: return "Unknown";
   }
@@ -99,8 +102,6 @@ bool parse_content_length(const std::string& text, std::size_t& out) {
   return true;
 }
 
-enum class ParseResult { kOk, kNeedMore, kBad };
-
 constexpr std::size_t kMaxHeaderBytes = 1u << 20;
 constexpr std::size_t kMaxBodyBytes = 64u << 20;
 /// Bytes a client may pipeline behind an in-flight response before the
@@ -112,56 +113,6 @@ constexpr std::size_t kMaxPipelinedBytes = 1u << 20;
 /// the producer ignores backpressure while the consumer is effectively
 /// dead, and the connection is dropped rather than growing without bound.
 constexpr std::size_t kMaxStreamBuffered = 16u << 20;
-
-/// Parse one request out of the front of `buffer`. Consumes the request's
-/// bytes only on kOk; on kNeedMore the buffer is left intact for the next
-/// readiness event (the incremental half of the connection state machine).
-ParseResult parse_request(std::string& buffer, HttpRequest& out) {
-  const std::size_t header_end = buffer.find("\r\n\r\n");
-  if (header_end == std::string::npos) {
-    return buffer.size() > kMaxHeaderBytes ? ParseResult::kBad
-                                           : ParseResult::kNeedMore;
-  }
-  if (header_end > kMaxHeaderBytes) return ParseResult::kBad;
-
-  std::istringstream lines(buffer.substr(0, header_end));
-  std::string line;
-  if (!std::getline(lines, line)) return ParseResult::kBad;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  {
-    std::istringstream first(line);
-    std::string target, version;
-    if (!(first >> out.method >> target >> version)) return ParseResult::kBad;
-    const auto q = target.find('?');
-    if (q == std::string::npos) {
-      out.path = target;
-    } else {
-      out.path = target.substr(0, q);
-      out.query = target.substr(q + 1);
-    }
-  }
-  while (std::getline(lines, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    const std::string key = util::to_lower(util::trim(line.substr(0, colon)));
-    out.headers[key] = std::string(util::trim(line.substr(colon + 1)));
-  }
-
-  std::size_t content_length = 0;
-  if (const auto it = out.headers.find("content-length");
-      it != out.headers.end()) {
-    if (!parse_content_length(it->second, content_length)) {
-      return ParseResult::kBad;
-    }
-    if (content_length > kMaxBodyBytes) return ParseResult::kBad;
-  }
-  const std::size_t total = header_end + 4 + content_length;
-  if (buffer.size() < total) return ParseResult::kNeedMore;
-  out.body = buffer.substr(header_end + 4, content_length);
-  buffer.erase(0, total);
-  return ParseResult::kOk;
-}
 
 /// Flat-string serialization, used only for the pre-connection 503 reject
 /// (a fresh socket, one small write). Live connections serialize onto
@@ -197,6 +148,65 @@ bool is_known_method(const std::string& method) {
 }  // namespace
 
 namespace detail {
+
+ParseResult parse_request(std::string& buffer, HttpRequest& out) {
+  const std::size_t header_end = buffer.find("\r\n\r\n");
+  if (header_end == std::string::npos) {
+    return buffer.size() > kMaxHeaderBytes ? ParseResult::kBad
+                                           : ParseResult::kNeedMore;
+  }
+  if (header_end > kMaxHeaderBytes) return ParseResult::kBad;
+
+  std::istringstream lines(buffer.substr(0, header_end));
+  std::string line;
+  if (!std::getline(lines, line)) return ParseResult::kBad;
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  {
+    std::istringstream first(line);
+    std::string target, version;
+    if (!(first >> out.method >> target >> version)) return ParseResult::kBad;
+    const auto q = target.find('?');
+    if (q == std::string::npos) {
+      out.path = target;
+    } else {
+      out.path = target.substr(0, q);
+      out.query = target.substr(q + 1);
+    }
+  }
+  while (std::getline(lines, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const std::string key = util::to_lower(util::trim(line.substr(0, colon)));
+    std::string value(util::trim(line.substr(colon + 1)));
+    // Two different lengths leave the body's end ambiguous.
+    const auto it = out.headers.find(key);
+    if (key == "content-length" && it != out.headers.end() &&
+        it->second != value) {
+      return ParseResult::kBad;
+    }
+    out.headers[key] = std::move(value);
+  }
+  // Only Content-Length delimits a body here. A chunked (or otherwise
+  // transfer-coded) body would be misread as the next request.
+  if (out.headers.count("transfer-encoding") != 0) {
+    return ParseResult::kNotImplemented;
+  }
+
+  std::size_t content_length = 0;
+  if (const auto it = out.headers.find("content-length");
+      it != out.headers.end()) {
+    if (!parse_content_length(it->second, content_length)) {
+      return ParseResult::kBad;
+    }
+    if (content_length > kMaxBodyBytes) return ParseResult::kBad;
+  }
+  const std::size_t total = header_end + 4 + content_length;
+  if (buffer.size() < total) return ParseResult::kNeedMore;
+  out.body = buffer.substr(header_end + 4, content_length);
+  buffer.erase(0, total);
+  return ParseResult::kOk;
+}
 
 void append_response_chain(net::BufferChain& out, HttpResponse response,
                            bool keep_alive, bool suppress_body) {
@@ -398,9 +408,9 @@ void HttpServer::ResponseSink::operator()(
   if (!reply_) return;
   AsyncReply& r = *reply_;
   if (r.written.exchange(true)) return;
-  // The hub worker's completion becomes a reactor task: serialization and
-  // the actual write happen on the loop thread where the connection state
-  // lives, driven by write readiness from there on.
+  // The completion becomes a task on the connection's reactor:
+  // serialization and the actual write happen on the loop thread where the
+  // connection state lives, driven by write readiness from there on.
   r.reactor->post([server = r.server, conn = r.conn, keep_alive = r.keep_alive,
                    suppress = r.suppress_body, response,
                    drained = std::move(drained)]() mutable {
@@ -796,11 +806,11 @@ void HttpServer::conn_event(Connection* raw, std::uint32_t events) {
     }
     if (got_bytes) {
       conn->read_deadline = read_deadline_from_now();
-      if (conn->streaming) {
-        // A converted connection never parses again: bytes pipelined
-        // behind the converting request — or sent later — are drained and
-        // discarded deterministically instead of being interpreted as
-        // requests against a response channel that no longer exists.
+      if (conn->streaming || conn->close_after_write) {
+        // A converted or closing connection never parses again: bytes
+        // pipelined behind its last request are drained and discarded,
+        // never interpreted as requests against a response channel that
+        // no longer exists.
         conn->in.clear();
       } else if (!conn->response_pending) {
         try_dispatch(conn);
@@ -868,10 +878,20 @@ void HttpServer::try_dispatch(const std::shared_ptr<Connection>& conn) {
   while (!conn->closed && !conn->response_pending && !conn->streaming &&
          !conn->close_after_write) {
     HttpRequest request;
-    const ParseResult result = parse_request(conn->in, request);
+    const ParseResult result = detail::parse_request(conn->in, request);
     if (result == ParseResult::kNeedMore) break;
     if (result == ParseResult::kBad) {
       close_conn(conn);
+      break;
+    }
+    if (result == ParseResult::kNotImplemented) {
+      // The request's body cannot be delimited, so nothing after its
+      // headers is parsed: answer 501 and close once it is written.
+      conn->in.clear();
+      enqueue_response(conn,
+                       HttpResponse::text("transfer-encoding not supported",
+                                          501),
+                       /*keep_alive=*/false, /*suppress_body=*/false);
       break;
     }
     request.peer = conn->peer;

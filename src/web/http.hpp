@@ -17,11 +17,11 @@
 //
 // Long-poll endpoints use *async routes*: the handler receives a
 // ResponseSink instead of returning a response. Whichever thread later
-// invokes the sink — typically a broadcast-hub worker — posts the response
-// to the reactor, where it becomes a write-readiness event on the owning
-// connection. Requests pipelined behind an in-flight response are parsed
-// only after that response is serialized, so responses always leave in
-// request order.
+// invokes the sink — typically the hub's completion task on reactor 0 —
+// posts the response to the connection's reactor, where it becomes a
+// write-readiness event. Requests pipelined behind an in-flight response
+// are parsed only after that response is serialized, so responses always
+// leave in request order.
 //
 // *Stream routes* go one step further: the handler receives a StreamSink
 // and the response is an unbounded sequence of HTTP/1.1 chunks
@@ -35,7 +35,8 @@
 // HTTP/1.1 surface: keep-alive with pipelining, HEAD (headers +
 // Content-Length, no body), chunked streaming responses, 405 + Allow for
 // known paths asked with the wrong or an unknown method, 503 when the
-// connection cap (or the process's fd table) is exhausted.
+// connection cap (or the process's fd table) is exhausted, 501 + close
+// for a request carrying Transfer-Encoding (bodies need Content-Length).
 #pragma once
 
 #include <atomic>
@@ -266,8 +267,8 @@ class HttpServer {
 
   /// The *primary* event loop (reactor 0). Valid for the server's
   /// lifetime; loop threads run between start() and stop(). Exposed so
-  /// co-located subsystems (FrameHub pacing/timeout sweeps) can register
-  /// timers on a server loop instead of spawning their own timer threads.
+  /// co-located subsystems (FrameHub sweeps and completions) run on a
+  /// server loop instead of spawning threads of their own.
   net::Reactor& reactor() noexcept { return reactors_.reactor(0); }
 
  private:
@@ -447,6 +448,12 @@ void append_response_chain(net::BufferChain& out, HttpResponse response,
 /// bytes — only a full timeout with zero progress drops the connection.
 /// The reactor server does not use this; its writes are readiness-driven.
 bool write_all(int fd, const char* data, std::size_t n);
+
+enum class ParseResult { kOk, kNeedMore, kBad, kNotImplemented };
+/// Parse one untrusted request off the front of `buffer`: kOk consumes it,
+/// kNeedMore leaves the buffer intact, kNotImplemented means the request
+/// carries Transfer-Encoding.
+ParseResult parse_request(std::string& buffer, HttpRequest& out);
 }  // namespace detail
 
 }  // namespace ricsa::web

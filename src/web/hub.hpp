@@ -5,11 +5,11 @@
 // running computation; the hub is what makes that scale. Each frame is
 // snapshotted ONCE into an immutable, seq-numbered Frame — state JSON,
 // encoded image, and the fully rendered poll response bodies — and every
-// waiting /api/poll?since=N cursor is then served that shared object by a
-// util::ThreadPool, never by the monitor thread and never with per-client
-// re-encoding. A sliding window of retained frames lets clients that fall
-// briefly behind catch up gap-free while bounding memory regardless of how
-// many clients attach or how slow they are.
+// waiting /api/poll?since=N cursor is then served that shared object on the
+// hub's reactor (the hub owns no thread), never by the monitor thread and
+// never with per-client re-encoding. A sliding window of retained frames
+// lets clients that fall briefly behind catch up gap-free while bounding
+// memory regardless of how many clients attach or how slow they are.
 //
 // Network optimization (the paper's per-receiver rate adaptation, applied
 // per browser): each frame is rendered into a small set of quality *tiers*
@@ -24,14 +24,13 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/json.hpp"
@@ -162,8 +161,6 @@ class FrameHub {
     /// Frames retained for catch-up replay (per-client memory bound: a
     /// client cursor is just an integer; the window is the only buffer).
     std::size_t window = 128;
-    /// Fan-out worker threads (0 = one per hardware thread).
-    std::size_t workers = 4;
     /// Ceiling on any single long-poll wait.
     double max_wait_s = 60.0;
     /// Tile edge (pixels) of the dirty-rect grid image deltas are encoded
@@ -173,12 +170,11 @@ class FrameHub {
     /// the full image: when most of the frame changed, per-tile bookkeeping
     /// costs more than it saves.
     double full_tile_fraction = 0.85;
-    /// When set, waiter timeouts and pacing `not_before` sweeps become
-    /// timer registrations on this reactor instead of a dedicated hub
-    /// timer thread — one event loop serves connection readiness and hub
-    /// deadlines alike. The reactor's loop must be stopped before the hub
-    /// is destroyed (AjaxFrontEnd stops the HTTP server first, which
-    /// guarantees it). Null keeps the self-contained timer thread.
+    /// The event loop the hub runs on: waiter timeouts and pacing
+    /// `not_before` sweeps are timer registrations on it, and the waiters
+    /// one publish or one sweep satisfies complete there as one posted
+    /// task — one loop serves connection readiness, hub deadlines and
+    /// fan-out alike. Required; the reactor must outlive the hub.
     net::Reactor* reactor = nullptr;
     /// Frames that keep their raw framebuffers (0 = the whole window). Raw
     /// retention is what makes hub memory scale as `window × W×H×4` per
@@ -224,7 +220,7 @@ class FrameHub {
     bool latest_only = false;
   };
 
-  FrameHub();  // default Config
+  /// Throws std::invalid_argument when config.reactor is null.
   explicit FrameHub(Config config);
   ~FrameHub();
   FrameHub(const FrameHub&) = delete;
@@ -232,13 +228,13 @@ class FrameHub {
 
   /// Snapshot a new frame: delta-encode vs the previous one, render the
   /// tier bodies (one PNG encode + base64 per image tier), append it to the
-  /// window, and fan out to every satisfied waiter on the worker pool.
+  /// window, and hand every satisfied waiter to the reactor.
   /// `build_half` skips the downsample + second encode when no client
   /// currently occupies the half tier (the common all-fast case) — such
   /// frames serve the full body to half-tier requests. `encode_pool`, lent
   /// by the publisher, runs the frame's full, half and dirty-rect PNG
   /// encodes concurrently (the bodies are identical either way); null
-  /// encodes serially on the caller. The hub's own pool only fans out.
+  /// encodes serially on the caller.
   /// Returns the new seq.
   std::uint64_t publish(util::Json state, const viz::Image& image,
                         bool build_half = true,
@@ -289,7 +285,7 @@ class FrameHub {
 
   /// Long-poll: invoke done(frame) as soon as a frame newer than `since`
   /// exists AND options.not_before has passed — synchronously on the caller
-  /// if both already hold, else on a worker thread. done(nullptr) on timeout
+  /// if both already hold, else on the reactor. done(nullptr) on timeout
   /// or shutdown. `done` must be invocable from any thread. Non-finite or
   /// negative timeouts are treated as 0. A `since` ahead of the newest seq
   /// (a stale client from a previous server epoch) is clamped to the head:
@@ -302,11 +298,10 @@ class FrameHub {
   void wait_async(std::uint64_t since, double timeout_s,
                   std::function<void(FramePtr)> done);
 
-  /// Blocking flavour for in-process consumers.
-  FramePtr wait(std::uint64_t since, double timeout_s);
-
-  /// Complete all parked waiters with nullptr, refuse new ones, and join
-  /// the timer thread and worker pool. Idempotent.
+  /// Refuse new waiters, sever the reactor, and complete on the calling
+  /// thread every completion not yet run: satisfied ones with their frame,
+  /// parked ones with nullptr. Once it returns no callback of this hub
+  /// runs again. Idempotent; must not be called from a completion.
   void shutdown();
 
   /// True once shutdown() began: lets a long-lived subscriber (an SSE
@@ -324,8 +319,8 @@ class FrameHub {
   };
 
   /// Liveness guard between the hub and reactor-posted closures: tasks and
-  /// timers capture the link (shared), never the hub; shutdown() nulls
-  /// `hub` under the link mutex, after which stragglers are no-ops.
+  /// timers capture the link (shared), never the hub, and run under its
+  /// mutex; shutdown() nulls `hub` under it: stragglers become no-ops.
   struct ReactorLink {
     std::mutex mutex;
     FrameHub* hub = nullptr;
@@ -346,7 +341,7 @@ class FrameHub {
   };
 
   /// Shared publish tail: append `frame` to the window, age raws past the
-  /// raw window, satisfy waiters, update stats, fan out on the pool.
+  /// raw window, satisfy waiters, update stats, hand them to the reactor.
   /// Requires publish_mutex_ held; takes mutex_ itself. `cost` is the
   /// encode work the build performed; `preencoded` marks a
   /// publish_encoded() frame.
@@ -357,11 +352,16 @@ class FrameHub {
   /// Earliest actionable instant over the parked waiters. Requires mutex_
   /// and a non-empty waiter list.
   std::chrono::steady_clock::time_point next_event_locked() const;
-  /// Complete every waiter that is due at `now` (timeout or pacing
-  /// interval elapsed with a frame available). Requires mutex_.
-  void sweep_due_locked(std::chrono::steady_clock::time_point now);
-  void timer_loop();
-  // Reactor-mode scheduling (reactor loop thread only, under link mutex).
+  /// Queue the completion of every waiter due at `now` (timeout, or pacing
+  /// interval elapsed with a frame available). True when that filled an
+  /// empty outbox: the caller then calls post_outbox(). Requires mutex_.
+  bool sweep_due_locked(std::chrono::steady_clock::time_point now);
+  /// A waiter's callback and what it completes with (null: timeout).
+  using Completion = std::pair<std::function<void(FramePtr)>, FramePtr>;
+  /// Post the one reactor task that runs outbox_, after an event filled it
+  /// from empty (while it is non-empty, that task is already queued).
+  void post_outbox();
+  // Reactor scheduling (reactor loop thread only, under link mutex).
   /// `hint` is the event instant that prompted the call: when the armed
   /// timer already fires no later than it, nothing needs rescheduling —
   /// the common case for each new waiter, avoiding an O(waiters) rescan
@@ -374,16 +374,14 @@ class FrameHub {
   /// Serializes publishers so frame building happens outside mutex_.
   std::mutex publish_mutex_;
   mutable std::mutex mutex_;
-  std::condition_variable timer_cv_;  // wakes the timeout/pacing sweeper
-  std::condition_variable sync_cv_;   // wakes blocking wait()ers
   std::deque<FramePtr> window_;
   std::uint64_t seq_ = 0;
   std::vector<Waiter> waiters_;
   bool shutdown_ = false;
   Stats stats_;
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::thread timer_;  // thread mode only
-  // Reactor mode only:
+  /// Completions the posted reactor task has not run yet; shutdown() runs
+  /// what is left.
+  std::vector<Completion> outbox_;
   std::shared_ptr<ReactorLink> link_;
   std::uint64_t reactor_timer_ = 0;  // reactor loop thread only
   /// Expiry the armed reactor timer targets (loop thread only).

@@ -5,8 +5,6 @@
 
 namespace ricsa::web {
 
-HubRegistry::HubRegistry() : HubRegistry(Config()) {}
-
 HubRegistry::HubRegistry(Config config)
     : config_(std::move(config)), sessions_(config_.pacing) {
   if (config_.max_views == 0) config_.max_views = 1;
@@ -165,9 +163,9 @@ std::size_t HubRegistry::reap_idle_now() {
     if (shutdown_) return 0;
     idle = sweep_locked(mono_now_s(), /*force=*/true);
   }
-  // shutdown() joins each hub's worker pool and fires parked waiters —
-  // outside the registry lock so completions (which may subscribe again)
-  // cannot deadlock against it.
+  // shutdown() runs each hub's pending and parked completions on this
+  // thread — outside the registry lock so completions (which may subscribe
+  // again) cannot deadlock against it.
   for (const auto& hub : idle) hub->shutdown();
   return idle.size();
 }

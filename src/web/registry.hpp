@@ -45,8 +45,8 @@ namespace ricsa::web {
 class HubRegistry {
  public:
   struct Config {
-    /// Per-shard FrameHub template (every shard gets its own window/
-    /// workers/tile grid; a reactor pointer is shared across shards).
+    /// Per-shard FrameHub template (every shard gets its own window and
+    /// tile grid; all shards run on the one reactor it names).
     FrameHub::Config hub;
     /// Registry-level per-client pacing (shared across views).
     PacingConfig pacing;
@@ -70,7 +70,6 @@ class HubRegistry {
     std::uint64_t reaped = 0;
   };
 
-  HubRegistry();  // default Config
   explicit HubRegistry(Config config);
   ~HubRegistry();
   HubRegistry(const HubRegistry&) = delete;
@@ -125,7 +124,7 @@ class HubRegistry {
 
   /// Shut down every shard (parked waiters complete with the timeout
   /// contract) and refuse further publishes/subscribes. Idempotent. The
-  /// reactor driving the shards (if any) must outlive this call.
+  /// reactor driving the shards must outlive this call.
   void shutdown();
 
  private:

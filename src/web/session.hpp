@@ -105,8 +105,8 @@ struct PacingConfig {
   transport::ControllerConfig controller;
 };
 
-/// One client's adaptive pacing state. Thread-safe: polls arrive on
-/// connection threads, deliveries complete on hub workers.
+/// One client's adaptive pacing state. Thread-safe: polls arrive on HTTP
+/// workers, deliveries complete on the reactors.
 class ClientSession {
  public:
   ClientSession(const PacingConfig& config, std::string id, std::string peer,

@@ -288,6 +288,63 @@ TEST(ReactorHttp, RequestThenFinClientIsStillServed) {
   server.stop();
 }
 
+TEST(ReactorHttp, TransferEncodedRequestGets501ThenCloseNeverAMisparse) {
+  // Request bodies are delimited by Content-Length only. A chunked POST
+  // must be answered 501 and the connection closed: its chunk bytes, and
+  // the GET pipelined behind them, are never parsed as requests.
+  w::HttpServer server;
+  std::atomic<int> handled{0};
+  const auto count = [&](const w::HttpRequest&) {
+    ++handled;
+    return w::HttpResponse::text("ok");
+  };
+  server.route("POST", "/api/steer", count);
+  server.route("GET", "/api/state", count);
+  server.route("GET", "/conflict", [](const w::HttpRequest&) {
+    return w::HttpResponse::text("loop", 409);
+  });
+  const int port = server.start();
+
+  // Everything the peer sends until its EOF (or a receive error).
+  const auto read_to_eof = [](int fd, bool& clean_eof) {
+    std::string bytes;
+    char chunk[4096];
+    ssize_t got;
+    while ((got = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+      bytes.append(chunk, static_cast<std::size_t>(got));
+    }
+    clean_eof = got == 0;
+    return bytes;
+  };
+
+  const int fd = raw_connect(port);
+  ASSERT_TRUE(send_all(fd,
+                       "POST /api/steer HTTP/1.1\r\nHost: x\r\n"
+                       "Transfer-Encoding: chunked\r\n\r\n"
+                       "e\r\n{\"gamma\":1.55}\r\n0\r\n\r\n"
+                       "GET /api/state HTTP/1.1\r\nHost: x\r\n\r\n"));
+  bool clean_eof = false;
+  std::string carry = read_to_eof(fd, clean_eof);
+  ::close(fd);
+  EXPECT_TRUE(clean_eof);
+  EXPECT_EQ(carry.rfind("HTTP/1.1 501 Not Implemented\r\n", 0), 0u) << carry;
+  RawResponse response;
+  ASSERT_TRUE(read_response(-1, carry, response));
+  EXPECT_EQ(response.status, 501);
+  EXPECT_EQ(response.headers["connection"], "close");
+  EXPECT_TRUE(carry.empty()) << "a second response followed: " << carry;
+  EXPECT_EQ(handled.load(), 0);
+
+  // The relay's loop guard answers 409, which goes out with its phrase.
+  const int fd2 = raw_connect(port);
+  ASSERT_TRUE(send_all(
+      fd2, "GET /conflict HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"));
+  const std::string conflict = read_to_eof(fd2, clean_eof);
+  ::close(fd2);
+  EXPECT_EQ(conflict.rfind("HTTP/1.1 409 Conflict\r\n", 0), 0u) << conflict;
+  server.stop();
+}
+
 // ------------------------------------------- EAGAIN mid-response writes --
 
 TEST(ReactorHttp, ResponseLargerThanSocketBuffersDrainsAcrossEagain) {
@@ -324,7 +381,6 @@ TEST(ReactorHttp, HubPollTimeoutFiresWhileEarlierWriteIsPending) {
   std::string big(8u << 20, 'x');
   w::HttpServer server;
   w::FrameHub::Config hub_config;
-  hub_config.workers = 2;
   hub_config.reactor = &server.reactor();  // hub deadlines on the same loop
   w::FrameHub hub(hub_config);
 

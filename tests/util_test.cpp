@@ -8,6 +8,7 @@
 #include <set>
 #include <thread>
 
+#include "mutation.hpp"
 #include "util/base64.hpp"
 #include "util/bytes.hpp"
 #include "util/json.hpp"
@@ -308,6 +309,57 @@ TEST(Json, MalformedInputsThrow) {
   EXPECT_THROW(u::Json::parse("nul"), std::runtime_error);
   EXPECT_THROW(u::Json::parse("{\"a\" 1}"), std::runtime_error);
   EXPECT_THROW(u::Json::parse("1 2"), std::runtime_error);
+  // Nesting is bounded: a body of '[' bytes is an error, not a stack
+  // overflow, and a balanced document one level past the limit is refused
+  // while one exactly at it parses.
+  EXPECT_THROW(u::Json::parse(std::string(100000, '[')), std::runtime_error);
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_THROW(u::Json::parse(nested(u::Json::kMaxDepth + 1)),
+               std::runtime_error);
+  EXPECT_TRUE(u::Json::parse(nested(u::Json::kMaxDepth)).is_array());
+}
+
+TEST(Json, SeededMutationsParseOrThrowAndRoundTrip) {
+  // Request bodies (/api/steer, /api/view) and relayed poll bodies are
+  // untrusted. Every mutated document must either parse or throw
+  // runtime_error, and whatever parses must survive dump() -> parse().
+  const std::vector<std::string> corpus = {
+      R"({"gamma":1.55,"cfl":0.4})",
+      R"({"variable":"pressure","technique":"iso","azimuth":-2.5e-1})",
+      R"({"seq":42,"delta":true,"tier":"full","state":{"cycle":7,)"
+      R"("parameters":{"cfl":0.5}},"tiles":[{"x":0,"y":64,"w":64,"h":64,)"
+      R"("png_b64":"iVBORw0KGgo="}]})",
+      R"([1,2.5e3,-0,true,false,null,"a\"b\\c\/d\b\f\n\r\té\u0001"])",
+      R"({"":{},"k":[[],[{}]],"n":123456789012345678901234567890})",
+  };
+  const std::vector<std::string> tokens = {
+      std::string(300, '['), std::string(300, '{'), std::string(5000, '['),
+      "[", "]", "{", "}", "\"", ":", ",", "\\", "\\u12", "\\ud800", "1e999",
+      "-", ".5", "1e308", "null", "tru", "\"k\":", std::string(1, '\0')};
+  u::Xoshiro256 rng(0x4a534f4e);
+  int accepted = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string input =
+        ricsa_test::mutate(corpus[static_cast<std::size_t>(i) % corpus.size()],
+                           rng, tokens);
+    u::Json doc;
+    try {
+      doc = u::Json::parse(input);
+    } catch (const std::runtime_error&) {
+      continue;
+    }
+    ++accepted;
+    const std::string text = doc.dump();
+    u::Json again;
+    ASSERT_NO_THROW(again = u::Json::parse(text)) << "case " << i << ": "
+                                                  << text;
+    EXPECT_TRUE(again == doc) << "case " << i << ": " << text;
+  }
+  // The mutations must leave the accept path exercised, not only errors.
+  EXPECT_GT(accepted, 100);
 }
 
 TEST(Json, IntegerFormatting) {

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "hub_loop.hpp"
 #include "time_scale.hpp"
 #include "util/json.hpp"
 #include "web/frontend.hpp"
@@ -27,7 +28,6 @@ w::FrontEndConfig fast_config() {
   config.session.cycles_per_frame = 1;
   config.frame_interval_s = 0.02;
   config.frame_window = 256;
-  config.hub_workers = 4;
   return config;
 }
 
@@ -156,7 +156,9 @@ Json state_of(const char* cycle, double value) {
 }  // namespace
 
 TEST(FrameHub, DeltaBodyCarriesOnlyChangedKeys) {
-  w::FrameHub hub(w::FrameHub::Config{4, 1, 5.0});
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(w::FrameHub::Config{
+      .window = 4, .max_wait_s = 5.0, .reactor = loop.get()});
   hub.publish(state_of("density", 1.0), std::vector<std::uint8_t>{0xAA, 0xBB});
   hub.publish(state_of("density", 2.0),
               std::vector<std::uint8_t>{0xAA, 0xBB});  // same image bytes
@@ -187,7 +189,9 @@ TEST(FrameHub, DeltaBodyCarriesOnlyChangedKeys) {
 }
 
 TEST(FrameHub, WindowEvictionBoundsMemoryAndJumpsMinimally) {
-  w::FrameHub hub(w::FrameHub::Config{3, 1, 5.0});
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(w::FrameHub::Config{
+      .window = 3, .max_wait_s = 5.0, .reactor = loop.get()});
   for (int i = 1; i <= 10; ++i) hub.publish(state_of("density", i), std::vector<std::uint8_t>{});
 
   EXPECT_EQ(hub.seq(), 10u);
@@ -204,7 +208,9 @@ TEST(FrameHub, WindowEvictionBoundsMemoryAndJumpsMinimally) {
 }
 
 TEST(FrameHub, WaitAsyncCompletesInlineWhenFrameExists) {
-  w::FrameHub hub(w::FrameHub::Config{4, 1, 5.0});
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(w::FrameHub::Config{
+      .window = 4, .max_wait_s = 5.0, .reactor = loop.get()});
   hub.publish(state_of("density", 1.0), std::vector<std::uint8_t>{});
 
   std::atomic<bool> done{false};
@@ -216,8 +222,10 @@ TEST(FrameHub, WaitAsyncCompletesInlineWhenFrameExists) {
   EXPECT_TRUE(done.load());  // no frame to wait for: completed on our thread
 }
 
-TEST(FrameHub, WaitAsyncFiresOnPublishFromWorkerThread) {
-  w::FrameHub hub(w::FrameHub::Config{4, 2, 5.0});
+TEST(FrameHub, WaitAsyncFiresOnPublishFromReactor) {
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(w::FrameHub::Config{
+      .window = 4, .max_wait_s = 5.0, .reactor = loop.get()});
   std::atomic<std::uint64_t> got{0};
   hub.wait_async(0, 5.0, [&](w::FramePtr frame) {
     got = frame ? frame->seq : 0;
@@ -234,9 +242,11 @@ TEST(FrameHub, WaitAsyncFiresOnPublishFromWorkerThread) {
 }
 
 TEST(FrameHub, WaitTimesOutWithoutAFrame) {
-  w::FrameHub hub(w::FrameHub::Config{4, 1, 5.0});
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(w::FrameHub::Config{
+      .window = 4, .max_wait_s = 5.0, .reactor = loop.get()});
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(hub.wait(0, 0.05), nullptr);
+  EXPECT_EQ(ricsa_test::wait_for(hub, 0, 0.05), nullptr);
   EXPECT_GE(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                 .count(),
             0.045);
@@ -244,7 +254,9 @@ TEST(FrameHub, WaitTimesOutWithoutAFrame) {
 }
 
 TEST(FrameHub, AsyncWaiterTimesOutViaSweeper) {
-  w::FrameHub hub(w::FrameHub::Config{4, 1, 5.0});
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(w::FrameHub::Config{
+      .window = 4, .max_wait_s = 5.0, .reactor = loop.get()});
   std::atomic<int> state{0};  // 0 pending, 1 null-completion, 2 got a frame
   hub.wait_async(0, 0.05, [&](w::FramePtr frame) {
     state = frame ? 2 : 1;
@@ -258,7 +270,9 @@ TEST(FrameHub, AsyncWaiterTimesOutViaSweeper) {
 }
 
 TEST(FrameHub, ShutdownFlushesParkedWaitersAndRefusesNewOnes) {
-  w::FrameHub hub(w::FrameHub::Config{4, 2, 5.0});
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(w::FrameHub::Config{
+      .window = 4, .max_wait_s = 5.0, .reactor = loop.get()});
   std::atomic<int> completions{0};
   for (int i = 0; i < 8; ++i) {
     hub.wait_async(0, 30.0, [&](w::FramePtr frame) {
@@ -267,7 +281,8 @@ TEST(FrameHub, ShutdownFlushesParkedWaitersAndRefusesNewOnes) {
     });
   }
   hub.shutdown();
-  // shutdown() joins the pool: every callback has run by now.
+  // shutdown() runs what is left on its caller: every callback has run by
+  // now.
   EXPECT_EQ(completions.load(), 8);
 
   // Post-shutdown interactions are inert, not crashes.
@@ -279,12 +294,39 @@ TEST(FrameHub, ShutdownFlushesParkedWaitersAndRefusesNewOnes) {
     refused = true;
   });
   EXPECT_TRUE(refused.load());
-  EXPECT_EQ(hub.wait(0, 0.01), nullptr);
+  EXPECT_EQ(ricsa_test::wait_for(hub, 0, 0.01), nullptr);
+}
+
+TEST(FrameHub, ShutdownRunsCompletionsTheReactorHasNotReached) {
+  // A reactor whose loop never runs: a publish queues its completions for
+  // a task that never comes. shutdown() must run them itself, each once
+  // and with its frame, before it returns.
+  ricsa::net::Reactor idle;
+  w::FrameHub hub(w::FrameHub::Config{
+      .window = 4, .max_wait_s = 5.0, .reactor = &idle});
+  std::atomic<int> served{0};
+  std::atomic<int> timed_out{0};
+  for (int i = 0; i < 3; ++i) {
+    hub.wait_async(0, 30.0, [&](w::FramePtr frame) {
+      if (frame != nullptr && frame->seq == 1) ++served;
+    });
+  }
+  hub.publish(state_of("density", 1.0), std::vector<std::uint8_t>{});
+  hub.wait_async(1, 30.0, [&](w::FramePtr frame) {
+    if (frame == nullptr) ++timed_out;
+  });
+  EXPECT_EQ(served.load(), 0);  // queued for the loop, not run inline
+  hub.shutdown();
+  EXPECT_EQ(served.load(), 3);
+  EXPECT_EQ(timed_out.load(), 1);
+  hub.shutdown();  // idempotent: nothing runs twice
+  EXPECT_EQ(served.load(), 3);
 }
 
 TEST(FrameHub, FutureCursorsResyncInsteadOfParkingForever) {
-  w::FrameHub hub(w::FrameHub::Config{.window = 4, .workers = 1,
-                                      .max_wait_s = 5.0});
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(w::FrameHub::Config{
+      .window = 4, .max_wait_s = 5.0, .reactor = loop.get()});
   // A cursor claiming to be at seq 100 (stale client whose server restarted
   // and re-counts from 1) can never be satisfied in this epoch. The old
   // contract parked it until timeout — and the client, echoing the same
@@ -326,7 +368,7 @@ TEST(FrameHub, FutureCursorsResyncInsteadOfParkingForever) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     hub.publish(state_of("density", 3.0), std::vector<std::uint8_t>{});
   });
-  const w::FramePtr blocking = hub.wait(500, 5.0);
+  const w::FramePtr blocking = ricsa_test::wait_for(hub, 500, 5.0);
   publisher.join();
   ASSERT_NE(blocking, nullptr);
   EXPECT_EQ(blocking->seq, 3u);

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "hub_loop.hpp"
 #include "util/base64.hpp"
 #include "util/json.hpp"
 #include "util/prng.hpp"
@@ -85,11 +86,11 @@ bool apply_body(const Json& body, v::Image& canvas, std::uint64_t& composited) {
   return true;
 }
 
-w::FrameHub::Config tile_hub_config() {
+w::FrameHub::Config tile_hub_config(ricsa::net::Reactor* reactor) {
   w::FrameHub::Config config;
   config.window = 64;
-  config.workers = 1;
   config.max_wait_s = 5.0;
+  config.reactor = reactor;
   config.tile_size = 16;
   return config;
 }
@@ -125,7 +126,8 @@ v::Image textured_scene(int step, int width = 64, int height = 48) {
 }  // namespace
 
 TEST(TileDelta, SequentialDeltaBodyCarriesOnlyDirtyTiles) {
-  w::FrameHub hub(tile_hub_config());
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(tile_hub_config(loop.get()));
   hub.publish(state_of(1.0), textured_scene(0));
   hub.publish(state_of(2.0), textured_scene(1));
 
@@ -157,7 +159,8 @@ TEST(TileDelta, SequentialDeltaBodyCarriesOnlyDirtyTiles) {
 }
 
 TEST(TileDelta, CursorAnchoredReassemblyIsByteIdenticalAfterRandomSkips) {
-  w::FrameHub hub(tile_hub_config());
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(tile_hub_config(loop.get()));
   const int kFrames = 40;
   for (int i = 0; i < kFrames; ++i) hub.publish(state_of(i), scene(i));
 
@@ -198,7 +201,8 @@ TEST(TileDelta, CursorAnchoredReassemblyIsByteIdenticalAfterRandomSkips) {
 }
 
 TEST(TileDelta, FullChangeFallsBackToFullImage) {
-  w::FrameHub hub(tile_hub_config());
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(tile_hub_config(loop.get()));
   hub.publish(state_of(1.0), v::Image(64, 48, {0, 0, 0, 255}));
   hub.publish(state_of(2.0), v::Image(64, 48, {255, 255, 255, 255}));
   const w::FramePtr f2 = hub.next_after(1);
@@ -212,7 +216,8 @@ TEST(TileDelta, FullChangeFallsBackToFullImage) {
 }
 
 TEST(TileDelta, CursorAnchoredDeltaRefusesRangesCrossingFullChangeFrames) {
-  w::FrameHub hub(tile_hub_config());
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(tile_hub_config(loop.get()));
   hub.publish(state_of(1.0), scene(0));
   hub.publish(state_of(2.0), v::Image(64, 48, {255, 255, 255, 255}));  // cut
   hub.publish(state_of(3.0), scene(2));  // full change again (vs white)
@@ -228,7 +233,8 @@ TEST(TileDelta, CursorAnchoredDeltaRefusesRangesCrossingFullChangeFrames) {
 }
 
 TEST(TileDelta, UnchangedImageSharesRawBufferAndOmitsImage) {
-  w::FrameHub hub(tile_hub_config());
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(tile_hub_config(loop.get()));
   hub.publish(state_of(1.0), scene(0));
   hub.publish(state_of(2.0), scene(0));  // byte-identical pixels
   const w::FramePtr f1 = hub.next_after(0);
@@ -252,7 +258,8 @@ TEST(TileDelta, UnchangedImageSharesRawBufferAndOmitsImage) {
 }
 
 TEST(TileDelta, CursorAgedOutOfWindowFallsBack) {
-  w::FrameHub::Config config = tile_hub_config();
+  ricsa_test::HubLoop loop;
+  w::FrameHub::Config config = tile_hub_config(loop.get());
   config.window = 4;
   w::FrameHub hub(config);
   for (int i = 0; i < 10; ++i) hub.publish(state_of(i), scene(i));
@@ -266,7 +273,8 @@ TEST(TileDelta, CursorAgedOutOfWindowFallsBack) {
 }
 
 TEST(TileDelta, HalfTierDeltaNeedsAHalfReferenceFrame) {
-  w::FrameHub hub(tile_hub_config());
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(tile_hub_config(loop.get()));
   hub.publish(state_of(1.0), scene(0), /*build_half=*/false);
   hub.publish(state_of(2.0), scene(1), /*build_half=*/true);
   hub.publish(state_of(3.0), scene(2), /*build_half=*/true);
@@ -328,8 +336,9 @@ TEST(TileDelta, LentEncodePoolBuildsIdenticalFrames) {
     return img;
   };
   u::ThreadPool pool(4);
-  w::FrameHub serial(tile_hub_config());
-  w::FrameHub pooled(tile_hub_config());
+  ricsa_test::HubLoop loop;
+  w::FrameHub serial(tile_hub_config(loop.get()));
+  w::FrameHub pooled(tile_hub_config(loop.get()));
   const std::vector<int> steps = {0, 1, 2, 2, 3, 40, 41, 42};
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const v::Image image = frame_image(steps[i]);

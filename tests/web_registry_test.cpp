@@ -7,11 +7,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "hub_loop.hpp"
 #include "util/json.hpp"
 #include "viz/image.hpp"
 #include "web/frontend.hpp"
@@ -44,11 +46,11 @@ v::Image scene(int step, int width = 48, int height = 32) {
   return img;
 }
 
-w::HubRegistry::Config small_registry() {
+w::HubRegistry::Config small_registry(ricsa::net::Reactor* reactor) {
   w::HubRegistry::Config config;
   config.hub.window = 64;
-  config.hub.workers = 2;
   config.hub.max_wait_s = 5.0;
+  config.hub.reactor = reactor;
   config.hub.tile_size = 16;
   config.idle_reap_s = 0.0;  // tests opt in explicitly
   return config;
@@ -59,7 +61,8 @@ w::HubRegistry::Config small_registry() {
 // ------------------------------------------------------- HubRegistry ----
 
 TEST(HubRegistry, PublishDeclaresViewsAndUnknownSubscribesAre404Material) {
-  w::HubRegistry registry(small_registry());
+  ricsa_test::HubLoop loop;
+  w::HubRegistry registry(small_registry(loop.get()));
   EXPECT_EQ(registry.subscribe("rho/iso"), nullptr);  // never declared
 
   EXPECT_EQ(registry.publish("rho/iso", state_of("rho/iso", 1.0), scene(0)),
@@ -88,7 +91,8 @@ TEST(HubRegistry, PublishDeclaresViewsAndUnknownSubscribesAre404Material) {
 }
 
 TEST(HubRegistry, MaxViewsBoundsThePublisherNamespace) {
-  w::HubRegistry::Config config = small_registry();
+  ricsa_test::HubLoop loop;
+  w::HubRegistry::Config config = small_registry(loop.get());
   config.max_views = 2;
   w::HubRegistry registry(config);
   EXPECT_GT(registry.publish("a", state_of("a", 1.0), scene(0)), 0u);
@@ -107,7 +111,8 @@ TEST(HubRegistry, ConcurrentPerViewStreamsAreGapFreeAndIsolated) {
   constexpr int kViews = 4;
   constexpr int kFrames = 40;
   constexpr int kPollersPerView = 3;
-  w::HubRegistry registry(small_registry());
+  ricsa_test::HubLoop loop;
+  w::HubRegistry registry(small_registry(loop.get()));
   std::vector<std::string> views;
   for (int i = 0; i < kViews; ++i) {
     views.push_back("var" + std::to_string(i) + "/iso");
@@ -127,7 +132,7 @@ TEST(HubRegistry, ConcurrentPerViewStreamsAreGapFreeAndIsolated) {
         }
         std::uint64_t since = 0;
         while (since < kFrames + 1) {
-          const w::FramePtr frame = hub->wait(since, 5.0);
+          const w::FramePtr frame = ricsa_test::wait_for(*hub, since, 5.0);
           if (!frame) {
             ++failures;  // timeout mid-stream
             return;
@@ -158,7 +163,8 @@ TEST(HubRegistry, ConcurrentPerViewStreamsAreGapFreeAndIsolated) {
 }
 
 TEST(HubRegistry, SlowConsumerOnOneViewNeverDelaysAnotherShard) {
-  w::HubRegistry::Config config = small_registry();
+  ricsa_test::HubLoop loop;
+  w::HubRegistry::Config config = small_registry(loop.get());
   config.hub.window = 8;  // a small window the slow view quickly overruns
   w::HubRegistry registry(config);
   registry.publish("slow/view", state_of("slow/view", 0.0), scene(0));
@@ -168,7 +174,7 @@ TEST(HubRegistry, SlowConsumerOnOneViewNeverDelaysAnotherShard) {
   // behind while its shard's window wraps many times over).
   const auto slow_hub = registry.subscribe("slow/view");
   ASSERT_NE(slow_hub, nullptr);
-  ASSERT_NE(slow_hub->wait(0, 1.0), nullptr);
+  ASSERT_NE(ricsa_test::wait_for(*slow_hub, 0, 1.0), nullptr);
 
   // A fast consumer on the other shard, while both shards keep publishing.
   std::atomic<bool> stop{false};
@@ -192,7 +198,7 @@ TEST(HubRegistry, SlowConsumerOnOneViewNeverDelaysAnotherShard) {
     // is overrun continuously behind the parked cursor. (Strict per-frame
     // gap-freeness under load is covered by the bounded-stream concurrent
     // test above; this one runs unthrottled and cannot assume scheduling.)
-    const w::FramePtr frame = fast_hub->wait(since, 5.0);
+    const w::FramePtr frame = ricsa_test::wait_for(*fast_hub, since, 5.0);
     ASSERT_NE(frame, nullptr) << "fast view starved behind the slow one";
     ASSERT_GT(frame->seq, since);
     since = frame->seq;
@@ -207,7 +213,8 @@ TEST(HubRegistry, SlowConsumerOnOneViewNeverDelaysAnotherShard) {
 }
 
 TEST(HubRegistry, ReapingIdleViewCompletesParkedPollersAndRevivesOnPoll) {
-  w::HubRegistry::Config config = small_registry();
+  ricsa_test::HubLoop loop;
+  w::HubRegistry::Config config = small_registry(loop.get());
   config.idle_reap_s = 0.05;
   w::HubRegistry registry(config);
   registry.publish("transient", state_of("transient", 1.0), scene(0));
@@ -260,13 +267,52 @@ TEST(HubRegistry, ReapingIdleViewCompletesParkedPollersAndRevivesOnPoll) {
   EXPECT_EQ(registry.find("pinned"), pinned);
 }
 
+namespace {
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
+TEST(HubRegistry, ShardsOwnNoThreads) {
+  // Shards run on the registry's reactor: creating eight, parking a waiter
+  // on each and fanning a publish out to all of them starts no thread.
+  ricsa_test::HubLoop loop;
+  w::HubRegistry registry(small_registry(loop.get()));
+  const std::size_t before = thread_count();
+  std::atomic<int> served{0};
+  std::vector<std::string> views;
+  for (int i = 0; i < 8; ++i) {
+    views.push_back("view" + std::to_string(i));
+    registry.pin(views.back())->wait_async(0, 30.0, [&](w::FramePtr frame) {
+      if (frame) ++served;
+    });
+  }
+  for (const std::string& view : views) {
+    registry.publish(view, state_of(view, 1.0), scene(1));
+  }
+  for (int i = 0; i < 500 && served.load() < 8; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(served.load(), 8);
+  EXPECT_EQ(registry.stats().live, 8u);
+  EXPECT_EQ(thread_count(), before);
+}
+
 // ------------------------------------------- bounded raw retention ----
 
 TEST(FrameHub, RawWindowDropsFramebuffersButKeepsSequentialTileDeltas) {
+  ricsa_test::HubLoop loop;
   w::FrameHub::Config config;
   config.window = 16;
-  config.workers = 1;
   config.max_wait_s = 5.0;
+  config.reactor = loop.get();
   config.tile_size = 16;
   config.raw_window = 3;
   w::FrameHub hub(config);
@@ -504,7 +550,8 @@ TEST(AjaxFrontEnd, OneClientPollingTwoViewsSharesOneSession) {
 
 TEST(HubRegistry, DefaultDivisorPublishesEveryFrame) {
   // Every publish into a never-watched view is real.
-  w::HubRegistry registry(small_registry());
+  ricsa_test::HubLoop loop;
+  w::HubRegistry registry(small_registry(loop.get()));
   for (int i = 1; i <= 5; ++i) {
     EXPECT_EQ(registry.publish("v", state_of("v", i), scene(i)),
               static_cast<std::uint64_t>(i));

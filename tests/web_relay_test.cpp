@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "hub_loop.hpp"
 #include "net/socket.hpp"
 #include "relay/relay.hpp"
 #include "relay/subscriber.hpp"
@@ -90,9 +91,10 @@ void wait_for_relay_head(r::RelayNode& relay, std::uint64_t seq,
 // ----------------------------------------------- pre-encoded publishes ----
 
 TEST(PublishEncoded, RoundTripsBodiesWithoutTouchingAnEncoder) {
+  ricsa_test::HubLoop loop;
   w::FrameHub::Config config;
   config.window = 8;
-  config.workers = 1;
+  config.reactor = loop.get();
   w::FrameHub hub(config);
 
   w::FrameHub::PreEncoded full;
@@ -125,9 +127,10 @@ TEST(PublishEncoded, RoundTripsBodiesWithoutTouchingAnEncoder) {
 }
 
 TEST(PublishEncoded, RegistryPathDeclaresViewsAndSkipsDecimation) {
+  ricsa_test::HubLoop loop;
   w::HubRegistry::Config config;
   config.hub.window = 8;
-  config.hub.workers = 1;
+  config.hub.reactor = loop.get();
   config.idle_reap_s = 0.0;
   w::HubRegistry registry(config);
   for (std::uint64_t i = 1; i <= 6; ++i) {

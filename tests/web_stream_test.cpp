@@ -46,7 +46,6 @@ w::FrontEndConfig fast_config() {
   config.session.cycles_per_frame = 1;
   config.frame_interval_s = 0.02;
   config.frame_window = 256;
-  config.hub_workers = 4;
   return config;
 }
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <thread>
 
+#include "mutation.hpp"
 #include "util/base64.hpp"
 #include "util/json.hpp"
 #include "web/frontend.hpp"
@@ -198,6 +199,67 @@ TEST(Http, PostBodyRoundTrip) {
   server.stop();
 }
 
+TEST(Http, SeededRequestMutationsAreAcceptedOrRejected) {
+  // The request parser reads untrusted bytes off every connection. Each
+  // mutated buffer must parse, ask for more, or be refused — never crash —
+  // and the incremental contract must hold: kNeedMore leaves the buffer
+  // untouched, kOk consumes at least the request's header block.
+  const std::vector<std::string> corpus = {
+      "GET /api/poll?since=3&delta=1&timeout=5&view=rho%2Fiso HTTP/1.1\r\n"
+      "Host: x\r\n\r\n",
+      "POST /api/steer HTTP/1.1\r\nHost: x\r\nContent-Length: 14\r\n"
+      "Content-Type: application/json\r\n\r\n{\"gamma\":1.55}",
+      "HEAD /api/stream HTTP/1.1\r\nConnection: close\r\n\r\n"
+      "GET /api/state HTTP/1.1\r\nX-Relay-Path: edge-a,origin\r\n\r\n",
+  };
+  const std::vector<std::string> tokens = {
+      "\r\n", "\r\n\r\n", ":", " ", "?", "%", "%zz", "=&",
+      "Content-Length: 5\r\n", "Content-Length: 6\r\n",
+      "Content-Length: 99999999999999\r\n", "Content-Length: 70000000\r\n",
+      "Content-Length: -1\r\n", "Transfer-Encoding: chunked\r\n",
+      "e\r\n{\"gamma\":1.55}\r\n0\r\n\r\n", std::string(1, '\0')};
+  // The two refusals the dictionary aims at: conflicting lengths, and a
+  // body only Transfer-Encoding could delimit (left unparsed).
+  w::HttpRequest refused;
+  std::string conflicting =
+      "POST /api/steer HTTP/1.1\r\nContent-Length: 5\r\n"
+      "Content-Length: 6\r\n\r\nabcdef";
+  EXPECT_EQ(w::detail::parse_request(conflicting, refused),
+            w::detail::ParseResult::kBad);
+  const std::string chunked =
+      "POST /api/steer HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+      "e\r\n{\"gamma\":1.55}\r\n0\r\n\r\n";
+  std::string unparsed = chunked;
+  EXPECT_EQ(w::detail::parse_request(unparsed, refused),
+            w::detail::ParseResult::kNotImplemented);
+  EXPECT_EQ(unparsed, chunked);
+
+  ricsa::util::Xoshiro256 rng(0x48545450);
+  int ok = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string buffer =
+        ricsa_test::mutate(corpus[static_cast<std::size_t>(i) % corpus.size()],
+                           rng, tokens);
+    // Drain pipelined requests the way a connection does.
+    while (true) {
+      const std::string before = buffer;
+      w::HttpRequest request;
+      const w::detail::ParseResult result =
+          w::detail::parse_request(buffer, request);
+      if (result == w::detail::ParseResult::kNeedMore) {
+        ASSERT_EQ(buffer, before) << "case " << i;
+        break;
+      }
+      if (result != w::detail::ParseResult::kOk) break;
+      ++ok;
+      ASSERT_GE(before.size() - buffer.size(), before.find("\r\n\r\n") + 4)
+          << "case " << i;
+      request.query_param("since");  // URL decoding of the same bytes
+    }
+  }
+  EXPECT_GT(ok, 100);
+}
+
 // --------------------------------------------------------- AjaxFrontEnd ----
 
 namespace {
@@ -323,6 +385,10 @@ TEST(AjaxFrontEnd, RejectsMalformedSteeringBody) {
   const int port = fe.start();
   EXPECT_EQ(w::http_post(port, "/api/steer", "{not json").status, 400);
   EXPECT_EQ(w::http_post(port, "/api/steer", "[1,2]").status, 400);
+  // Unbounded nesting is refused, and the server keeps serving.
+  EXPECT_EQ(w::http_post(port, "/api/steer", std::string(100000, '[')).status,
+            400);
+  EXPECT_EQ(w::http_get(port, "/api/state").status, 200);
   EXPECT_EQ(fe.steer_count(), 0u);
   fe.stop();
 }
