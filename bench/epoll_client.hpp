@@ -19,9 +19,7 @@
 
 #include <sys/epoll.h>
 
-#include <algorithm>
 #include <array>
-#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -33,6 +31,7 @@
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "util/json.hpp"
+#include "web/http.hpp"
 
 namespace benchweb {
 
@@ -198,9 +197,9 @@ class EpollClientFleet {
  private:
   /// Connection state machine: kConnect (await writability, check
   /// SO_ERROR) -> join at the live head (GET /api/state) -> long-poll loop
-  /// (kRequest: flush the request; kResponse: accumulate until
-  /// Content-Length bytes of body arrived; kDelay: think-time timer for
-  /// slow consumers) -> kDone. Errors reconnect with the cursor preserved.
+  /// (kRequest: flush the request; kResponse: feed the shared response
+  /// decoder until the response ends; kDelay: think-time timer for slow
+  /// consumers) -> kDone. Errors reconnect with the cursor preserved.
   class Conn : public ricsa::net::EventHandler {
    public:
     Conn(ricsa::net::Reactor& reactor, int port, const ClientSpec& spec,
@@ -212,6 +211,9 @@ class EpollClientFleet {
     ~Conn() override { deregister(); }
 
     void start() {
+      decoder_.reset();
+      sse_.reset();
+      body_.clear();
       sock_ = ricsa::net::Socket::connect_loopback(port_);
       if (!sock_.valid()) {
         ++out_.errors;
@@ -290,7 +292,6 @@ class EpollClientFleet {
     }
 
     void queue_request() {
-      inbuf_.clear();
       streaming_ = false;
       if (!joined_) {
         outbuf_ = "GET /api/state" +
@@ -310,8 +311,6 @@ class EpollClientFleet {
           outbuf_ =
               "GET /api/stream?" + query + " HTTP/1.1\r\nHost: bench\r\n\r\n";
           streaming_ = true;
-          stream_headers_done_ = false;
-          event_buf_.clear();
           ++out_.polls;
         } else {
           outbuf_ =
@@ -344,24 +343,21 @@ class EpollClientFleet {
 
     void drain() {
       for (;;) {
-        const std::size_t before = inbuf_.size();
-        const ricsa::net::IoStatus status = sock_.read_some(inbuf_);
+        std::string& in = decoder_.buffer();
+        const std::size_t before = in.size();
+        const ricsa::net::IoStatus status = sock_.read_some(in);
         if (status == ricsa::net::IoStatus::kWouldBlock) break;
         if (status != ricsa::net::IoStatus::kOk) {
           reconnect();
           return;
         }
-        out_.wire_bytes += inbuf_.size() - before;
-        if (streaming_) {
-          if (!consume_stream()) return;  // connection torn down
-          if (spec_.inter_poll_delay_s > 0.0) {
-            // Slow SSE consumer: the think time becomes a read pause, so
-            // unread events back up in the socket — the TCP backpressure a
-            // real saturated browser applies to the push channel.
-            pause_stream_reads();
-            return;
-          }
-        } else if (try_complete_response()) {
+        out_.wire_bytes += in.size() - before;
+        if (!decode()) return;  // the connection moved on
+        if (streaming_ && spec_.inter_poll_delay_s > 0.0) {
+          // Slow SSE consumer: the think time becomes a read pause, so
+          // unread events back up in the socket — the TCP backpressure a
+          // real saturated browser applies to the push channel.
+          pause_stream_reads();
           return;
         }
       }
@@ -379,123 +375,67 @@ class EpollClientFleet {
       });
     }
 
-    /// Consume whatever fraction of the SSE stream has arrived: response
-    /// head once, then chunked-transfer envelopes, then blank-line-split
-    /// events. Returns false when the connection was torn down.
-    bool consume_stream() {
-      if (!stream_headers_done_) {
-        const std::size_t header_end = inbuf_.find("\r\n\r\n");
-        if (header_end == std::string::npos) return true;
-        int status = 0;
-        std::size_t ignored = std::string::npos;
-        parse_head(inbuf_.substr(0, header_end), &status, &ignored);
-        inbuf_.erase(0, header_end + 4);
-        if (status != 200) {
-          ++out_.errors;
-          if (status == 503) {
-            ++out_.errors_503;
+    /// Decode what arrived. False when the connection moved on (next
+    /// request, delay timer, or reconnect).
+    bool decode() {
+      using Event = ricsa::web::ResponseDecoder::Event;
+      for (Event event; (event = decoder_.next()) != Event::kNeedMore;) {
+        if (event == Event::kBad ||
+            (event == Event::kHead && streaming_ && decoder_.status() != 200)) {
+          count_error(event == Event::kBad ? 0 : decoder_.status());
+          reconnect();
+          return false;
+        }
+        if (event == Event::kData && !streaming_) {
+          body_ += decoder_.take_data();
+        } else if (event == Event::kData) {
+          if (!split_events()) return false;
+        } else if (event == Event::kDone) {
+          if (streaming_) {
+            // Terminal chunk: the server ended the stream (shutdown or
+            // reaped shard). Resubscribe from the preserved cursor.
+            reconnect();
+          } else if (!joined_) {
+            handle_join(decoder_.status(), body_);
           } else {
-            ++out_.errors_http;
+            handle_poll(decoder_.status(), body_);
           }
-          reconnect();
+          body_.clear();
           return false;
         }
-        stream_headers_done_ = true;
-      }
-      for (;;) {
-        const std::size_t line_end = inbuf_.find("\r\n");
-        if (line_end == std::string::npos) break;
-        char* end = nullptr;
-        const unsigned long long size =
-            std::strtoull(inbuf_.c_str(), &end, 16);
-        if (end == inbuf_.c_str() || end > inbuf_.c_str() + line_end) {
-          ++out_.errors;
-          ++out_.errors_parse;
-          reconnect();
-          return false;
-        }
-        if (inbuf_.size() < line_end + 2 + size + 2) break;
-        if (size == 0) {
-          // Terminal chunk: the server ended the stream (shutdown or
-          // reaped shard). Resubscribe from the preserved cursor.
-          reconnect();
-          return false;
-        }
-        event_buf_.append(inbuf_, line_end + 2, size);
-        inbuf_.erase(0, line_end + 2 + size + 2);
-      }
-      std::size_t pos;
-      while ((pos = event_buf_.find("\n\n")) != std::string::npos) {
-        const std::string block = event_buf_.substr(0, pos);
-        event_buf_.erase(0, pos + 2);
-        handle_event(block);
       }
       return true;
     }
 
-    void handle_event(const std::string& block) {
-      if (!block.empty() && block[0] == ':') {
-        // Keepalive comment: the push channel's "no frame yet", counted
-        // where a long-poll's empty 200 would land.
-        ++out_.timeouts;
-        return;
-      }
-      const std::size_t data_pos = block.find("data: ");
-      if (data_pos == std::string::npos) {
-        ++out_.errors;
-        ++out_.errors_parse;
-        return;
-      }
-      const std::size_t data_end = block.find('\n', data_pos);
-      account_frame(block.substr(data_pos + 6,
-                                 data_end == std::string::npos
-                                     ? std::string::npos
-                                     : data_end - data_pos - 6),
-                    bench_now_unix_ms());
+    /// A failed response: framing (status 0), a 503, or another non-200.
+    void count_error(int status) {
+      ++out_.errors;
+      ++(status == 0 ? out_.errors_parse
+                     : status == 503 ? out_.errors_503 : out_.errors_http);
     }
 
-    /// True when a full response was consumed and the connection moved on
-    /// (next request, delay timer, or reconnect).
-    bool try_complete_response() {
-      const std::size_t header_end = inbuf_.find("\r\n\r\n");
-      if (header_end == std::string::npos) return false;
-      int status = 0;
-      std::size_t content_length = std::string::npos;
-      parse_head(inbuf_.substr(0, header_end), &status, &content_length);
-      if (content_length == std::string::npos) {
-        // The server always sends Content-Length; anything else is a
-        // protocol break — drop the connection.
-        ++out_.errors;
-        ++out_.errors_parse;
-        reconnect();
-        return true;
+    /// Split one chunk of the SSE stream into events and account each.
+    /// Returns false when the connection was torn down.
+    bool split_events() {
+      sse_.feed(decoder_.take_data());
+      ricsa::web::SseSplitter::Event event;
+      ricsa::web::SseSplitter::Result result;
+      while ((result = sse_.next(event)) ==
+             ricsa::web::SseSplitter::Result::kEvent) {
+        if (event.comment) {
+          // Keepalive comment: the push channel's "no frame yet", counted
+          // where a long-poll's empty 200 would land.
+          ++out_.timeouts;
+        } else if (event.data.empty()) {
+          count_error(0);
+        } else {
+          account_frame(event.data, bench_now_unix_ms());
+        }
       }
-      const std::size_t body_begin = header_end + 4;
-      if (inbuf_.size() < body_begin + content_length) return false;
-      const std::string body = inbuf_.substr(body_begin, content_length);
-      inbuf_.erase(0, body_begin + content_length);
-      if (!joined_) {
-        handle_join(status, body);
-      } else {
-        handle_poll(status, body);
-      }
-      return true;
-    }
-
-    static void parse_head(const std::string& head, int* status,
-                           std::size_t* content_length) {
-      if (head.size() > 12 && head.compare(0, 5, "HTTP/") == 0) {
-        *status = std::atoi(head.c_str() + 9);
-      }
-      // Lower-case scan for the one header the state machine needs.
-      std::string lower(head);
-      std::transform(lower.begin(), lower.end(), lower.begin(),
-                     [](unsigned char c) { return std::tolower(c); });
-      const std::size_t pos = lower.find("content-length:");
-      if (pos != std::string::npos) {
-        *content_length = static_cast<std::size_t>(
-            std::atoll(lower.c_str() + pos + 15));
-      }
+      if (result == ricsa::web::SseSplitter::Result::kNeedMore) return true;
+      count_error(0);
+      reconnect();
+      return false;
     }
 
     void handle_join(int status, const std::string& body) {
@@ -513,18 +453,16 @@ class EpollClientFleet {
       const double t1 = bench_now_unix_ms();
       ++out_.polls;
       if (status != 200) {
-        ++out_.errors;
+        count_error(status);
         if (status == 503) {
           // Connection cap: the server half-closed after the 503, so the
           // connection is dead — reconnect with backoff instead of writing
           // the next poll into an EOF.
-          ++out_.errors_503;
           reconnect();
           return;
         }
         // Other persistent non-200s (e.g. a misconfigured view's 404)
         // must not re-poll at wire speed either: throttle the retry.
-        ++out_.errors_http;
         phase_ = Phase::kDelay;
         reactor_.modify(sock_.fd(), 0);
         timer_ = reactor_.run_after(0.05, [this] {
@@ -547,8 +485,7 @@ class EpollClientFleet {
         return false;
       }
       if (!fields.has_seq) {
-        ++out_.errors;
-        ++out_.errors_parse;
+        count_error(0);
         return false;
       }
       if (fields.seq <= since_) return false;
@@ -611,12 +548,12 @@ class EpollClientFleet {
     Phase phase_ = Phase::kDone;
     bool joined_ = false;
     bool streaming_ = false;
-    bool stream_headers_done_ = false;
-    std::string event_buf_;  // de-chunked SSE payload awaiting "\n\n"
+    ricsa::web::ResponseDecoder decoder_;  // the socket's read buffer
+    ricsa::web::SseSplitter sse_;          // events of a /api/stream body
+    std::string body_;                     // poll/join response so far
     std::uint64_t since_ = 0;
     std::string outbuf_;
     std::size_t outpos_ = 0;
-    std::string inbuf_;
     double t0_ms_ = 0.0;
     std::uint64_t timer_ = 0;
   };

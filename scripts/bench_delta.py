@@ -19,6 +19,12 @@ scenario, its steady-state bytes/frame — regresses by more than the allowed
 fraction; a missing or unreadable previous side is a note, not a failure —
 the first run on a branch has nothing to compare against.
 
+Self-contained gates, applied with or without a previous artifact: the
+congestion A/B, the tile-delta compression floor, and the protocol counters
+of the transport and relay benches (every gaps_*/errors_*/delta_breaks_*
+comparison field, relay_image_encodes, and the relayed round's upstream
+reconnects must be 0).
+
 History: the previous artifact may carry a bench_history.json (also searched
 recursively); this run's summary is appended to it and written to
 --history-out, capped to the most recent MAX_HISTORY_RUNS entries, so the
@@ -54,6 +60,12 @@ CONGESTION_P99_TOLERANCE = 0.10
 # compress far better than this in practice; the floor catches the encoder
 # silently degrading to stored blocks, not normal workload variance.
 COMPRESSION_RATIO_FLOOR = 1.5
+# Protocol gate: benches whose comparison blocks' gap, error and
+# delta-break counts (and, for relays, image encodes and upstream
+# reconnects) must all read zero. Their clients and relays read every
+# response through the shared HTTP response decoder.
+PROTOCOL_GATE_FILES = ["ajax_fanout_transport.json", "ajax_fanout_relay.json"]
+PROTOCOL_COUNTER_PREFIXES = ("gaps_", "errors_", "delta_breaks_")
 
 
 def load(path):
@@ -311,6 +323,38 @@ def compression_gate(cur_root):
     return failures
 
 
+def protocol_gate(cur_root):
+    """Absolute gate on the transport and relay benches, previous artifact
+    or not: every gaps_*/errors_*/delta_breaks_* field of their comparison
+    blocks, relay_image_encodes, and the relayed round's
+    relay_tier.upstream_reconnects must be 0. A decoder or forwarding
+    regression that keeps latency intact still shows in these counters."""
+    failures = []
+    for name in PROTOCOL_GATE_FILES:
+        path = cur_root / name
+        if not path.is_file():
+            continue
+        data = load(path)
+        if data is None:
+            continue
+        reconnects = {r.get("clients"): r["relay_tier"].get("upstream_reconnects")
+                      for r in data.get("rounds", []) if "relay_tier" in r}
+        for cmp_json in data.get("comparisons", []):
+            label = f"{name} clients={cmp_json.get('clients')}"
+            counters = {key: value for key, value in cmp_json.items()
+                        if key.startswith(PROTOCOL_COUNTER_PREFIXES) or
+                        key == "relay_image_encodes"}
+            if cmp_json.get("clients") in reconnects:
+                counters["relay_tier.upstream_reconnects"] = \
+                    reconnects[cmp_json.get("clients")]
+            nonzero = {key: value for key, value in counters.items() if value}
+            for key, value in sorted(nonzero.items()):
+                failures.append(f"{label}: {key} = {value:.0f}, must be 0")
+            print(f"[bench-delta] {label}: {len(counters)} protocol counters "
+                  f"{'all 0 [ok]' if not nonzero else '[REGRESSION]'}")
+    return failures
+
+
 def summarize_run(cur_root, label):
     """This run's compact history record, one entry per bench file/round."""
     record = {"label": label, "benches": {}}
@@ -389,11 +433,12 @@ def main():
               f"-> {args.history_out}")
     print_trends(history)
 
-    # The congestion A/B and the compression floor are self-contained in
-    # the current run, so those gates apply even on a first run with no
-    # previous artifact.
+    # The congestion A/B, the compression floor and the protocol counters
+    # are self-contained in the current run, so those gates apply even on a
+    # first run with no previous artifact.
     regressions = list(congestion_gate(cur_root))
     regressions += compression_gate(cur_root)
+    regressions += protocol_gate(cur_root)
 
     if not prev_root.is_dir():
         print(f"[bench-delta] no previous artifact at {prev_root}; "

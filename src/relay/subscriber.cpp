@@ -11,12 +11,14 @@
 #include "net/socket.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
+#include "web/http.hpp"
 #include "web/hub.hpp"
 
 namespace ricsa::relay {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using Event = web::ResponseDecoder::Event;
 
 /// Scan the first occurrence of `"token":` in a compact JSON body and parse
 /// the unsigned integer that follows. The first occurrence of `"seq":` is
@@ -84,25 +86,13 @@ struct RelaySubscriber::Conn : net::EventHandler {
   bool connected_once = false;
 
   std::string out;  // unsent request bytes
-  std::string in;   // raw bytes read, consumed by the response parser
+  web::ResponseDecoder decoder;  // the socket's read buffer and framing
+  web::SseSplitter sse;          // events of a /api/stream body
+  std::string body;              // the poll/state response read so far
 
   enum class Pending { kNone, kState, kPoll, kStream };
   Pending pending = Pending::kNone;
-
-  // In-flight response parse state.
-  bool have_headers = false;
-  int status = 0;
-  std::size_t content_length = 0;
-  bool chunked = false;
-  bool close_after = false;
   bool streaming = false;  // 200 on /api/stream: body is an endless SSE feed
-
-  // Chunked-transfer decoder (SSE responses are always chunked).
-  enum class ChunkMode { kSize, kData, kCrLf };
-  ChunkMode chunk_mode = ChunkMode::kSize;
-  std::size_t chunk_left = 0;
-  bool stream_ended = false;  // terminal 0-chunk seen
-  std::string decoded;        // de-chunked SSE payload, split on "\n\n"
 
   // Forwarding protocol state.
   bool use_sse = true;         // transport preference (auto-negotiated)
@@ -266,14 +256,19 @@ void RelaySubscriber::teardown(Conn* c) {
   c->sock.close();
   c->connecting = false;
   c->out.clear();
-  c->in.clear();
-  c->decoded.clear();
+  c->decoder.reset();
+  c->sse.reset();
+  c->body.clear();
   c->pending = Conn::Pending::kNone;
-  c->have_headers = false;
   c->streaming = false;
-  c->stream_ended = false;
-  c->chunk_mode = Conn::ChunkMode::kSize;
-  c->chunk_left = 0;
+}
+
+void RelaySubscriber::retry(Conn* c, bool backoff) {
+  c->failures = std::min(c->failures + 1, 16);
+  c->joined = false;
+  c->resync_pending = true;
+  teardown(c);
+  schedule_connect(c, backoff ? backoff_delay_s(config_, c->failures) : 0.0);
 }
 
 void RelaySubscriber::fail_subscription(Conn* c, const std::string& why) {
@@ -348,16 +343,7 @@ void RelaySubscriber::send_next_request(Conn* c) {
       target = "/api/poll" + cursor;
     }
   }
-  c->have_headers = false;
-  c->status = 0;
-  c->content_length = 0;
-  c->chunked = false;
-  c->close_after = false;
   c->streaming = false;
-  c->stream_ended = false;
-  c->chunk_mode = Conn::ChunkMode::kSize;
-  c->chunk_left = 0;
-  c->decoded.clear();
   c->out += "GET " + target +
             " HTTP/1.1\r\nHost: relay\r\nConnection: keep-alive\r\n"
             "X-Relay-Path: " + config_.relay_id + "\r\n\r\n";
@@ -372,11 +358,7 @@ void RelaySubscriber::flush(Conn* c) {
     if (written > 0) c->out.erase(0, written);
     if (st == net::IoStatus::kWouldBlock) break;
     if (st == net::IoStatus::kError) {
-      c->failures = std::min(c->failures + 1, 16);
-      c->joined = false;
-      c->resync_pending = true;
-      teardown(c);
-      schedule_connect(c, backoff_delay_s(config_, c->failures));
+      retry(c);
       return;
     }
     if (written == 0) break;
@@ -388,7 +370,7 @@ void RelaySubscriber::flush(Conn* c) {
 void RelaySubscriber::on_readable(Conn* c) {
   bool eof = false;
   for (;;) {
-    const net::IoStatus st = c->sock.read_some(c->in);
+    const net::IoStatus st = c->sock.read_some(c->decoder.buffer());
     if (st == net::IoStatus::kOk) {
       c->last_activity = Clock::now();
       continue;
@@ -397,93 +379,48 @@ void RelaySubscriber::on_readable(Conn* c) {
     eof = true;  // kEof or kError: the peer is gone either way
     break;
   }
-  // Drain every complete response / stream event from the buffer.
+  // Decode every complete response / stream event from the buffer.
   while (c->sock.valid() && !c->failed) {
-    if (!c->have_headers && !handle_headers(c)) break;
-    if (!c->sock.valid() || c->failed) break;
-    if (c->streaming) {
-      consume_stream(c);
-      break;
+    const Event event = c->decoder.next();
+    if (event == Event::kNeedMore) break;
+    if (event == Event::kBad) {
+      // A framing error: nothing more on this connection can be trusted.
+      retry(c);
+      return;
     }
-    if (c->in.size() < c->content_length) break;
-    if (!handle_response(c)) break;
+    if (event == Event::kHead) {
+      handle_headers(c);
+    } else if (event == Event::kData && c->streaming) {
+      consume_stream(c, c->decoder.take_data());
+    } else if (event == Event::kData) {
+      c->body += c->decoder.take_data();
+    } else if (c->streaming) {
+      // The upstream ended the stream (shutdown or restart): treat it as a
+      // potential new epoch and re-join from scratch.
+      retry(c, /*backoff=*/false);
+    } else {
+      handle_response(c, std::exchange(c->body, std::string()));
+    }
   }
   if (eof && c->sock.valid() && !c->failed) {
     // Peer closed mid-exchange (origin stop/restart, keep-alive cut):
     // reconnect with backoff and re-join from a fresh full frame.
-    c->failures = std::min(c->failures + 1, 16);
-    c->joined = false;
-    c->resync_pending = true;
-    teardown(c);
-    schedule_connect(c, backoff_delay_s(config_, c->failures));
+    retry(c);
   }
 }
 
-bool RelaySubscriber::handle_headers(Conn* c) {
-  const std::size_t pos = c->in.find("\r\n\r\n");
-  if (pos == std::string::npos) {
-    if (c->in.size() > (1u << 20)) {
-      // A megabyte without a header terminator is not HTTP.
-      c->failures = std::min(c->failures + 1, 16);
-      c->joined = false;
-      c->resync_pending = true;
-      teardown(c);
-      schedule_connect(c, backoff_delay_s(config_, c->failures));
-    }
-    return false;
-  }
-  const std::string head = c->in.substr(0, pos);
-  c->in.erase(0, pos + 4);
-  c->status = 0;
-  c->content_length = 0;
-  c->chunked = false;
-  c->close_after = false;
-  std::string relay_path;
-  std::size_t line_start = 0;
-  bool first = true;
-  while (line_start < head.size()) {
-    std::size_t line_end = head.find("\r\n", line_start);
-    if (line_end == std::string::npos) line_end = head.size();
-    const std::string_view line(head.data() + line_start,
-                                line_end - line_start);
-    line_start = line_end + 2;
-    if (first) {
-      first = false;
-      const std::size_t sp = line.find(' ');
-      if (sp != std::string_view::npos) {
-        c->status = std::atoi(std::string(line.substr(sp + 1)).c_str());
-      }
-      continue;
-    }
-    const std::size_t colon = line.find(':');
-    if (colon == std::string_view::npos) continue;
-    const std::string key = util::to_lower(util::trim(line.substr(0, colon)));
-    const std::string_view value = util::trim(line.substr(colon + 1));
-    if (key == "content-length") {
-      c->content_length = std::strtoull(std::string(value).c_str(), nullptr, 10);
-    } else if (key == "transfer-encoding") {
-      c->chunked = util::to_lower(value).find("chunked") != std::string::npos;
-    } else if (key == "x-relay-path") {
-      relay_path.assign(value);
-    } else if (key == "connection") {
-      c->close_after = util::iequals(value, "close");
-    }
-  }
-  c->have_headers = true;
-  note_relay_path(c, relay_path);  // may fail the view permanently
-  if (c->failed) return false;
-  if (c->status == 409) {
+void RelaySubscriber::handle_headers(Conn* c) {
+  const auto& headers = c->decoder.headers();
+  const auto path = headers.find("x-relay-path");
+  note_relay_path(c, path == headers.end() ? std::string() : path->second);
+  if (c->failed) return;  // a cycle or the depth cap
+  const int status = c->decoder.status();
+  if (status == 409) {
     fail_subscription(c, "upstream rejected the subscription (409 conflict)");
-    return false;
+    return;
   }
-  if (c->status != 200) {
-    const bool stream_req = c->pending == Conn::Pending::kStream;
-    const int status = c->status;
-    c->failures = std::min(c->failures + 1, 16);
-    c->joined = false;
-    c->resync_pending = true;
-    teardown(c);
-    if (stream_req && config_.transport == "auto" &&
+  if (status != 200) {
+    if (c->pending == Conn::Pending::kStream && config_.transport == "auto" &&
         (status == 400 || status == 405 || status == 501)) {
       // The upstream has no usable stream route: settle on long-poll.
       // (404 is excluded — it means the *view* is not declared yet, and
@@ -493,35 +430,27 @@ bool RelaySubscriber::handle_headers(Conn* c) {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         c->stats.sse = false;
       }
-      schedule_connect(c, 0.0);
+      retry(c, /*backoff=*/false);
     } else {
       // 503 (overload), 404 (view not yet published), or anything else
       // transient: retry the same transport with backoff.
-      schedule_connect(c, backoff_delay_s(config_, c->failures));
+      retry(c);
     }
-    return false;
+    return;
   }
   if (c->pending == Conn::Pending::kStream) {
-    if (!c->chunked) {
+    if (headers.count("transfer-encoding") == 0) {
       // A 200 stream must be chunked; anything else is not our protocol.
-      c->failures = std::min(c->failures + 1, 16);
-      c->joined = false;
-      c->resync_pending = true;
-      teardown(c);
-      schedule_connect(c, backoff_delay_s(config_, c->failures));
-      return false;
+      retry(c);
+      return;
     }
     c->streaming = true;
     std::lock_guard<std::mutex> lock(stats_mutex_);
     c->stats.sse = true;
   }
-  return true;
 }
 
-bool RelaySubscriber::handle_response(Conn* c) {
-  std::string body = c->in.substr(0, c->content_length);
-  c->in.erase(0, c->content_length);
-  c->have_headers = false;
+void RelaySubscriber::handle_response(Conn* c, std::string body) {
   const Conn::Pending pending = c->pending;
   c->pending = Conn::Pending::kNone;
   c->failures = 0;
@@ -543,83 +472,43 @@ bool RelaySubscriber::handle_response(Conn* c) {
       c->stats.failure.clear();
     }
     send_next_request(c);
-    return true;
+    return;
   }
   const bool ok = handle_body(c, std::move(body));
-  if (c->failed || !c->sock.valid()) return false;
+  if (c->failed || !c->sock.valid()) return;
   if (!ok) {
     // Epoch change / base mismatch: re-join. The response was consumed in
     // full, so the keep-alive connection is reusable.
     begin_resync(c, /*teardown_connection=*/false);
-    return c->sock.valid();
+    return;
   }
-  if (c->close_after) {
+  if (!c->decoder.keep_alive()) {
     teardown(c);
     schedule_connect(c, 0.0);
-    return false;
+    return;
   }
   send_next_request(c);
-  return true;
 }
 
-void RelaySubscriber::consume_stream(Conn* c) {
-  // De-chunk into the decoded buffer.
-  while (!c->stream_ended) {
-    if (c->chunk_mode == Conn::ChunkMode::kSize) {
-      const std::size_t pos = c->in.find("\r\n");
-      if (pos == std::string::npos) break;
-      const unsigned long size = std::strtoul(c->in.c_str(), nullptr, 16);
-      c->in.erase(0, pos + 2);
-      if (size == 0) {
-        c->stream_ended = true;
-        break;
-      }
-      c->chunk_left = size;
-      c->chunk_mode = Conn::ChunkMode::kData;
-    } else if (c->chunk_mode == Conn::ChunkMode::kData) {
-      if (c->in.empty()) break;
-      const std::size_t take = std::min(c->chunk_left, c->in.size());
-      c->decoded.append(c->in, 0, take);
-      c->in.erase(0, take);
-      c->chunk_left -= take;
-      if (c->chunk_left == 0) c->chunk_mode = Conn::ChunkMode::kCrLf;
-    } else {  // kCrLf: trailing \r\n after a data chunk
-      if (c->in.size() < 2) break;
-      c->in.erase(0, 2);
-      c->chunk_mode = Conn::ChunkMode::kSize;
-    }
-  }
-  // Split SSE events on the blank-line terminator and forward each body.
+void RelaySubscriber::consume_stream(Conn* c, std::string payload) {
+  c->sse.feed(std::move(payload));
+  web::SseSplitter::Event event;
   for (;;) {
-    const std::size_t pos = c->decoded.find("\n\n");
-    if (pos == std::string::npos) break;
-    const std::string event = c->decoded.substr(0, pos);
-    c->decoded.erase(0, pos + 2);
-    c->last_activity = Clock::now();
-    std::string data;
-    std::size_t line_start = 0;
-    while (line_start < event.size()) {
-      std::size_t line_end = event.find('\n', line_start);
-      if (line_end == std::string::npos) line_end = event.size();
-      const std::string_view line(event.data() + line_start,
-                                  line_end - line_start);
-      line_start = line_end + 1;
-      if (line.rfind("data: ", 0) == 0) data.assign(line.substr(6));
+    const web::SseSplitter::Result result = c->sse.next(event);
+    if (result == web::SseSplitter::Result::kNeedMore) return;
+    if (result == web::SseSplitter::Result::kBad) {
+      retry(c);
+      return;
     }
-    if (data.empty()) continue;  // ": keepalive" comment
+    c->last_activity = Clock::now();
+    if (event.data.empty()) continue;  // ": keepalive" comment
     c->failures = 0;
-    if (!handle_body(c, std::move(data))) {
+    if (!handle_body(c, std::move(event.data))) {
       // A stream cannot move its cursor mid-flight: resync by reconnect.
       begin_resync(c, /*teardown_connection=*/true);
       return;
     }
     if (c->failed || !c->sock.valid()) return;
-  }
-  if (c->stream_ended) {
-    // The upstream ended the stream (shutdown or restart): treat it as a
-    // potential new epoch and re-join from scratch.
-    c->failures = std::min(c->failures + 1, 16);
-    begin_resync(c, /*teardown_connection=*/true);
   }
 }
 
@@ -638,8 +527,8 @@ bool RelaySubscriber::handle_body(Conn* c, std::string body) {
     // upstream restart — run the resync again.
     if (!is_full) return false;
     c->resync_pending = false;
-    publish_body(c, std::move(body), /*is_full=*/true, /*has_base=*/false);
     c->since_up = seq;
+    publish_body(c, std::move(body), /*is_full=*/true, /*has_base=*/false);
     return true;
   }
   if (seq <= c->since_up) {
@@ -655,8 +544,9 @@ bool RelaySubscriber::handle_body(Conn* c, std::string body) {
     // A delta against a base we never consumed cannot be rebased.
     return false;
   }
-  publish_body(c, std::move(body), is_full, has_base && !is_full);
+  // First: publish_body reports since_up as the frame's upstream seq.
   c->since_up = seq;
+  publish_body(c, std::move(body), is_full, has_base && !is_full);
   return true;
 }
 
@@ -729,11 +619,7 @@ void RelaySubscriber::arm_watchdog(Conn* c) {
     const double idle =
         std::chrono::duration<double>(Clock::now() - c->last_activity).count();
     if (idle > budget) {
-      c->failures = std::min(c->failures + 1, 16);
-      c->joined = false;
-      c->resync_pending = true;
-      teardown(c);
-      schedule_connect(c, backoff_delay_s(config_, c->failures));
+      retry(c);
       return;
     }
     arm_watchdog(c);

@@ -20,6 +20,11 @@
 // clients demand a full frame simultaneously, the upstream sees one
 // escalation (no resync storms).
 //
+// Framing: a response the shared web::ResponseDecoder refuses (bad status
+// line, length or chunk size, chunk data without CRLF, an oversized head)
+// forwards nothing; like a dropped connection, it costs a reconnect with
+// backoff and a re-join from a full frame.
+//
 // Topology guards: every request carries `X-Relay-Path: <relay id>`;
 // every response from a relay carries the server's own chain. Seeing our
 // own id in an upstream chain (a cycle) or a chain already at the depth
@@ -131,15 +136,19 @@ class RelaySubscriber {
   void schedule_connect(Conn* conn, double delay_s);
   void start_connect(Conn* conn);
   void teardown(Conn* conn);
+  /// Transient failure: count it, reconnect and re-join from a full frame.
+  void retry(Conn* conn, bool backoff = true);
   void fail_subscription(Conn* conn, const std::string& why);
   void schedule_respawn(Conn* conn);
   void begin_resync(Conn* conn, bool teardown_connection);
   void send_next_request(Conn* conn);
   void flush(Conn* conn);
   void on_readable(Conn* conn);
-  bool handle_response(Conn* conn);
-  void consume_stream(Conn* conn);
-  bool handle_headers(Conn* conn);
+  /// Relay policy on a response head: topology guards, the 409
+  /// rejection, non-200 backoff or transport downgrade, chunked streams.
+  void handle_headers(Conn* conn);
+  void handle_response(Conn* conn, std::string body);
+  void consume_stream(Conn* conn, std::string payload);
   /// One received poll body / SSE event. Returns false when the
   /// connection must be torn down (resync through reconnect).
   bool handle_body(Conn* conn, std::string body);

@@ -145,6 +145,63 @@ bool is_known_method(const std::string& method) {
   return kKnown.count(method) > 0;
 }
 
+/// A chunk-size line longer than this is not one our servers send.
+constexpr std::size_t kMaxChunkLine = 256;
+
+int hex_value(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// Pop the first line off `text`. Lines end at '\n' with one trailing
+/// '\r' dropped, in requests and responses alike.
+std::string_view take_line(std::string_view& text) {
+  const std::size_t nl = text.find('\n');
+  std::string_view line = text.substr(0, nl);
+  text = nl == std::string_view::npos ? std::string_view()
+                                      : text.substr(nl + 1);
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return line;
+}
+
+/// The header fields of a request or a response: lower-cased names,
+/// trimmed values, the last of repeated fields kept; a line without a
+/// colon is skipped. False when the head is refused: two different
+/// Content-Length values leave the body's end ambiguous.
+bool parse_header_fields(std::string_view fields,
+                         std::map<std::string, std::string>& out) {
+  while (!fields.empty()) {
+    const std::string_view line = take_line(fields);
+    const auto colon = line.find(':');
+    if (colon == std::string_view::npos) continue;
+    std::string key = util::to_lower(util::trim(line.substr(0, colon)));
+    std::string value(util::trim(line.substr(colon + 1)));
+    const auto it = out.find(key);
+    if (it == out.end()) {
+      out.emplace(std::move(key), std::move(value));
+    } else if (key == "content-length" && it->second != value) {
+      return false;
+    } else {
+      it->second = std::move(value);
+    }
+  }
+  return true;
+}
+
+/// The body length a head announces: 0 without Content-Length. False when
+/// the field is not digits-only or exceeds kMaxBodyBytes.
+bool content_length_of(const std::map<std::string, std::string>& headers,
+                       std::size_t& out) {
+  out = 0;
+  const auto it = headers.find("content-length");
+  return it == headers.end() ||
+         (parse_content_length(it->second, out) && out <= kMaxBodyBytes);
+}
+
 }  // namespace
 
 namespace detail {
@@ -157,12 +214,9 @@ ParseResult parse_request(std::string& buffer, HttpRequest& out) {
   }
   if (header_end > kMaxHeaderBytes) return ParseResult::kBad;
 
-  std::istringstream lines(buffer.substr(0, header_end));
-  std::string line;
-  if (!std::getline(lines, line)) return ParseResult::kBad;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
+  std::string_view fields(buffer.data(), header_end);
   {
-    std::istringstream first(line);
+    std::istringstream first{std::string(take_line(fields))};
     std::string target, version;
     if (!(first >> out.method >> target >> version)) return ParseResult::kBad;
     const auto q = target.find('?');
@@ -173,20 +227,7 @@ ParseResult parse_request(std::string& buffer, HttpRequest& out) {
       out.query = target.substr(q + 1);
     }
   }
-  while (std::getline(lines, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    const std::string key = util::to_lower(util::trim(line.substr(0, colon)));
-    std::string value(util::trim(line.substr(colon + 1)));
-    // Two different lengths leave the body's end ambiguous.
-    const auto it = out.headers.find(key);
-    if (key == "content-length" && it != out.headers.end() &&
-        it->second != value) {
-      return ParseResult::kBad;
-    }
-    out.headers[key] = std::move(value);
-  }
+  if (!parse_header_fields(fields, out.headers)) return ParseResult::kBad;
   // Only Content-Length delimits a body here. A chunked (or otherwise
   // transfer-coded) body would be misread as the next request.
   if (out.headers.count("transfer-encoding") != 0) {
@@ -194,13 +235,7 @@ ParseResult parse_request(std::string& buffer, HttpRequest& out) {
   }
 
   std::size_t content_length = 0;
-  if (const auto it = out.headers.find("content-length");
-      it != out.headers.end()) {
-    if (!parse_content_length(it->second, content_length)) {
-      return ParseResult::kBad;
-    }
-    if (content_length > kMaxBodyBytes) return ParseResult::kBad;
-  }
+  if (!content_length_of(out.headers, content_length)) return ParseResult::kBad;
   const std::size_t total = header_end + 4 + content_length;
   if (buffer.size() < total) return ParseResult::kNeedMore;
   out.body = buffer.substr(header_end + 4, content_length);
@@ -230,18 +265,162 @@ void append_response_chain(net::BufferChain& out, HttpResponse response,
 
 }  // namespace detail
 
+// ----------------------------------------------------- response decoding --
+
+ResponseDecoder::Event ResponseDecoder::next() {
+  const std::size_t avail = buffer_.size() - pos_;
+  switch (state_) {
+    case State::kBad:
+      return Event::kBad;
+    case State::kHead: {
+      // Unterminated, the block may still end in its last three bytes.
+      const std::size_t end = buffer_.find("\r\n\r\n", pos_);
+      if (end == std::string::npos ? avail > kMaxHeaderBytes + 3
+                                   : end - pos_ > kMaxHeaderBytes) {
+        return fail("header block too large");
+      }
+      if (end == std::string::npos) break;
+      const std::string_view head(buffer_.data() + pos_, end - pos_);
+      pos_ = end + 4;
+      return parse_head(head);
+    }
+    case State::kBody:
+      if (avail < left_) break;
+      data_.assign(buffer_, pos_, left_);
+      pos_ += left_;
+      state_ = State::kEnd;
+      return Event::kData;
+    case State::kChunkSize: {
+      const std::size_t eol = buffer_.find("\r\n", pos_);
+      if (eol == std::string::npos ? avail > kMaxChunkLine + 1
+                                   : eol - pos_ > kMaxChunkLine) {
+        return fail("chunk size line too long");
+      }
+      if (eol == std::string::npos) break;
+      std::size_t size = 0;
+      std::size_t i = pos_;
+      for (int digit; i < eol && (digit = hex_value(buffer_[i])) >= 0; ++i) {
+        size = size * 16 + static_cast<std::size_t>(digit);
+        if (size > kMaxBodyBytes) return fail("chunk too large");
+      }
+      if (i == pos_ || (i < eol && buffer_[i] != ';')) {
+        return fail("bad chunk size");
+      }
+      if (size == 0) {
+        // The last chunk: a blank line must follow, no trailer fields.
+        if (buffer_.size() < eol + 4) break;
+        if (buffer_.compare(eol + 2, 2, "\r\n") != 0) {
+          return fail("trailer after the last chunk");
+        }
+        pos_ = eol + 4;
+        state_ = State::kEnd;
+        return next();
+      }
+      pos_ = eol + 2;
+      left_ = size;
+      state_ = State::kChunkData;
+      return next();
+    }
+    case State::kChunkData:
+      if (avail < left_ + 2) break;
+      if (buffer_.compare(pos_ + left_, 2, "\r\n") != 0) {
+        return fail("chunk data not followed by CRLF");
+      }
+      data_.assign(buffer_, pos_, left_);
+      pos_ += left_ + 2;
+      state_ = State::kChunkSize;
+      return Event::kData;
+    case State::kEnd:
+      buffer_.erase(0, pos_);
+      pos_ = 0;
+      state_ = State::kHead;
+      head_request_ = false;
+      return Event::kDone;
+  }
+  // Decoded bytes leave the buffer here and when a response ends — never
+  // once per chunk, which would move a pipelined burst once per event.
+  buffer_.erase(0, pos_);
+  pos_ = 0;
+  return Event::kNeedMore;
+}
+
+ResponseDecoder::Event ResponseDecoder::parse_head(std::string_view head) {
+  // "HTTP/1.x NNN", then the end of the line or a space and a reason.
+  const std::string_view line = take_line(head);
+  if (line.size() < 12 || line.compare(0, 7, "HTTP/1.") != 0 ||
+      !is_digit(line[7]) || line[8] != ' ' || !is_digit(line[9]) ||
+      !is_digit(line[10]) || !is_digit(line[11]) ||
+      (line.size() > 12 && line[12] != ' ')) {
+    return fail("bad status line");
+  }
+  status_ = (line[9] - '0') * 100 + (line[10] - '0') * 10 + (line[11] - '0');
+  headers_.clear();
+  if (!parse_header_fields(head, headers_)) return fail("conflicting lengths");
+  std::size_t length = 0;
+  if (!content_length_of(headers_, length)) return fail("bad Content-Length");
+  const bool has_length = headers_.count("content-length") != 0;
+  const auto coding = headers_.find("transfer-encoding");
+  const bool chunked = coding != headers_.end();
+  if (chunked && (!util::iequals(coding->second, "chunked") || has_length)) {
+    return fail("bad Transfer-Encoding");
+  }
+  if (head_request_ || status_ < 200 || status_ == 204 || status_ == 304) {
+    state_ = State::kEnd;
+  } else if (chunked) {
+    state_ = State::kChunkSize;
+  } else if (has_length) {
+    left_ = length;
+    state_ = length > 0 ? State::kBody : State::kEnd;
+  } else {
+    return fail("no Content-Length or chunked framing");
+  }
+  return Event::kHead;
+}
+
+ResponseDecoder::Event ResponseDecoder::fail(const char* why) {
+  state_ = State::kBad;
+  error_ = why;
+  return Event::kBad;
+}
+
+bool ResponseDecoder::keep_alive() const {
+  const auto it = headers_.find("connection");
+  return it == headers_.end() || !util::iequals(it->second, "close");
+}
+
+void SseSplitter::feed(std::string payload) {
+  // The usual case, one event per chunk, moves the payload in.
+  buffer_ = pos_ == buffer_.size() ? std::move(payload)
+                                   : buffer_.substr(pos_) + payload;
+  pos_ = 0;
+}
+
+SseSplitter::Result SseSplitter::next(Event& out) {
+  const std::size_t end = buffer_.find("\n\n", pos_);
+  if (end == std::string::npos) {
+    buffer_.erase(0, pos_);
+    pos_ = 0;
+    return buffer_.size() > kMaxBodyBytes ? Result::kBad : Result::kNeedMore;
+  }
+  if (end - pos_ > kMaxBodyBytes) return Result::kBad;
+  std::string_view block(buffer_.data() + pos_, end - pos_);
+  pos_ = end + 2;
+  out = Event();
+  while (!block.empty()) {
+    const std::string_view line = take_line(block);
+    if (util::starts_with(line, "data: ")) out.data.assign(line.substr(6));
+    if (util::starts_with(line, "id: ")) out.id.assign(line.substr(4));
+    if (util::starts_with(line, ":")) out.comment = true;
+  }
+  return Result::kEvent;
+}
+
 std::string url_decode(const std::string& text) {
   std::string out;
   out.reserve(text.size());
   for (std::size_t i = 0; i < text.size(); ++i) {
     if (text[i] == '%' && i + 2 < text.size()) {
-      const auto hex = [](char c) -> int {
-        if (c >= '0' && c <= '9') return c - '0';
-        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-        return -1;
-      };
-      const int hi = hex(text[i + 1]), lo = hex(text[i + 2]);
+      const int hi = hex_value(text[i + 1]), lo = hex_value(text[i + 2]);
       if (hi >= 0 && lo >= 0) {
         out.push_back(static_cast<char>(hi * 16 + lo));
         i += 2;
@@ -1203,14 +1382,14 @@ HttpClient::HttpClient(HttpClient&& other) noexcept
     : port_(other.port_),
       fd_(other.fd_),
       reconnects_(other.reconnects_),
-      buffer_(std::move(other.buffer_)) {
+      decoder_(std::move(other.decoder_)) {
   other.fd_ = -1;
 }
 
 void HttpClient::close() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
-  buffer_.clear();
+  decoder_.reset();
 }
 
 void HttpClient::ensure_connected(double timeout_s) {
@@ -1232,7 +1411,7 @@ void HttpClient::ensure_connected(double timeout_s) {
     throw HttpError(HttpError::Kind::kConnect, "http client: connect() failed");
   }
   ++reconnects_;
-  buffer_.clear();
+  decoder_.reset();
 }
 
 HttpClient::Response HttpClient::exchange(const std::string& request_text,
@@ -1247,66 +1426,47 @@ HttpClient::Response HttpClient::exchange(const std::string& request_text,
     throw HttpError(HttpError::Kind::kIo, "http client: send failed");
   }
 
-  char chunk[8192];
-  std::size_t header_end;
-  bool got_bytes = !buffer_.empty();
-  while ((header_end = buffer_.find("\r\n\r\n")) == std::string::npos) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      const bool stale = n == 0 || errno == ECONNRESET;
-      close();
-      if (!got_bytes && retry_on_stale && stale) {
-        // EOF/reset before any response bytes: stale keep-alive connection.
-        return exchange(request_text, timeout_s, false);
-      }
-      throw HttpError(HttpError::Kind::kIo, "http client: no response");
-    }
-    got_bytes = true;
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
+  if (util::starts_with(request_text, "HEAD ")) decoder_.expect_head();
 
   Response out;
-  {
-    std::istringstream lines(buffer_.substr(0, header_end));
-    std::string line;
-    std::getline(lines, line);
-    std::istringstream status_line(line);
-    std::string version;
-    status_line >> version >> out.status;
-    while (std::getline(lines, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      const auto colon = line.find(':');
-      if (colon == std::string::npos) continue;
-      out.headers[util::to_lower(util::trim(line.substr(0, colon)))] =
-          std::string(util::trim(line.substr(colon + 1)));
+  bool got_bytes = !decoder_.buffer().empty();
+  char chunk[8192];
+  for (;;) {
+    switch (decoder_.next()) {
+      case ResponseDecoder::Event::kHead:
+        out.status = decoder_.status();
+        out.headers = decoder_.headers();
+        break;
+      case ResponseDecoder::Event::kData:
+        out.body += decoder_.take_data();
+        break;
+      case ResponseDecoder::Event::kDone:
+        if (!decoder_.keep_alive()) close();
+        return out;
+      case ResponseDecoder::Event::kBad: {
+        const std::string why = decoder_.error();
+        close();
+        throw HttpError(HttpError::Kind::kProtocol, "http client: " + why);
+      }
+      case ResponseDecoder::Event::kNeedMore: {
+        const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+        if (n <= 0) {
+          const bool stale = n == 0 || errno == ECONNRESET;
+          close();
+          if (!got_bytes && retry_on_stale && stale) {
+            // EOF/reset before any response byte: a stale keep-alive.
+            return exchange(request_text, timeout_s, false);
+          }
+          throw HttpError(HttpError::Kind::kIo,
+                          got_bytes ? "http client: truncated response"
+                                    : "http client: no response");
+        }
+        got_bytes = true;
+        decoder_.buffer().append(chunk, static_cast<std::size_t>(n));
+        break;
+      }
     }
   }
-  buffer_.erase(0, header_end + 4);
-
-  std::size_t content_length = 0;
-  if (out.headers.count("content-length") &&
-      !parse_content_length(out.headers.at("content-length"),
-                            content_length)) {
-    close();
-    throw HttpError(HttpError::Kind::kProtocol,
-                    "http client: bad content-length");
-  }
-  while (buffer_.size() < content_length) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      close();
-      throw HttpError(HttpError::Kind::kIo, "http client: truncated response");
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
-  out.body = buffer_.substr(0, content_length);
-  buffer_.erase(0, content_length);
-
-  if (out.headers.count("connection") &&
-      util::iequals(out.headers.at("connection"), "close")) {
-    close();
-  }
-  return out;
 }
 
 HttpClient::Response HttpClient::get(const std::string& path_and_query,
@@ -1404,31 +1564,22 @@ HttpClient::Response HttpClient::post_with_retry(const std::string& path,
 
 // ----------------------------------------------------- one-shot helpers --
 
-namespace {
-HttpClientResponse http_exchange(int port, const std::string& request_text,
-                                 double timeout_s) {
-  HttpClient client(port);
-  const HttpClient::Response r = client.exchange(request_text, timeout_s, false);
-  return HttpClientResponse{r.status, r.headers, r.body};
-}
-}  // namespace
-
-HttpClientResponse http_get(int port, const std::string& path_and_query,
-                            double timeout_s) {
+HttpClient::Response http_get(int port, const std::string& path_and_query,
+                              double timeout_s) {
   const std::string req = "GET " + path_and_query +
                           " HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
-  return http_exchange(port, req, timeout_s);
+  return HttpClient(port).exchange(req, timeout_s, false);
 }
 
-HttpClientResponse http_post(int port, const std::string& path,
-                             const std::string& body,
-                             const std::string& content_type,
-                             double timeout_s) {
+HttpClient::Response http_post(int port, const std::string& path,
+                               const std::string& body,
+                               const std::string& content_type,
+                               double timeout_s) {
   const std::string req = util::strprintf(
       "POST %s HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n"
       "Content-Type: %s\r\nContent-Length: %zu\r\n\r\n",
       path.c_str(), content_type.c_str(), body.size()) + body;
-  return http_exchange(port, req, timeout_s);
+  return HttpClient(port).exchange(req, timeout_s, false);
 }
 
 }  // namespace ricsa::web

@@ -37,6 +37,11 @@
 // known paths asked with the wrong or an unknown method, 503 when the
 // connection cap (or the process's fd table) is exhausted, 501 + close
 // for a request carrying Transfer-Encoding (bodies need Content-Length).
+//
+// Client side: every reader of responses (HttpClient, the relay
+// subscriber, the bench fleet, the tests) goes through one ResponseDecoder
+// and, for event streams, one SseSplitter. Header fields are parsed by the
+// request parser's code, so both directions are delimited by one rule.
 #pragma once
 
 #include <atomic>
@@ -46,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
@@ -353,6 +359,81 @@ class HttpError : public std::runtime_error {
   Kind kind_;
 };
 
+/// Incremental HTTP/1.1 response decoder. Append received bytes to
+/// buffer() (net::Socket::read_some's target), then call next() until it
+/// returns kNeedMore. Framing is strict: a status line "HTTP/1.x NNN",
+/// header fields parsed as requests' are (two different Content-Length
+/// values refused), and a body delimited by exactly one of a digits-only
+/// Content-Length or `Transfer-Encoding: chunked` — hex chunk sizes with an
+/// optional `;extension`, chunk data closed by CRLF, no trailers. Answers
+/// to HEAD and 1xx, 204 and 304 responses have no body; any other response
+/// without a length is refused. The header block is capped at 1 MiB and
+/// each body or chunk at 64 MiB; a stream's total length is unbounded.
+class ResponseDecoder {
+ public:
+  enum class Event {
+    kHead,      // status() and headers() describe the new response
+    kData,      // take_data(): a whole Content-Length body, or one chunk
+    kDone,      // the response ended; leftover bytes start the next one
+    kBad,       // framing error, error() says why; sticky until reset()
+    kNeedMore,  // append more bytes to buffer()
+  };
+
+  std::string& buffer() noexcept { return buffer_; }
+  Event next();
+  int status() const noexcept { return status_; }
+  /// Lower-cased names; valid from kHead until the next response's kHead.
+  const std::map<std::string, std::string>& headers() const noexcept {
+    return headers_;
+  }
+  std::string take_data() { return std::move(data_); }
+  const std::string& error() const noexcept { return error_; }
+  /// False when the response carries `Connection: close`.
+  bool keep_alive() const;
+  /// The next response answers a HEAD request, so it carries no body.
+  void expect_head() noexcept { head_request_ = true; }
+  /// Drop every buffered byte and all state: a new connection.
+  void reset() { *this = ResponseDecoder(); }
+
+ private:
+  enum class State { kHead, kBody, kChunkSize, kChunkData, kEnd, kBad };
+  Event parse_head(std::string_view head);
+  Event fail(const char* why);
+
+  std::string buffer_;
+  std::size_t pos_ = 0;  // first byte of buffer_ not yet decoded
+  State state_ = State::kHead;
+  bool head_request_ = false;
+  int status_ = 0;
+  std::map<std::string, std::string> headers_;
+  std::size_t left_ = 0;  // length of the pending body or chunk
+  std::string data_;
+  std::string error_;
+};
+
+/// Splits the de-chunked payload of an event stream into Server-Sent
+/// Events: the text before each blank line. Its `id: ` and `data: ` lines
+/// are kept (the last data line wins); a line starting with ':' marks a
+/// comment, such as the server's keepalive. An unterminated event longer
+/// than 64 MiB is refused.
+class SseSplitter {
+ public:
+  struct Event {
+    std::string id;
+    std::string data;
+    bool comment = false;
+  };
+  enum class Result { kEvent, kNeedMore, kBad };
+
+  void feed(std::string payload);
+  Result next(Event& out);
+  void reset() { *this = SseSplitter(); }
+
+ private:
+  std::string buffer_;
+  std::size_t pos_ = 0;  // first byte of buffer_ not yet split off
+};
+
 /// Blocking HTTP/1.1 client. Keeps its connection alive across requests
 /// (reconnecting transparently when the server closed it), so a long-poll
 /// loop costs one TCP connection total instead of one per poll.
@@ -370,8 +451,8 @@ class HttpClient {
     std::string body;
   };
 
-  /// Throws HttpError (an std::runtime_error) on connect/IO failure or
-  /// timeout; kind() says which phase failed.
+  /// Throws HttpError (an std::runtime_error) on connect/IO failure,
+  /// timeout or a malformed response; kind() says which phase failed.
   Response get(const std::string& path_and_query, double timeout_s = 30.0);
   Response post(const std::string& path, const std::string& body,
                 const std::string& content_type = "application/json",
@@ -399,7 +480,7 @@ class HttpClient {
   void close();
   int reconnects() const noexcept { return reconnects_; }
 
-  /// Raw request exchange; get()/post() are the usual entry points.
+  /// Raw request exchange (a text starting with "HEAD " expects no body).
   Response exchange(const std::string& request_text, double timeout_s,
                     bool retry_on_stale);
 
@@ -408,22 +489,17 @@ class HttpClient {
 
   int port_ = 0;
   int fd_ = -1;
-  int reconnects_ = -1;  // first connect is not a reconnect
-  std::string buffer_;   // bytes read past the previous response
+  int reconnects_ = -1;      // first connect is not a reconnect
+  ResponseDecoder decoder_;  // holds bytes read past the previous response
 };
 
 /// One-shot helpers (Connection: close) for tests and simple tooling.
-struct HttpClientResponse {
-  int status = 0;
-  std::map<std::string, std::string> headers;
-  std::string body;
-};
-HttpClientResponse http_get(int port, const std::string& path_and_query,
-                            double timeout_s = 10.0);
-HttpClientResponse http_post(int port, const std::string& path,
-                             const std::string& body,
-                             const std::string& content_type = "application/json",
-                             double timeout_s = 10.0);
+HttpClient::Response http_get(int port, const std::string& path_and_query,
+                              double timeout_s = 10.0);
+HttpClient::Response http_post(
+    int port, const std::string& path, const std::string& body,
+    const std::string& content_type = "application/json",
+    double timeout_s = 10.0);
 
 std::string url_decode(const std::string& text);
 

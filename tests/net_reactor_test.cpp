@@ -18,13 +18,10 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +29,7 @@
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "net/timer_wheel.hpp"
+#include "response_reader.hpp"
 #include "web/http.hpp"
 #include "web/hub.hpp"
 
@@ -63,55 +61,8 @@ int raw_connect(int port, int rcvbuf = 0, double recv_timeout_s = 5.0) {
   return fd;
 }
 
-struct RawResponse {
-  int status = 0;
-  std::map<std::string, std::string> headers;
-  std::string body;
-};
-
-/// Read one complete HTTP response off a blocking fd; `carry` holds bytes
-/// already read past previous responses (pipelining).
-bool read_response(int fd, std::string& carry, RawResponse& out) {
-  char chunk[16384];
-  std::size_t header_end;
-  while ((header_end = carry.find("\r\n\r\n")) == std::string::npos) {
-    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (got <= 0) return false;
-    carry.append(chunk, static_cast<std::size_t>(got));
-  }
-  {
-    std::istringstream lines(carry.substr(0, header_end));
-    std::string line;
-    std::getline(lines, line);
-    std::istringstream status_line(line);
-    std::string version;
-    status_line >> version >> out.status;
-    while (std::getline(lines, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      const auto colon = line.find(':');
-      if (colon == std::string::npos) continue;
-      std::string key = line.substr(0, colon);
-      for (char& c : key) c = static_cast<char>(::tolower(c));
-      std::string value = line.substr(colon + 1);
-      while (!value.empty() && value.front() == ' ') value.erase(0, 1);
-      out.headers[key] = value;
-    }
-  }
-  carry.erase(0, header_end + 4);
-  std::size_t content_length = 0;
-  if (out.headers.count("content-length")) {
-    content_length = static_cast<std::size_t>(
-        std::stoull(out.headers.at("content-length")));
-  }
-  while (carry.size() < content_length) {
-    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (got <= 0) return false;
-    carry.append(chunk, static_cast<std::size_t>(got));
-  }
-  out.body = carry.substr(0, content_length);
-  carry.erase(0, content_length);
-  return true;
-}
+using RawResponse = w::HttpClient::Response;
+using ricsa_test::read_response;
 
 bool send_all(int fd, const std::string& text) {
   return w::detail::write_all(fd, text.data(), text.size());

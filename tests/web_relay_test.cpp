@@ -3,8 +3,8 @@
 // continuity, the never-decodes counters), contract parity between the
 // origin and a relay, resync through an upstream restart, serving-side
 // escalation latching, topology guards (cycle and depth-cap aborts), the
-// long-poll transport fallback, and the hardened HttpClient retry
-// schedule.
+// long-poll transport fallback, connection and framing faults from a
+// scripted upstream, and the hardened HttpClient retry schedule.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -24,7 +24,10 @@
 #include "net/socket.hpp"
 #include "relay/relay.hpp"
 #include "relay/subscriber.hpp"
+#include "scripted_server.hpp"
+#include "time_scale.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 #include "viz/image.hpp"
 #include "web/frontend.hpp"
 #include "web/http.hpp"
@@ -537,6 +540,141 @@ TEST(RelayNode, DepthCapAbortsTheSubscription) {
   tier2.stop();
   tier1.stop();
   origin.stop();
+}
+
+// ------------------------------------- faults from a scripted upstream ----
+
+namespace {
+
+using Reply = ricsa_test::ScriptedServer::Reply;
+using After = ricsa_test::ScriptedServer::After;
+
+const std::string kStreamHead =
+    "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
+    "Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
+
+/// One full frame as an SSE event: what /api/stream sends after full=1.
+std::string frame_event(std::uint64_t seq) {
+  const std::string id = std::to_string(seq);
+  return "id: " + id + "\ndata: {\"delta\":false,\"seq\":" + id +
+         ",\"state\":{}}\n\n";
+}
+
+std::string chunk_size(std::size_t bytes) {
+  return ricsa::util::strprintf("%zx", bytes);
+}
+
+Reply state_reply(std::uint64_t seq) {
+  const std::string body = "{\"seq\":" + std::to_string(seq) + "}";
+  return {"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+          "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n" +
+          body};
+}
+
+/// A well-framed stream that forwards one frame, then stays open.
+Reply stream_reply(std::uint64_t seq) {
+  std::string bytes = kStreamHead;
+  w::detail::append_chunk(bytes, frame_event(seq));
+  return {bytes};
+}
+
+r::SubscriberViewStats relay_stats(r::RelayNode& relay) {
+  return relay.subscriber().stats().at(0).second;
+}
+
+template <typename Pred>
+bool wait_until(Pred pred, int native_ms) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + ricsa_test::scaled_ms(native_ms);
+  while (!pred() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return pred();
+}
+
+/// A relay joined to a scripted upstream that answers `route` with
+/// `broken` until the relay has reconnected, and well-framed answers from
+/// then on: the broken answer forwards nothing and costs a reconnect
+/// within 1 s, and the next good frame is forwarded.
+void expect_refused_then_recovered(const std::string& route, Reply broken) {
+  std::atomic<bool> good{false};
+  ricsa_test::ScriptedServer upstream([&](const w::HttpRequest& request) {
+    if (!good.load() && request.path == route) return broken;
+    return request.path == "/api/state" ? state_reply(5) : stream_reply(6);
+  });
+  r::RelayNode relay(small_relay(upstream.port()));
+  relay.start();
+  EXPECT_TRUE(wait_until([&] { return relay_stats(relay).reconnects > 0; },
+                         1000));
+  EXPECT_EQ(relay_stats(relay).frames, 0u);
+  good.store(true);
+  EXPECT_TRUE(
+      wait_until([&] { return relay_stats(relay).frames > 0; }, 3000));
+  EXPECT_EQ(relay.registry().find("main")->seq(), relay_stats(relay).frames);
+  relay.stop();
+}
+
+}  // namespace
+
+TEST(RelayNode, LastUpstreamSeqNamesTheFrameJustForwarded) {
+  // Join at seq 5, then one full event with seq 6: the subscriber block
+  // of /api/stats must name upstream frame 6, not the cursor before it.
+  ricsa_test::ScriptedServer upstream([](const w::HttpRequest& request) {
+    return request.path == "/api/state" ? state_reply(5) : stream_reply(6);
+  });
+  r::RelayNode relay(small_relay(upstream.port()));
+  relay.start();
+  ASSERT_TRUE(wait_until([&] { return relay_stats(relay).frames > 0; }, 3000));
+  const r::SubscriberViewStats stats = relay_stats(relay);
+  EXPECT_EQ(stats.frames, 1u);
+  EXPECT_EQ(stats.last_upstream_seq, 6u);
+  EXPECT_EQ(stats.last_local_seq, relay.registry().find("main")->seq());
+  relay.stop();
+}
+
+TEST(RelayNode, NegativeChunkSizeIsRefusedAndReconnects) {
+  expect_refused_then_recovered(
+      "/api/stream", {kStreamHead + "-1\r\n" + frame_event(6) + "\r\n"});
+}
+
+TEST(RelayNode, ChunkDataWithoutCrlfIsRefusedAndReconnects) {
+  const std::string event = frame_event(6);
+  expect_refused_then_recovered(
+      "/api/stream",
+      {kStreamHead + chunk_size(event.size()) + "\r\n" + event + "XY"});
+}
+
+TEST(RelayNode, JunkAfterChunkSizeIsRefusedAndReconnects) {
+  const std::string event = frame_event(6);
+  expect_refused_then_recovered(
+      "/api/stream",
+      {kStreamHead + chunk_size(event.size()) + "zz\r\n" + event + "\r\n"});
+}
+
+TEST(RelayNode, NegativeContentLengthOnJoinIsRefusedAndReconnects) {
+  expect_refused_then_recovered(
+      "/api/state",
+      {"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n{\"seq\":5}"});
+}
+
+TEST(RelayNode, ConflictingContentLengthsOnJoinAreRefused) {
+  expect_refused_then_recovered(
+      "/api/state", {"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n"
+                     "Content-Length: 90\r\n\r\n{\"seq\":5}"});
+}
+
+TEST(RelayNode, UnterminatedHeaderBlockOverOneMebibyteIsRefused) {
+  expect_refused_then_recovered(
+      "/api/state",
+      {"HTTP/1.1 200 OK\r\nX-Pad: " + std::string((1u << 20) + 4096, 'p')});
+}
+
+TEST(RelayNode, ResetHalfwayThroughAnEventReconnects) {
+  const std::string event = frame_event(6);
+  expect_refused_then_recovered(
+      "/api/stream", {kStreamHead + chunk_size(event.size()) + "\r\n" +
+                          event.substr(0, event.size() / 2),
+                      After::kReset});
 }
 
 // ----------------------------------------------- HttpClient hardening ----

@@ -1,8 +1,9 @@
 // Chunked-transfer streaming and the /api/stream SSE push transport:
 //  * chunk-encoder framing (hex size lines, CRLF placement, the dropped
 //    empty payload, the exact "0\r\n\r\n" terminator)
-//  * decoder-side seam independence: the encoded wire split at every
-//    possible byte boundary still reassembles
+//  * decoder-side seam independence: a keep-alive wire of responses and an
+//    event stream, split at every possible byte boundary, decodes to the
+//    same events
 //  * a multi-megabyte chunk against a tiny receive buffer: the server's
 //    partial-write EPOLLOUT resume delivers every byte, then the terminal
 //    chunk, then EOF
@@ -26,8 +27,10 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "response_reader.hpp"
 #include "time_scale.hpp"
 
 #include "util/json.hpp"
@@ -88,98 +91,23 @@ void set_recv_timeout(int fd, double seconds) {
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
-/// Incremental HTTP/1.1 chunked-transfer decoder. Feed arbitrary slices;
-/// `payload` accumulates de-chunked bytes, `terminated` flips on the
-/// zero-length final chunk.
-struct ChunkDecoder {
-  std::string raw;
-  std::string payload;
-  bool terminated = false;
-  bool error = false;
-
-  void feed(const char* data, std::size_t n) {
-    raw.append(data, n);
-    parse();
-  }
-
-  void parse() {
-    while (!terminated && !error) {
-      const auto line_end = raw.find("\r\n");
-      if (line_end == std::string::npos) return;
-      std::size_t size = 0;
-      try {
-        size = static_cast<std::size_t>(
-            std::stoull(raw.substr(0, line_end), nullptr, 16));
-      } catch (const std::exception&) {
-        error = true;
-        return;
-      }
-      // size line + payload + trailing CRLF must be complete.
-      if (raw.size() < line_end + 2 + size + 2) return;
-      if (raw.compare(line_end + 2 + size, 2, "\r\n") != 0) {
-        error = true;
-        return;
-      }
-      if (size == 0) {
-        terminated = true;
-      } else {
-        payload.append(raw, line_end + 2, size);
-      }
-      raw.erase(0, line_end + 2 + size + 2);
-    }
-  }
-};
-
 /// One SSE event as parsed off the wire.
 struct SseEvent {
   std::uint64_t id = 0;
   std::string data;
 };
 
-/// Splits a de-chunked SSE payload into events (blank-line separated);
-/// keepalive comment lines (": ...") yield no event but are counted.
-struct SseParser {
-  std::string buf;
-  std::vector<SseEvent> events;
-  int keepalives = 0;
-
-  void feed(const std::string& payload) {
-    buf += payload;
-    std::size_t pos;
-    while ((pos = buf.find("\n\n")) != std::string::npos) {
-      const std::string block = buf.substr(0, pos);
-      buf.erase(0, pos + 2);
-      SseEvent ev;
-      bool has_data = false;
-      std::size_t start = 0;
-      while (start <= block.size()) {
-        const auto nl = block.find('\n', start);
-        const std::string line = block.substr(
-            start, nl == std::string::npos ? std::string::npos : nl - start);
-        if (line.rfind("id: ", 0) == 0) {
-          ev.id = std::stoull(line.substr(4));
-        } else if (line.rfind("data: ", 0) == 0) {
-          ev.data = line.substr(6);
-          has_data = true;
-        } else if (!line.empty() && line[0] == ':') {
-          ++keepalives;
-        }
-        if (nl == std::string::npos) break;
-        start = nl + 1;
-      }
-      if (has_data) events.push_back(std::move(ev));
-    }
-  }
-};
-
-/// A raw-socket SSE subscriber: sends the request, then reads and decodes
-/// the chunked event stream until the deadline (or EOF). HttpClient cannot
-/// be used — it has no chunked-transfer support, by design.
+/// A raw-socket SSE subscriber: sends the request, then reads the chunked
+/// event stream through the shared decoders until the deadline (or EOF).
+/// Events with a data line are kept; keepalive comments are counted.
 struct SseClient {
   int fd = -1;
-  std::string headers;
-  ChunkDecoder decoder;
-  SseParser sse;
+  ricsa_test::ResponseReader reader;
+  w::SseSplitter splitter;
+  struct {
+    std::vector<SseEvent> events;
+    int keepalives = 0;
+  } sse;
   bool eof = false;
 
   bool open(int port, const std::string& path_and_query, int rcvbuf = 0) {
@@ -202,21 +130,14 @@ struct SseClient {
     }
     if (got < 0) return errno == EAGAIN || errno == EWOULDBLOCK ||
                         errno == EINTR;
-    std::size_t off = 0;
-    if (headers.find("\r\n\r\n") == std::string::npos) {
-      headers.append(chunk, static_cast<std::size_t>(got));
-      const auto end = headers.find("\r\n\r\n");
-      if (end == std::string::npos) return true;
-      const std::string rest = headers.substr(end + 4);
-      headers.resize(end + 4);
-      if (!rest.empty()) decoder.feed(rest.data(), rest.size());
-      off = static_cast<std::size_t>(got);  // already consumed via headers
+    reader.feed(chunk, static_cast<std::size_t>(got));
+    splitter.feed(std::exchange(reader.response.body, std::string()));
+    for (w::SseSplitter::Event ev;
+         splitter.next(ev) == w::SseSplitter::Result::kEvent;) {
+      if (ev.comment) ++sse.keepalives;
+      if (ev.data.empty()) continue;
+      sse.events.push_back({ev.id.empty() ? 0 : std::stoull(ev.id), ev.data});
     }
-    if (off == 0) decoder.feed(chunk, static_cast<std::size_t>(got));
-    const std::size_t before = sse.events.size();
-    sse.feed(decoder.payload.substr(sse_consumed));
-    sse_consumed = decoder.payload.size();
-    (void)before;
     return true;
   }
 
@@ -234,9 +155,6 @@ struct SseClient {
   ~SseClient() {
     if (fd >= 0) ::close(fd);
   }
-
- private:
-  std::size_t sse_consumed = 0;
 };
 
 std::string read_to_eof(int fd, double timeout_s = 5.0) {
@@ -291,25 +209,47 @@ TEST(ChunkEncoding, EmptyPayloadDroppedAndTerminatorExact) {
 }
 
 TEST(ChunkEncoding, DecoderReassemblesAcrossEveryByteSeam) {
-  // Encode a small stream, then re-feed it split at every byte boundary:
-  // framing must never depend on chunk boundaries aligning with reads —
-  // exactly the situation after a partial write resumes on EPOLLOUT.
-  std::string wire;
+  // A keep-alive connection's worth of responses — a Content-Length
+  // answer, a pipelined 503 with Retry-After, then a chunked event stream
+  // carrying an event, a keepalive comment and the terminator — re-fed
+  // split at every byte boundary: framing must never depend on chunk
+  // boundaries aligning with reads, exactly the situation after a partial
+  // write resumes on EPOLLOUT.
+  const std::string event_data =
+      "{\"seq\":1,\"pad\":\"" + std::string(300, 'q') + "\"}";
   const std::vector<std::string> payloads = {
-      "id: 1\ndata: {\"seq\":1}\n\n", std::string(300, 'q'), ": keepalive\n\n"};
+      "id: 1\ndata: " + event_data + "\n\n", ": keepalive\n\n"};
+  std::string stream =
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+      "Content-Type: text/event-stream\r\n\r\n";
   std::string want;
   for (const auto& p : payloads) {
-    w::detail::append_chunk(wire, p);
+    w::detail::append_chunk(stream, p);
     want += p;
   }
-  w::detail::append_last_chunk(wire);
+  w::detail::append_last_chunk(stream);
+  const std::string wire =
+      "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
+      "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\n"
+      "Content-Length: 4\r\n\r\nbusy" +
+      stream;
+  const std::string whole = ricsa_test::decode_trace(wire);
+  EXPECT_EQ(whole,
+            "head 200\ndata hello\ndone\n"
+            "head 503 retry-after=1\ndata busy\ndone\n"
+            "head 200\nevent id=1 data=" + event_data +
+                "\nevent id= data= comment\ndone\n");
   for (std::size_t split = 1; split < wire.size(); ++split) {
-    ChunkDecoder decoder;
-    decoder.feed(wire.data(), split);
-    decoder.feed(wire.data() + split, wire.size() - split);
+    ASSERT_EQ(ricsa_test::decode_trace(wire, {split}), whole)
+        << "split at " << split;
+  }
+  for (std::size_t split = 1; split < stream.size(); ++split) {
+    ricsa_test::ResponseReader decoder;
+    decoder.feed(stream.data(), split);
+    decoder.feed(stream.data() + split, stream.size() - split);
     ASSERT_FALSE(decoder.error) << "split at " << split;
     EXPECT_TRUE(decoder.terminated) << "split at " << split;
-    EXPECT_EQ(decoder.payload, want) << "split at " << split;
+    EXPECT_EQ(decoder.response.body, want) << "split at " << split;
   }
 }
 
@@ -357,12 +297,12 @@ TEST(HttpStream, MultiMegabyteChunkResumesAcrossPartialWrites) {
   EXPECT_NE(head.find("Transfer-Encoding: chunked"), std::string::npos);
   EXPECT_NE(head.find("Connection: close"), std::string::npos);
   EXPECT_EQ(head.find("Content-Length"), std::string::npos);
-  ChunkDecoder decoder;
-  decoder.feed(wire.data() + header_end + 4, wire.size() - header_end - 4);
+  ricsa_test::ResponseReader decoder;
+  decoder.feed(wire.data(), wire.size());
   EXPECT_FALSE(decoder.error);
   EXPECT_TRUE(decoder.terminated);
-  EXPECT_EQ(decoder.payload.size(), big.size());
-  EXPECT_EQ(decoder.payload, big);
+  EXPECT_EQ(decoder.response.body.size(), big.size());
+  EXPECT_EQ(decoder.response.body, big);
   server.stop();
 }
 
@@ -445,10 +385,10 @@ TEST(HttpStream, PipelinedBytesBehindStreamAreDiscarded) {
   EXPECT_EQ(wire.find("plain"), std::string::npos);
   const auto header_end = wire.find("\r\n\r\n");
   ASSERT_NE(header_end, std::string::npos);
-  ChunkDecoder decoder;
-  decoder.feed(wire.data() + header_end + 4, wire.size() - header_end - 4);
+  ricsa_test::ResponseReader decoder;
+  decoder.feed(wire.data(), wire.size());
   EXPECT_TRUE(decoder.terminated);
-  EXPECT_EQ(decoder.payload, "data: one\n\ndata: two\n\n");
+  EXPECT_EQ(decoder.response.body, "data: one\n\ndata: two\n\n");
   EXPECT_EQ(server.requests_served(), 1u);
   server.stop();
 }
@@ -487,10 +427,13 @@ TEST(SseStream, BadParametersRejectedBeforeConverting) {
     ASSERT_TRUE(w::detail::write_all(fd, request.data(), request.size()));
     const std::string wire = read_to_eof(fd, 2.0);
     ::close(fd);
-    const int status = std::stoi(wire.substr(9, 3));
+    ricsa_test::ResponseReader reader;
+    reader.feed(wire.data(), wire.size());
+    const int status = reader.response.status;
     EXPECT_TRUE(status == 400 || status == 404) << query << " -> " << wire;
     // Error replies are still well-formed terminated streams.
     EXPECT_NE(wire.find("0\r\n\r\n"), std::string::npos) << query;
+    EXPECT_TRUE(reader.terminated) << query;
   }
   fe.stop();
 }
@@ -758,8 +701,8 @@ TEST(SseStream, RegistryShutdownEndsStreamCleanly) {
     c.pump();
   }
   EXPECT_TRUE(c.eof);
-  EXPECT_TRUE(c.decoder.terminated);
-  EXPECT_FALSE(c.decoder.error);
+  EXPECT_TRUE(c.reader.terminated);
+  EXPECT_FALSE(c.reader.error);
   fe.stop();
 }
 
@@ -838,5 +781,5 @@ TEST(SseStream, StopDuringActiveStreamWithInFlightChunksIsClean) {
     c.pump();
   }
   EXPECT_TRUE(c.eof);
-  EXPECT_FALSE(c.decoder.error);
+  EXPECT_FALSE(c.reader.error);
 }

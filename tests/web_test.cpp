@@ -1,6 +1,8 @@
-// Web layer tests: HTTP server/client mechanics, routing, and the Ajax front
-// end driven by an emulated browser (long-poll partial updates, steering
-// POSTs, multi-client access).
+// Web layer tests: HTTP server/client mechanics, routing, the request
+// parser and the response decoder under seeded mutations, HttpClient
+// against finite chunked, pipelined, HEAD and malformed answers, and the
+// Ajax front end driven by an emulated browser (long-poll partial updates,
+// steering POSTs, multi-client access).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -8,10 +10,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 
 #include "mutation.hpp"
+#include "response_reader.hpp"
+#include "scripted_server.hpp"
 #include "util/base64.hpp"
 #include "util/json.hpp"
 #include "web/frontend.hpp"
@@ -130,8 +135,8 @@ TEST(Http, HeadReturnsHeadersWithoutBody) {
   });
   const int port = server.start();
   // HEAD falls back to the GET route: same status and Content-Length, no
-  // body bytes. Raw socket because a body-aware client would block waiting
-  // for the advertised-but-absent payload.
+  // body bytes. Raw socket: the assertions are on the wire bytes the server
+  // wrote, not on a decoder's reading of them.
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
@@ -258,6 +263,162 @@ TEST(Http, SeededRequestMutationsAreAcceptedOrRejected) {
     }
   }
   EXPECT_GT(ok, 100);
+}
+
+TEST(Http, SeededResponseMutationsDecodeTheSameAtAnySlicing) {
+  // Every reader of responses (HttpClient, the relay subscriber, the bench
+  // fleet) goes through ResponseDecoder and SseSplitter. Each mutated wire
+  // must end in kNeedMore, kDone or kBad without crashing; kBad must be
+  // sticky and no data event may pass the body bound (both checked inside
+  // decode_trace); and three random slices must give the same events and
+  // the same verdict as one read.
+  std::string stream =
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+      "Content-Type: text/event-stream\r\n\r\n";
+  w::detail::append_chunk(stream, "id: 7\ndata: {\"seq\":7}\n\n");
+  w::detail::append_chunk(stream, ": keepalive\n\n");
+  w::detail::append_last_chunk(stream);
+  const std::vector<std::string> corpus = {
+      "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
+      "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\n"
+      "Content-Length: 4\r\n\r\nbusy" + stream,
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+      "5;x=1\r\nhello\r\n0\r\n\r\n"
+      "HTTP/1.1 204 No Content\r\n\r\n"
+      "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+  };
+  const std::vector<std::string> tokens = {
+      "Content-Length: -1\r\n", "Content-Length: 99999999999999\r\n",
+      "Content-Length: 5\r\nContent-Length: 6\r\n",
+      "Transfer-Encoding: chunked\r\n", "Transfer-Encoding: gzip\r\n",
+      "-1\r\n", std::string(17, 'f'), "5;x=1\r\n", "0\r\n\r\n", "\r\n",
+      "\n\n", "data: ", ": ", std::string(1, '\0')};
+  // The refusals the dictionary aims at, one by one.
+  for (const std::string& bad : std::vector<std::string>{
+           "HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+        "HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\n",
+        "HTTP/1.1 200 OK\r\nContent-Length: 99999999999999\r\n\r\n",
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n",
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+        "Content-Length: 5\r\n\r\n",
+        "HTTP/1.1 200 OK\r\n\r\n", "HTTP/1.1 2000 OK\r\n\r\n",
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-1\r\n",
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5zz\r\n",
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" +
+            std::string(17, 'f') + "\r\n",
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        "5\r\nhelloXY",
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        "0\r\nX-Trailer: 1\r\n\r\n"}) {
+    EXPECT_NE(ricsa_test::decode_trace(bad).find("bad: "), std::string::npos)
+        << bad;
+  }
+
+  ricsa::util::Xoshiro256 rng(0x52455350);
+  int refused = 0;
+  int complete = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string wire = ricsa_test::mutate(
+        corpus[static_cast<std::size_t>(i) % corpus.size()], rng, tokens);
+    const std::string whole = ricsa_test::decode_trace(wire);
+    std::vector<std::size_t> cuts = {
+        static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(wire.size()))),
+        static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(wire.size())))};
+    std::sort(cuts.begin(), cuts.end());
+    ASSERT_EQ(ricsa_test::decode_trace(wire, cuts), whole)
+        << "case " << i << " cut at " << cuts[0] << "," << cuts[1];
+    if (whole.find("bad") != std::string::npos) {
+      ++refused;
+    } else if (whole.find("done") != std::string::npos) {
+      ++complete;
+    }
+  }
+  EXPECT_GT(refused, 100);
+  EXPECT_GT(complete, 100);
+}
+
+// ----------------------------------------------------------- HttpClient ----
+
+namespace {
+
+using Reply = ricsa_test::ScriptedServer::Reply;
+
+std::string ok_response(const std::string& body) {
+  return "HTTP/1.1 200 OK\r\nContent-Length: " + std::to_string(body.size()) +
+         "\r\n\r\n" + body;
+}
+
+}  // namespace
+
+TEST(HttpClient, FiniteChunkedRouteReturnsItsPayload) {
+  w::HttpServer server;
+  server.route_stream(
+      "GET", "/finite", [](const w::HttpRequest&, w::HttpServer::StreamSink sink) {
+        sink.begin({{"Content-Type", "text/plain"}});
+        if (sink.head_only()) return;
+        sink.chunk("hello");
+        sink.end();
+      });
+  const int port = server.start();
+  w::HttpClient client(port);
+  const auto response = client.get("/finite", 5.0);
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.headers.at("transfer-encoding"), "chunked");
+  EXPECT_EQ(response.body, "hello");
+  server.stop();
+}
+
+TEST(HttpClient, TwoResponsesInOneReadAreTwoExchanges) {
+  // Both answers leave in one write, in reply to the first request; the
+  // second exchange must find its response already buffered.
+  ricsa_test::ScriptedServer server([](const w::HttpRequest& request) {
+    return request.path == "/both"
+               ? Reply{ok_response("first") + ok_response("second")}
+               : Reply{};
+  });
+  w::HttpClient client(server.port());
+  EXPECT_EQ(client.get("/both", 5.0).body, "first");
+  EXPECT_EQ(client.get("/next", 5.0).body, "second");
+  EXPECT_EQ(client.reconnects(), 0);
+}
+
+TEST(HttpClient, HeadExchangeReturnsHeadersWithoutWaitingForTheBody) {
+  w::HttpServer server;
+  server.route("GET", "/hello", [](const w::HttpRequest&) {
+    return w::HttpResponse::text("hi");
+  });
+  const int port = server.start();
+  w::HttpClient client(port);
+  // A reader that waited for the advertised two bytes would time out.
+  const auto head =
+      client.exchange("HEAD /hello HTTP/1.1\r\nHost: x\r\n\r\n", 2.0, false);
+  EXPECT_EQ(head.status, 200);
+  EXPECT_EQ(head.headers.at("content-length"), "2");
+  EXPECT_TRUE(head.body.empty());
+  // The kept-alive connection still frames the next response correctly.
+  EXPECT_EQ(client.get("/hello", 2.0).body, "hi");
+  EXPECT_EQ(client.reconnects(), 0);
+  server.stop();
+}
+
+TEST(HttpClient, MalformedContentLengthIsAProtocolError) {
+  for (const std::string length :
+       {"Content-Length: 20junk\r\n", "Content-Length: -1\r\n",
+        "Content-Length: 20\r\nContent-Length: 21\r\n"}) {
+    ricsa_test::ScriptedServer server([&length](const w::HttpRequest&) {
+      return Reply{"HTTP/1.1 200 OK\r\n" + length + "\r\n" +
+                   std::string(20, 'x')};
+    });
+    w::HttpClient client(server.port());
+    try {
+      client.get("/", 2.0);
+      ADD_FAILURE() << "expected HttpError for " << length;
+    } catch (const w::HttpError& e) {
+      EXPECT_EQ(e.kind(), w::HttpError::Kind::kProtocol) << length;
+    }
+  }
 }
 
 // --------------------------------------------------------- AjaxFrontEnd ----
