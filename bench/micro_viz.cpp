@@ -13,9 +13,9 @@
 //
 // PNG encoding of the steering benchmark's rendered frame, with the filter
 // and deflate stages timed apart, of the dirty rects its delta bodies
-// carry, and of stored-fallback noise:
+// carry, of stored-fallback noise, and of one view-frame's publish:
 //
-//   ./build/bench/micro_viz --benchmark_filter='PngEncode|Deflate'
+//   ./build/bench/micro_viz --benchmark_filter='PngEncode|Deflate|PublishEncodes'
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -198,28 +198,14 @@ steering::SessionConfig origin_config() {
   return config;
 }
 
-/// The origin's main view, 40 frames in.
-const viz::Image& origin_frame() {
-  static const viz::Image frame = [] {
-    steering::SteeringSession session(origin_config());
-    viz::Image image;
-    for (int f = 0; f < 40; ++f) image = session.next_frame().image;
-    return image;
-  }();
-  return frame;
-}
-
-/// What the origin's delta bodies carry over those 40 frames: for both of
-/// its views (the main view and the isosurface view from a second camera),
-/// each frame diffed against the one before on 24 px tiles, the dirty tiles
-/// coalesced into rects, and each rect cut out, as the hub encodes them.
-struct OriginRects {
-  std::vector<viz::Image> rects;
-  int frames = 0;  // view-frames diffed against a predecessor
+/// The origin's two views over its first 40 frames: the main view, and the
+/// isosurface view from a second camera.
+struct OriginViews {
+  std::vector<viz::Image> frames[2];  // [0] main, [1] isosurface
 };
 
-const OriginRects& origin_rects() {
-  static const OriginRects set = [] {
+const OriginViews& origin_views() {
+  static const OriginViews views = [] {
     const steering::SessionConfig config = origin_config();
     cost::VizRequest iso = config.viz;
     iso.technique = cost::VizRequest::Technique::kIsosurface;
@@ -228,23 +214,47 @@ const OriginRects& origin_rects() {
     iso_camera.azimuth = 2.2f;
     iso_camera.elevation = 0.5f;
     steering::SteeringSession session(config);
-    OriginRects out;
-    viz::Image prev[2];
+    OriginViews out;
     for (int f = 0; f < 40; ++f) {
-      const viz::Image views[2] = {session.next_frame().image,
-                                   session.render_view(iso, iso_camera)->image};
-      for (int v = 0; v < 2; ++v) {
-        const viz::Image& image = views[v];
-        if (prev[v].width() == image.width() &&
-            prev[v].height() == image.height()) {
-          const viz::TileGrid grid(image.width(), image.height(), 24);
-          for (const viz::TileRect& rect :
-               grid.coalesce(grid.diff(prev[v], image))) {
-            out.rects.push_back(viz::TileGrid::extract(image, rect));
-          }
-          ++out.frames;
+      out.frames[0].push_back(session.next_frame().image);
+      out.frames[1].push_back(session.render_view(iso, iso_camera)->image);
+    }
+    return out;
+  }();
+  return views;
+}
+
+/// The origin's main view, 40 frames in.
+const viz::Image& origin_frame() { return origin_views().frames[0].back(); }
+
+/// The dirty rects of `image` against `prev` on the hub's 24 px tiles,
+/// coalesced and cut out, as the hub encodes them.
+std::vector<viz::Image> dirty_rects(const viz::Image& prev,
+                                    const viz::Image& image) {
+  const viz::TileGrid grid(image.width(), image.height(), 24);
+  std::vector<viz::Image> rects;
+  for (const viz::TileRect& rect : grid.coalesce(grid.diff(prev, image))) {
+    rects.push_back(viz::TileGrid::extract(image, rect));
+  }
+  return rects;
+}
+
+/// What the origin's delta bodies carry over those 40 frames: for both
+/// views, each frame diffed against the one before.
+struct OriginRects {
+  std::vector<viz::Image> rects;
+  int frames = 0;  // view-frames diffed against a predecessor
+};
+
+const OriginRects& origin_rects() {
+  static const OriginRects set = [] {
+    OriginRects out;
+    for (const std::vector<viz::Image>& frames : origin_views().frames) {
+      for (std::size_t f = 1; f < frames.size(); ++f) {
+        for (viz::Image& rect : dirty_rects(frames[f - 1], frames[f])) {
+          out.rects.push_back(std::move(rect));
         }
-        prev[v] = image;
+        ++out.frames;
       }
     }
     return out;
@@ -271,11 +281,14 @@ std::vector<std::uint8_t> png_scanlines(const std::vector<std::uint8_t>& png) {
 // bodies carry: `png_bytes_per_frame` is their PNG bytes per view-frame.
 // BM_PngEncodeNoise encodes uniform noise, where every block takes the
 // stored fallback (ratio ~1). `ratio` is raw RGBA bytes over PNG bytes.
+// Each takes the `pool` argument: 0 encodes serially, otherwise the
+// encoder's deflate strips run on a pool of that many threads.
 void BM_PngEncodeFrame(benchmark::State& state) {
   const viz::Image& img = origin_frame();
+  const auto pool = make_pool(state.range(0));
   std::size_t png_bytes = 0;
   for (auto _ : state) {
-    const auto png = img.encode_png();
+    const auto png = img.encode_png(pool.get());
     png_bytes = png.size();
     benchmark::DoNotOptimize(png.data());
   }
@@ -284,14 +297,18 @@ void BM_PngEncodeFrame(benchmark::State& state) {
   state.counters["ratio"] =
       static_cast<double>(img.bytes()) / static_cast<double>(png_bytes);
 }
-BENCHMARK(BM_PngEncodeFrame);
+BENCHMARK(BM_PngEncodeFrame)
+    ->ArgNames({"pool"})
+    ->ArgsProduct({kPoolSizes})
+    ->UseRealTime();
 
 void BM_DeflateFrame(benchmark::State& state) {
   const std::vector<std::uint8_t> scanlines =
       png_scanlines(origin_frame().encode_png());
+  const auto pool = make_pool(state.range(0));
   std::size_t deflated = 0;
   for (auto _ : state) {
-    const auto z = viz::deflate(scanlines);
+    const auto z = viz::deflate(scanlines, pool.get());
     deflated = z.size();
     benchmark::DoNotOptimize(z.data());
   }
@@ -300,17 +317,21 @@ void BM_DeflateFrame(benchmark::State& state) {
   state.counters["ratio"] = static_cast<double>(scanlines.size()) /
                             static_cast<double>(deflated);
 }
-BENCHMARK(BM_DeflateFrame);
+BENCHMARK(BM_DeflateFrame)
+    ->ArgNames({"pool"})
+    ->ArgsProduct({kPoolSizes})
+    ->UseRealTime();
 
 void BM_PngEncodeRects(benchmark::State& state) {
   const OriginRects& set = origin_rects();
+  const auto pool = make_pool(state.range(0));
   std::size_t raw_bytes = 0;
   for (const viz::Image& rect : set.rects) raw_bytes += rect.bytes();
   std::size_t png_bytes = 0;
   for (auto _ : state) {
     png_bytes = 0;
     for (const viz::Image& rect : set.rects) {
-      const auto png = rect.encode_png();
+      const auto png = rect.encode_png(pool.get());
       png_bytes += png.size();
       benchmark::DoNotOptimize(png.data());
     }
@@ -323,7 +344,45 @@ void BM_PngEncodeRects(benchmark::State& state) {
   state.counters["ratio"] =
       static_cast<double>(raw_bytes) / static_cast<double>(png_bytes);
 }
-BENCHMARK(BM_PngEncodeRects);
+BENCHMARK(BM_PngEncodeRects)
+    ->ArgNames({"pool"})
+    ->ArgsProduct({kPoolSizes})
+    ->UseRealTime();
+
+// BM_PublishEncodes: the encodes FrameHub::publish runs for one view-frame
+// (view 0 the main view, 1 the isosurface view), frames 31-40 in turn: the
+// full PNG and every coalesced 24 px dirty rect against the frame before,
+// each one task of one parallel_for on a host-sized pool, with the pool
+// lent to every encode. Its time is what a publish waits for its PNGs.
+void BM_PublishEncodes(benchmark::State& state) {
+  const std::vector<viz::Image>& frames =
+      origin_views().frames[static_cast<std::size_t>(state.range(0))];
+  std::vector<std::vector<viz::Image>> publishes;  // full frame, then rects
+  std::size_t encodes = 0;
+  for (std::size_t f = frames.size() - 10; f < frames.size(); ++f) {
+    std::vector<viz::Image> images = dirty_rects(frames[f - 1], frames[f]);
+    images.insert(images.begin(), frames[f]);
+    encodes += images.size();
+    publishes.push_back(std::move(images));
+  }
+  util::ThreadPool pool(static_cast<std::size_t>(kPoolSizes.back()));
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::vector<viz::Image>& images =
+        publishes[next++ % publishes.size()];
+    std::vector<std::vector<std::uint8_t>> pngs(images.size());
+    pool.parallel_for(0, images.size(), [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        pngs[i] = images[i].encode_png(&pool);
+      }
+    });
+    benchmark::DoNotOptimize(pngs.data());
+  }
+  state.counters["pngs_per_publish"] =
+      static_cast<double>(encodes) / static_cast<double>(publishes.size());
+  state.SetLabel(state.range(0) == 0 ? "main" : "iso");
+}
+BENCHMARK(BM_PublishEncodes)->ArgName("view")->DenseRange(0, 1)->UseRealTime();
 
 void BM_PngEncodeNoise(benchmark::State& state) {
   viz::Image img(256, 256);

@@ -453,7 +453,6 @@ void RelaySubscriber::handle_headers(Conn* c) {
 void RelaySubscriber::handle_response(Conn* c, std::string body) {
   const Conn::Pending pending = c->pending;
   c->pending = Conn::Pending::kNone;
-  c->failures = 0;
   c->last_activity = Clock::now();
   if (pending == Conn::Pending::kState) {
     // Join at the upstream head: ask for head-1 so the first subscribed
@@ -482,6 +481,10 @@ void RelaySubscriber::handle_response(Conn* c, std::string body) {
     begin_resync(c, /*teardown_connection=*/false);
     return;
   }
+  // A poll completed cleanly: the backoff starts over. A join alone never
+  // resets it, or an upstream that joins fine but breaks every stream
+  // would be re-joined at the initial delay forever.
+  c->failures = 0;
   if (!c->decoder.keep_alive()) {
     teardown(c);
     schedule_connect(c, 0.0);
@@ -502,7 +505,6 @@ void RelaySubscriber::consume_stream(Conn* c, std::string payload) {
     }
     c->last_activity = Clock::now();
     if (event.data.empty()) continue;  // ": keepalive" comment
-    c->failures = 0;
     if (!handle_body(c, std::move(event.data))) {
       // A stream cannot move its cursor mid-flight: resync by reconnect.
       begin_resync(c, /*teardown_connection=*/true);
@@ -552,6 +554,7 @@ bool RelaySubscriber::handle_body(Conn* c, std::string body) {
 
 void RelaySubscriber::publish_body(Conn* c, std::string body, bool is_full,
                                    bool has_base) {
+  c->failures = 0;  // a frame made it through: the backoff starts over
   // Rebase the body into the local seq space: downstream subscribers must
   // see a strictly increasing window regardless of upstream restarts.
   const std::uint64_t local = c->last_local + 1;

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
+
+#include "util/thread_pool.hpp"
 
 namespace ricsa::viz {
 
@@ -332,56 +336,59 @@ struct Token {
   std::uint16_t value = 0;
 };
 
-/// The tokens and the end-of-block code of a fixed or dynamic block,
-/// after its header.
-void emit_tokens(BitWriter& bw, const std::vector<Token>& tokens,
-                 const BlockCodes& codes) {
-  for (const Token& t : tokens) {
-    if (t.dist == 0) {
-      const BitCode& c = codes.literal[t.value];
-      bw.put(c.bits, static_cast<int>(c.count));
-      continue;
-    }
-    const BitCode& len = codes.length[t.value];
-    const int dc = dist_code(t.dist);
-    const BitCode& symbol = codes.dist_symbol[static_cast<std::size_t>(dc)];
-    const std::uint32_t dist =
-        symbol.bits | static_cast<std::uint32_t>(t.dist - kDistBase[dc])
-                          << (symbol.count - kDistExtra[dc]);
-    // Length and distance go out as one put when they fit in 32 bits, as
-    // fixed codes always do (at most 8 + 5 + 5 + 13 bits).
-    if (len.count + symbol.count <= 32) {
-      bw.put(len.bits | static_cast<std::uint64_t>(dist) << len.count,
-             static_cast<int>(len.count + symbol.count));
-    } else {
-      bw.put(len.bits, static_cast<int>(len.count));
-      bw.put(dist, static_cast<int>(symbol.count));
+/// One strip's parse: its tokens and their symbol counts, and the Adler-32
+/// of its bytes when the caller wants one.
+struct StripTokens {
+  std::vector<Token> tokens;
+  std::array<std::uint32_t, kNumLitLen> litlen_freq{};
+  std::array<std::uint32_t, kNumDist> dist_freq{};
+  std::uint32_t adler = 1;
+};
+
+/// The tokens of strips [first, last) and the end-of-block code: the body
+/// of a fixed or dynamic block, after its header.
+void emit_tokens(BitWriter& bw, const StripTokens* first,
+                 const StripTokens* last, const BlockCodes& codes) {
+  for (const StripTokens* strip = first; strip != last; ++strip) {
+    for (const Token& t : strip->tokens) {
+      if (t.dist == 0) {
+        const BitCode& c = codes.literal[t.value];
+        bw.put(c.bits, static_cast<int>(c.count));
+        continue;
+      }
+      const BitCode& len = codes.length[t.value];
+      const int dc = dist_code(t.dist);
+      const BitCode& symbol = codes.dist_symbol[static_cast<std::size_t>(dc)];
+      const std::uint32_t dist =
+          symbol.bits | static_cast<std::uint32_t>(t.dist - kDistBase[dc])
+                            << (symbol.count - kDistExtra[dc]);
+      // Length and distance go out as one put when they fit in 32 bits, as
+      // fixed codes always do (at most 8 + 5 + 5 + 13 bits).
+      if (len.count + symbol.count <= 32) {
+        bw.put(len.bits | static_cast<std::uint64_t>(dist) << len.count,
+               static_cast<int>(len.count + symbol.count));
+      } else {
+        bw.put(len.bits, static_cast<int>(len.count));
+        bw.put(dist, static_cast<int>(symbol.count));
+      }
     }
   }
   bw.put(codes.end_of_block.bits, static_cast<int>(codes.end_of_block.count));
 }
 
-/// Stored LEN/NLEN is 16 bits, so spans beyond 65535 bytes (a match may
-/// carry a block past the boundary) are split into multiple stored blocks,
-/// with only the last one carrying the caller's BFINAL flag.
+/// A stored block of `len` <= 65535 bytes: no token crosses a strip, and
+/// strips divide the block size, so no block spans more.
 void emit_stored_block(BitWriter& bw, const std::uint8_t* data,
                        std::size_t len, bool final) {
-  constexpr std::size_t kMaxStored = 65535;
-  do {
-    const std::size_t chunk = std::min(len, kMaxStored);
-    bw.put((final && chunk == len) ? 1 : 0, 1);
-    bw.put(0, 2);  // BTYPE=00: stored
-    bw.align();
-    const std::uint8_t header[4] = {
-        static_cast<std::uint8_t>(chunk & 0xFF),
-        static_cast<std::uint8_t>(chunk >> 8),
-        static_cast<std::uint8_t>(~chunk & 0xFF),
-        static_cast<std::uint8_t>((~chunk >> 8) & 0xFF)};
-    bw.put_bytes(header, 4);
-    bw.put_bytes(data, chunk);
-    data += chunk;
-    len -= chunk;
-  } while (len > 0);
+  bw.put(final ? 1 : 0, 3);  // BFINAL, then BTYPE=00: stored
+  bw.align();
+  const std::uint8_t header[4] = {
+      static_cast<std::uint8_t>(len & 0xFF),
+      static_cast<std::uint8_t>(len >> 8),
+      static_cast<std::uint8_t>(~len & 0xFF),
+      static_cast<std::uint8_t>((~len >> 8) & 0xFF)};
+  bw.put_bytes(header, 4);
+  bw.put_bytes(data, len);
 }
 
 /// Work space of limited_code_lengths, kept in the per-thread scratch so
@@ -538,18 +545,32 @@ constexpr std::size_t kHashSize = std::size_t{1} << kHashBits;
 constexpr std::size_t kWindowMask = kWindowSize - 1;
 
 /// Per-thread encoder scratch, reused by every call on the thread, so an
-/// encode allocates no tables and clears none: the match finder's hash
-/// heads and chain links, and the current block's tokens, symbol counts,
-/// code-building work space and dynamic codes. Positions are offsets that
-/// keep growing from call to call, so a head entry below `next_offset`
-/// was written by an earlier call and reads as empty; every chain link a
-/// walk reads was written earlier in the same call.
+/// encode allocates no tables and clears none. Two users share it:
+///  - the parse of strips, on whichever thread runs them: the match
+///    finder's hash heads and chain links, the offsets positions map to,
+///    and which strip of which call the tables end at. Offsets keep
+///    growing from strip to strip, so a head entry below `floor` was
+///    written before the tables were last primed and reads as empty; every
+///    chain link a walk reads was written since.
+///  - the thread that calls deflate: the strips' tokens and counts, and
+///    the current block's summed counts, code-building work space and
+///    dynamic codes.
+/// A thread parses at most one strip at a time, and a deflate waits for
+/// its strips without taking up other work, so neither user's fields are
+/// ever in use twice on one thread.
 struct EncoderScratch {
   std::vector<std::int32_t> head = std::vector<std::int32_t>(kHashSize, -1);
   std::vector<std::int32_t> prev = std::vector<std::int32_t>(kWindowSize);
-  /// Offset of the next call's first position.
+  /// The position whose offset is 0, and the offset of the first position
+  /// inserted since the tables were last primed.
+  std::int64_t origin = 0;
+  std::int32_t floor = 0;
+  /// Offset of the position after the last one parsed.
   std::int32_t next_offset = 0;
-  std::vector<Token> tokens;
+  /// The deflate call (0: none) and strip the tables continue into.
+  std::uint64_t call = 0;
+  std::size_t next_strip = 0;
+  std::vector<StripTokens> strips;
   std::array<std::uint32_t, kNumLitLen> litlen_freq{};
   std::array<std::uint32_t, kNumDist> dist_freq{};
   CodeScratch code_scratch;
@@ -644,7 +665,9 @@ void build_dynamic_header(EncoderScratch& s) {
   }
 }
 
-void emit_dynamic_block(BitWriter& bw, EncoderScratch& s, bool final) {
+void emit_dynamic_block(BitWriter& bw, EncoderScratch& s,
+                        const StripTokens* first, const StripTokens* last,
+                        bool final) {
   const DynamicHeader& h = s.header;
   bw.put(final ? 0b101 : 0b100, 3);  // BFINAL, then BTYPE=10: dynamic
   bw.put(static_cast<std::uint64_t>(h.hlit - 257), 5);
@@ -665,7 +688,7 @@ void emit_dynamic_block(BitWriter& bw, EncoderScratch& s, bool final) {
                code_length_extra(static_cast<int>(symbol)));
   }
   build_block_codes(h.litlen.data(), kNumLitLen, h.dist.data(), s.dynamic);
-  emit_tokens(bw, s.tokens, s.dynamic);
+  emit_tokens(bw, first, last, s.dynamic);
 }
 
 EncoderScratch& encoder_scratch() {
@@ -698,10 +721,9 @@ int match_length(const std::uint8_t* a, const std::uint8_t* b, int max_len) {
   return len;
 }
 
-/// Hash-chain match finder over a 32 KiB sliding window. Positions are
-/// stored as 32-bit offsets that continue from the scratch's previous call
-/// (`floor_` is the first one of this call); a position's chain link lives
-/// in slot (offset modulo the window size).
+/// Hash-chain match finder over a 32 KiB sliding window, on the tables of
+/// a scratch and the offsets it maps positions to; a position's chain link
+/// lives in slot (offset modulo the window size).
 class MatchFinder {
  public:
   /// Chain-walk budget per position: deep enough to find the long runs PNG
@@ -710,23 +732,24 @@ class MatchFinder {
 
   MatchFinder(const std::uint8_t* data, std::size_t n, EncoderScratch& scratch)
       : data_(data), n_(n), head_(scratch.head.data()),
-        prev_(scratch.prev.data()), origin_(-scratch.next_offset),
-        floor_(scratch.next_offset) {}
+        prev_(scratch.prev.data()), origin_(scratch.origin),
+        floor_(scratch.floor) {}
 
   struct Match {
     int len = 0;
     int dist = 0;
   };
 
-  /// Longest match for `pos` among previously inserted positions; the
-  /// first candidate of the greatest length wins.
-  Match find(std::size_t pos) const {
-    if (pos + kMinMatch > n_) return {};
+  /// Longest match for `pos` among previously inserted positions, ending
+  /// at or before `end`; the first candidate of the greatest length wins.
+  Match find(std::size_t pos, std::size_t end) const {
+    if (pos + kMinMatch > end) return {};
     const std::int32_t p = offset(pos);
-    // Older candidates are outside the window or from an earlier call.
+    // Older candidates are outside the window or from before the tables
+    // were primed.
     const std::int32_t limit = std::max(p - kWindowSize, floor_);
     const int max_len =
-        static_cast<int>(std::min<std::size_t>(kMaxMatch, n_ - pos));
+        static_cast<int>(std::min<std::size_t>(kMaxMatch, end - pos));
     const std::uint8_t* cur = data_ + pos;
     Match best;
     int chain = kMaxChain;
@@ -753,40 +776,52 @@ class MatchFinder {
 
   void insert(std::size_t pos) {
     if (pos + kMinMatch > n_) return;
-    const std::int32_t p = offset(pos);
-    std::int32_t& head = head_[hash(data_ + pos)];
-    prev_[static_cast<std::size_t>(p) & kWindowMask] = head;
-    head = p;
+    link(data_ + pos, offset(pos));
   }
 
-  /// Keep offsets within 32 bits on any input length and across calls:
-  /// once `pos` has offset kRebaseAt, lower every offset to put the
-  /// window's lower edge near zero, by a multiple of the window so every
-  /// slot stays put. Links that would go negative become empty; they were
-  /// already outside the window, so no later walk changes.
-  void rebase(std::size_t pos) {
-    if (offset(pos) < kRebaseAt) return;
-    const std::int32_t shift =
-        (offset(pos) - kWindowSize) / kWindowSize * kWindowSize;
-    const auto slide = [shift](std::int32_t* table, std::size_t size) {
-      for (std::size_t i = 0; i < size; ++i) {
-        table[i] = table[i] >= shift ? table[i] - shift : -1;
+  /// Inserts positions [from, to) in order: a match's tail, or the window
+  /// before a strip. Each position inside a byte run hashes as the one
+  /// before it, so its chain link is that position: a run's links are
+  /// written straight in and its head once, instead of as one dependent
+  /// read-modify-write of the same head per byte — the flat background of
+  /// a rendered frame's scanlines is mostly such runs. The tables come out
+  /// as from one insert per position.
+  void insert(std::size_t from, std::size_t to) {
+    to = std::min(to, n_ - std::min<std::size_t>(n_, kMinMatch - 1));
+    while (from < to) {
+      const std::uint8_t* p = data_ + from;
+      const std::int32_t off = offset(from);
+      std::int32_t& head = head_[hash(p)];
+      prev_[static_cast<std::size_t>(off) & kWindowMask] = head;
+      // Positions whose three bytes equal p's: while the run of p[0]
+      // continues (a self-match at distance 1, read no further than the
+      // last byte of position to - 1).
+      const std::int32_t run =
+          p[0] == p[1] && p[1] == p[2]
+              ? 1 + match_length(p + 3, p + 2,
+                                 static_cast<int>(to - from - 1))
+              : 1;
+      for (std::int32_t o = off + 1; o < off + run;) {
+        const std::size_t slot = static_cast<std::size_t>(o) & kWindowMask;
+        const std::int32_t count = std::min<std::int32_t>(
+            off + run - o, kWindowSize - static_cast<std::int32_t>(slot));
+        std::iota(prev_ + slot, prev_ + slot + count, o - 1);
+        o += count;
       }
-    };
-    slide(head_, kHashSize);
-    slide(prev_, kWindowSize);
-    origin_ += shift;
-    floor_ = std::max(floor_ - shift, 0);
+      head = off + run - 1;
+      from += static_cast<std::size_t>(run);
+    }
   }
-
-  /// Offset one past the last position: where the next call starts.
-  std::int32_t end_offset() const { return offset(n_); }
-
- private:
-  static constexpr std::int32_t kRebaseAt = std::int32_t{1} << 20;
 
   std::int32_t offset(std::size_t pos) const {
     return static_cast<std::int32_t>(static_cast<std::int64_t>(pos) - origin_);
+  }
+
+ private:
+  void link(const std::uint8_t* p, std::int32_t off) {
+    std::int32_t& head = head_[hash(p)];
+    prev_[static_cast<std::size_t>(off) & kWindowMask] = head;
+    head = off;
   }
 
   static std::size_t hash(const std::uint8_t* p) {
@@ -801,122 +836,231 @@ class MatchFinder {
   std::int32_t* head_;
   std::int32_t* prev_;
   std::int64_t origin_;  // the position whose offset is 0
-  std::int32_t floor_;   // the offset of this call's first position
+  std::int32_t floor_;   // the offset of the first position since priming
 };
 
-/// Append the raw DEFLATE stream of `data` to `out`.
-void deflate_into(std::vector<std::uint8_t>& out, const std::uint8_t* data,
-                  std::size_t n) {
-  // Block boundary at the stored-block size limit, so the stored fallback
-  // is always available for exactly the block's input span.
-  constexpr std::size_t kBlockInput = 65535;
-  // Every block is emitted at most as large as its stored form: 3 header
-  // bits, up to 7 padding bits, LEN/NLEN, and 40 more bits when a match
-  // carried the span past 65535, i.e. at most 11 bytes over its input.
-  const std::size_t at = out.size();
-  out.resize(at + n + 11 * (n / kBlockInput + 1) + 1);
-  BitWriter bw(out.data() + at);
-  if (n == 0) {
-    // A single empty stored block is the smallest valid empty stream.
-    emit_stored_block(bw, data, 0, true);
-    bw.align();
-    out.resize(static_cast<std::size_t>(bw.end() - out.data()));
-    return;
-  }
+/// Block boundary at the stored-block size limit, so the stored fallback
+/// always covers exactly one block's bytes; a block is whole strips.
+constexpr std::size_t kBlockInput = 65535;
+static_assert(kBlockInput % kDeflateStrip == 0,
+              "a block is made of whole strips");
+constexpr std::size_t kStripsPerBlock = kBlockInput / kDeflateStrip;
 
-  EncoderScratch& scratch = encoder_scratch();
+/// Offsets restart from zero, with the head table cleared and the strip
+/// primed, at the first strip that would start past this one; a primed
+/// strip spans fewer than 2^16 offsets, so they stay far inside 32 bits.
+/// Low enough that a test reaches it.
+constexpr std::int32_t kOffsetReset = std::int32_t{1} << 20;
+
+/// LZ77 parse of bytes [lo, hi) of the `n` at `data` into `out`, on the
+/// tables of `scratch`, no match past `hi`. One-step lazy evaluation: when
+/// the next position holds a strictly longer match, this byte goes out as
+/// a literal and the longer match wins — the classic fix for greedy
+/// parsing clipping a long run.
+void parse_strip(const std::uint8_t* data, std::size_t n,
+                 EncoderScratch& scratch, std::size_t lo, std::size_t hi,
+                 StripTokens& out) {
   MatchFinder finder(data, n, scratch);
-  std::vector<Token>& tokens = scratch.tokens;
+  std::vector<Token>& tokens = out.tokens;
   tokens.clear();
-  scratch.litlen_freq.fill(0);
-  scratch.dist_freq.fill(0);
-  std::size_t block_start = 0;
-  std::size_t pos = 0;
-
+  out.litlen_freq.fill(0);
+  out.dist_freq.fill(0);
   const auto push_literal = [&](std::uint8_t byte) {
     tokens.push_back({0, byte});
-    ++scratch.litlen_freq[byte];
+    ++out.litlen_freq[byte];
   };
   const auto push_match = [&](const MatchFinder::Match& m) {
     tokens.push_back({static_cast<std::uint16_t>(m.dist),
                       static_cast<std::uint16_t>(m.len)});
-    ++scratch
-          .litlen_freq[257u + kLengthSymbol[static_cast<std::size_t>(m.len)]];
-    ++scratch.dist_freq[static_cast<std::size_t>(dist_code(m.dist))];
+    ++out.litlen_freq[257u + kLengthSymbol[static_cast<std::size_t>(m.len)]];
+    ++out.dist_freq[static_cast<std::size_t>(dist_code(m.dist))];
   };
-  // Each block is emitted in whichever of its three codings takes the
-  // fewest bits; on a tie stored beats fixed and fixed beats dynamic.
-  const auto flush_block = [&](std::size_t block_end, bool final) {
-    const std::size_t span = block_end - block_start;
-    scratch.litlen_freq[256] = 1;  // end-of-block
-    const long long fixed_bits =
-        3 + symbol_bits(scratch, kFixedLitLenLengths.data(),
-                        kFixedDistLengths.data());
-    build_dynamic_header(scratch);
-    const long long dynamic_bits =
-        3 + scratch.header.bits +
-        symbol_bits(scratch, scratch.header.litlen.data(),
-                    scratch.header.dist.data());
-    // Stored: header + alignment padding + LEN/NLEN + the bytes. A span
-    // past 65535 splits into extra chunks of 40 overhead bits each
-    // (3-bit header, 5 padding bits from the aligned position, LEN/NLEN).
-    const long long extra_chunks =
-        span > 65535 ? static_cast<long long>((span - 1) / 65535) : 0;
-    const long long stored_bits =
-        3 + ((8 - ((bw.pending_bits() + 3) % 8)) % 8) + 32 +
-        extra_chunks * 40 + 8 * static_cast<long long>(span);
-    if (dynamic_bits < fixed_bits && dynamic_bits < stored_bits) {
-      emit_dynamic_block(bw, scratch, final);
-    } else if (fixed_bits < stored_bits) {
-      bw.put(final ? 0b011 : 0b010, 3);  // BFINAL, then BTYPE=01: fixed
-      emit_tokens(bw, tokens, kFixedCodes);
-    } else {
-      emit_stored_block(bw, data + block_start, span, final);
-    }
-    tokens.clear();
-    scratch.litlen_freq.fill(0);
-    scratch.dist_freq.fill(0);
-    block_start = block_end;
-  };
-
-  MatchFinder::Match m = finder.find(0);
-  while (pos < n) {
+  std::size_t pos = lo;
+  MatchFinder::Match m = finder.find(pos, hi);
+  while (pos < hi) {
     if (m.len >= kMinMatch) {
-      // One-step lazy evaluation: when the next position holds a strictly
-      // longer match, emit this byte as a literal and let the longer match
-      // win — the classic fix for greedy parsing clipping a long run.
       finder.insert(pos);
-      if (pos + 1 < n && m.len < kMaxMatch) {
-        const MatchFinder::Match next = finder.find(pos + 1);
+      if (pos + 1 < hi && m.len < kMaxMatch) {
+        const MatchFinder::Match next = finder.find(pos + 1, hi);
         if (next.len > m.len) {
           push_literal(data[pos]);
           ++pos;
-          if (pos - block_start >= kBlockInput) flush_block(pos, false);
           // Nothing was inserted since: `next` is find(pos).
           m = next;
           continue;
         }
       }
       push_match(m);
-      for (std::size_t k = pos + 1; k < pos + static_cast<std::size_t>(m.len);
-           ++k) {
-        finder.insert(k);
-      }
+      finder.insert(pos + 1, pos + static_cast<std::size_t>(m.len));
       pos += static_cast<std::size_t>(m.len);
     } else {
       finder.insert(pos);
       push_literal(data[pos]);
       ++pos;
     }
-    // A match may overshoot the boundary by up to kMaxMatch bytes; the
-    // stored fallback splits any oversized span, but keeping spans near
-    // the limit keeps the fallback a single block in the common case.
-    if (pos - block_start >= kBlockInput) flush_block(pos, false);
-    finder.rebase(pos);
-    m = finder.find(pos);
+    m = finder.find(pos, hi);
   }
-  flush_block(n, true);
-  scratch.next_offset = finder.end_offset();
+  scratch.next_offset = finder.offset(hi);
+}
+
+/// Parses strips [first, last) of deflate call `call` over the `n` bytes
+/// at `data` into `out`, one after another on the calling thread's tables.
+/// A strip is primed with the 32 KiB before it unless the tables already
+/// end where it starts, from this call's previous strip on this thread:
+/// they then hold every position priming would insert, and older ones no
+/// walk reaches, since a walk stops at its first candidate outside the
+/// window. Either way the strip parses to the same tokens.
+void parse_strips(const std::uint8_t* data, std::size_t n, std::uint64_t call,
+                  std::size_t first, std::size_t last, StripTokens* out) {
+  EncoderScratch& scratch = encoder_scratch();
+  for (std::size_t k = first; k < last; ++k) {
+    const std::size_t lo = k * kDeflateStrip;
+    const std::size_t hi = std::min(n, lo + kDeflateStrip);
+    if (scratch.call != call || scratch.next_strip != k ||
+        scratch.next_offset > kOffsetReset) {
+      if (scratch.next_offset > kOffsetReset) {
+        std::fill(scratch.head.begin(), scratch.head.end(), -1);
+        scratch.next_offset = 0;
+      }
+      constexpr std::size_t kWindow = kWindowSize;
+      const std::size_t from = lo > kWindow ? lo - kWindow : 0;
+      scratch.origin = static_cast<std::int64_t>(from) - scratch.next_offset;
+      scratch.floor = scratch.next_offset;
+      MatchFinder(data, n, scratch).insert(from, lo);
+    }
+    parse_strip(data, n, scratch, lo, hi, out[k]);
+    scratch.call = call;
+    scratch.next_strip = k + 1;
+  }
+}
+
+/// Codes strips [first, last) of `s.strips` as one block over the input
+/// bytes [begin, begin + span), in whichever of its three codings takes the
+/// fewest bits; on a tie stored beats fixed and fixed beats dynamic.
+void code_block(BitWriter& bw, EncoderScratch& s, std::size_t first,
+                std::size_t last, const std::uint8_t* begin, std::size_t span,
+                bool final) {
+  s.litlen_freq.fill(0);
+  s.dist_freq.fill(0);
+  const StripTokens* strips = s.strips.data();
+  for (std::size_t k = first; k < last; ++k) {
+    for (std::size_t sym = 0; sym < kNumLitLen; ++sym) {
+      s.litlen_freq[sym] += strips[k].litlen_freq[sym];
+    }
+    for (std::size_t dc = 0; dc < kNumDist; ++dc) {
+      s.dist_freq[dc] += strips[k].dist_freq[dc];
+    }
+  }
+  s.litlen_freq[256] = 1;  // end-of-block
+  const long long fixed_bits =
+      3 + symbol_bits(s, kFixedLitLenLengths.data(), kFixedDistLengths.data());
+  build_dynamic_header(s);
+  const long long dynamic_bits =
+      3 + s.header.bits +
+      symbol_bits(s, s.header.litlen.data(), s.header.dist.data());
+  // Stored: header + alignment padding + LEN/NLEN + the bytes.
+  const long long stored_bits = 3 +
+                                ((8 - ((bw.pending_bits() + 3) % 8)) % 8) +
+                                32 + 8 * static_cast<long long>(span);
+  if (dynamic_bits < fixed_bits && dynamic_bits < stored_bits) {
+    emit_dynamic_block(bw, s, strips + first, strips + last, final);
+  } else if (fixed_bits < stored_bits) {
+    bw.put(final ? 0b011 : 0b010, 3);  // BFINAL, then BTYPE=01: fixed
+    emit_tokens(bw, strips + first, strips + last, kFixedCodes);
+  } else {
+    emit_stored_block(bw, begin, span, final);
+  }
+}
+
+/// The Adler-32 of A followed by B, from adler32(A), adler32(B) and the
+/// length of B: a = a_A + a_B - 1 and b = b_A + b_B + |B| (a_A - 1),
+/// modulo 65521.
+std::uint32_t adler32_combine(std::uint32_t first, std::uint32_t second,
+                              std::size_t second_len) {
+  constexpr std::uint64_t kMod = 65521;
+  const std::uint64_t a1 = first & 0xFFFF, b1 = first >> 16;
+  const std::uint64_t a2 = second & 0xFFFF, b2 = second >> 16;
+  const std::uint64_t a = (a1 + a2 + kMod - 1) % kMod;
+  const std::uint64_t b =
+      (b1 + b2 + (second_len % kMod) * (a1 + kMod - 1)) % kMod;
+  return static_cast<std::uint32_t>(b << 16 | a);
+}
+
+/// Whether some whole strip of the `n` bytes at `data` has at least 1/64
+/// of its bytes starting a new byte run. A strip with fewer is flat — the
+/// background of a rendered frame's scanlines, where only the filter-type
+/// byte of each row breaks the runs — and parses in about the time that
+/// priming a thread with the window before it takes, so handing such
+/// strips to other threads would roughly double their cost for little
+/// gain in wall time.
+bool has_costly_strip(const std::uint8_t* data, std::size_t n) {
+  constexpr std::size_t kCostlyRunStarts = kDeflateStrip / 64;
+  for (std::size_t lo = 0; lo + kDeflateStrip <= n; lo += kDeflateStrip) {
+    std::size_t starts = 0;
+    for (std::size_t i = lo + 1; i < lo + kDeflateStrip; ++i) {
+      starts += data[i] != data[i - 1] ? 1 : 0;
+    }
+    if (starts >= kCostlyRunStarts) return true;
+  }
+  return false;
+}
+
+/// Append the raw DEFLATE stream of `data` to `out`, and store the
+/// Adler-32 of `data` in `*adler` when it is non-null. The strips are
+/// parsed on `pool` when there is more than one and some strip is costly,
+/// then coded on the caller, block by block.
+void deflate_into(std::vector<std::uint8_t>& out, const std::uint8_t* data,
+                  std::size_t n, util::ThreadPool* pool,
+                  std::uint32_t* adler) {
+  // Every block is emitted at most as large as its stored form: 3 header
+  // bits, up to 7 padding bits, LEN/NLEN and the bytes, i.e. at most 6
+  // bytes over its input.
+  const std::size_t at = out.size();
+  out.resize(at + n + 6 * (n / kBlockInput + 1) + 1);
+  BitWriter bw(out.data() + at);
+  if (n == 0) {
+    // A single empty stored block is the smallest valid empty stream.
+    emit_stored_block(bw, data, 0, true);
+    bw.align();
+    out.resize(static_cast<std::size_t>(bw.end() - out.data()));
+    if (adler != nullptr) *adler = 1;
+    return;
+  }
+
+  static std::atomic<std::uint64_t> calls{0};
+  const std::uint64_t call = ++calls;
+  EncoderScratch& scratch = encoder_scratch();
+  const std::size_t strips = (n + kDeflateStrip - 1) / kDeflateStrip;
+  if (scratch.strips.size() < strips) scratch.strips.resize(strips);
+  StripTokens* const parsed = scratch.strips.data();
+  const auto end_of = [n](std::size_t strip) {  // one past its last byte
+    return std::min(n, (strip + 1) * kDeflateStrip);
+  };
+  util::parallel_for(
+      strips > 1 && pool != nullptr && has_costly_strip(data, n) ? pool
+                                                                 : nullptr,
+      0, strips,
+      [&](std::size_t first, std::size_t last) {
+        parse_strips(data, n, call, first, last, parsed);
+        if (adler == nullptr) return;
+        for (std::size_t k = first; k < last; ++k) {
+          const std::size_t begin = k * kDeflateStrip;
+          parsed[k].adler = adler32(data + begin, end_of(k) - begin);
+        }
+      });
+  for (std::size_t first = 0; first < strips; first += kStripsPerBlock) {
+    const std::size_t last = std::min(strips, first + kStripsPerBlock);
+    const std::size_t begin = first * kDeflateStrip;
+    code_block(bw, scratch, first, last, data + begin,
+               end_of(last - 1) - begin, last == strips);
+  }
+  if (adler != nullptr) {
+    *adler = parsed[0].adler;
+    for (std::size_t k = 1; k < strips; ++k) {
+      *adler = adler32_combine(*adler, parsed[k].adler,
+                               end_of(k) - k * kDeflateStrip);
+    }
+  }
   bw.align();
   out.resize(static_cast<std::size_t>(bw.end() - out.data()));
 }
@@ -1095,9 +1239,10 @@ void inflate_dynamic_block(BitReader& br, std::vector<std::uint8_t>& out,
 
 }  // namespace
 
-std::vector<std::uint8_t> deflate(const std::uint8_t* data, std::size_t n) {
+std::vector<std::uint8_t> deflate(const std::uint8_t* data, std::size_t n,
+                                  util::ThreadPool* pool) {
   std::vector<std::uint8_t> out;
-  deflate_into(out, data, n);
+  deflate_into(out, data, n, pool, nullptr);
   return out;
 }
 
@@ -1145,12 +1290,13 @@ std::vector<std::uint8_t> inflate(const std::uint8_t* data, std::size_t n,
 }
 
 std::vector<std::uint8_t> zlib_compress(const std::uint8_t* data,
-                                        std::size_t n) {
+                                        std::size_t n,
+                                        util::ThreadPool* pool) {
   // CMF/FLG 0x78 0x9C: deflate, 32 KiB window, default compression level;
   // (0x78 * 256 + 0x9C) % 31 == 0 as the header checksum requires.
   std::vector<std::uint8_t> out = {0x78, 0x9C};
-  deflate_into(out, data, n);
-  const std::uint32_t checksum = adler32(data, n);
+  std::uint32_t checksum = 1;
+  deflate_into(out, data, n, pool, &checksum);
   out.push_back(static_cast<std::uint8_t>(checksum >> 24));
   out.push_back(static_cast<std::uint8_t>(checksum >> 16));
   out.push_back(static_cast<std::uint8_t>(checksum >> 8));

@@ -258,7 +258,7 @@ std::array<std::uint64_t, 4> filter_row(const std::uint8_t* cur,
 }
 }  // namespace
 
-std::vector<std::uint8_t> Image::encode_png() const {
+std::vector<std::uint8_t> Image::encode_png(util::ThreadPool* pool) const {
   // An opaque image (every rendered frame is one) drops its alpha channel:
   // RGB scanlines leave a quarter fewer bytes to filter and deflate.
   const std::vector<std::uint8_t> rgb = opaque_rgb(pixels_);
@@ -293,7 +293,8 @@ std::vector<std::uint8_t> Image::encode_png() const {
                 row_bytes);
   }
 
-  const std::vector<std::uint8_t> z = zlib_compress(raw.data(), raw.size());
+  const std::vector<std::uint8_t> z =
+      zlib_compress(raw.data(), raw.size(), pool);
 
   std::vector<std::uint8_t> png = {0x89, 'P', 'N', 'G', 0x0D, 0x0A, 0x1A, 0x0A};
   png.reserve(png.size() + 3 * 12 + 13 + z.size());

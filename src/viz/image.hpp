@@ -14,6 +14,10 @@
 
 #include "viz/deflate.hpp"
 
+namespace ricsa::util {
+class ThreadPool;
+}
+
 namespace ricsa::viz {
 
 struct Rgba {
@@ -42,8 +46,10 @@ class Image {
   /// 255, RGBA8 (colour type 6) otherwise; per-row scanline filter
   /// selection (None/Sub/Up/Paeth by minimum sum of absolute differences)
   /// over a real DEFLATE stream (LZ77, each block stored, fixed- or
-  /// dynamic-Huffman, whichever is smallest).
-  std::vector<std::uint8_t> encode_png() const;
+  /// dynamic-Huffman, whichever is smallest). The deflate strips' parses
+  /// and their Adler-32s run on `pool` as viz::deflate decides; the bytes
+  /// are the same for any pool or none.
+  std::vector<std::uint8_t> encode_png(util::ThreadPool* pool = nullptr) const;
   void write_png(const std::string& path) const;
 
   /// Decode an RGB8 or RGBA8 non-interlaced PNG (RGB pixels get alpha

@@ -206,12 +206,17 @@ bool content_length_of(const std::map<std::string, std::string>& headers,
 
 namespace detail {
 
-ParseResult parse_request(std::string& buffer, HttpRequest& out) {
-  const std::size_t header_end = buffer.find("\r\n\r\n");
+ParseResult parse_request(std::string& buffer, HttpRequest& out,
+                          std::size_t& scanned) {
+  // A terminator that ends past `scanned` may start in its last 3 bytes.
+  const std::size_t header_end =
+      buffer.find("\r\n\r\n", scanned > 3 ? scanned - 3 : 0);
   if (header_end == std::string::npos) {
+    scanned = buffer.size();
     return buffer.size() > kMaxHeaderBytes ? ParseResult::kBad
                                            : ParseResult::kNeedMore;
   }
+  scanned = header_end;
   if (header_end > kMaxHeaderBytes) return ParseResult::kBad;
 
   std::string_view fields(buffer.data(), header_end);
@@ -240,6 +245,7 @@ ParseResult parse_request(std::string& buffer, HttpRequest& out) {
   if (buffer.size() < total) return ParseResult::kNeedMore;
   out.body = buffer.substr(header_end + 4, content_length);
   buffer.erase(0, total);
+  scanned = 0;
   return ParseResult::kOk;
 }
 
@@ -273,13 +279,19 @@ ResponseDecoder::Event ResponseDecoder::next() {
     case State::kBad:
       return Event::kBad;
     case State::kHead: {
-      // Unterminated, the block may still end in its last three bytes.
-      const std::size_t end = buffer_.find("\r\n\r\n", pos_);
+      // Unterminated, the block may still end in its last three bytes, so
+      // the next search resumes there.
+      const std::size_t end = buffer_.find(
+          "\r\n\r\n", pos_ + (scanned_ > 3 ? scanned_ - 3 : 0));
       if (end == std::string::npos ? avail > kMaxHeaderBytes + 3
                                    : end - pos_ > kMaxHeaderBytes) {
         return fail("header block too large");
       }
-      if (end == std::string::npos) break;
+      if (end == std::string::npos) {
+        scanned_ = avail;
+        break;
+      }
+      scanned_ = 0;
       const std::string_view head(buffer_.data() + pos_, end - pos_);
       pos_ = end + 4;
       return parse_head(head);
@@ -511,6 +523,8 @@ struct HttpServer::Connection : net::EventHandler,
   net::Socket sock;
   std::string peer;     // remote "ip:port", fixed at accept
   std::string in;       // received bytes not yet parsed (pipelining-safe)
+  /// Bytes of `in` parse_request has searched for a header terminator.
+  std::size_t in_scanned = 0;
   /// Unsent response bytes: refcounted segments (copied header blocks,
   /// shared frame bodies, chunk framing) gathered into writev.
   net::BufferChain out;
@@ -991,6 +1005,7 @@ void HttpServer::conn_event(Connection* raw, std::uint32_t events) {
         // never interpreted as requests against a response channel that
         // no longer exists.
         conn->in.clear();
+        conn->in_scanned = 0;
       } else if (!conn->response_pending) {
         try_dispatch(conn);
         if (conn->closed) return;
@@ -1057,7 +1072,8 @@ void HttpServer::try_dispatch(const std::shared_ptr<Connection>& conn) {
   while (!conn->closed && !conn->response_pending && !conn->streaming &&
          !conn->close_after_write) {
     HttpRequest request;
-    const ParseResult result = detail::parse_request(conn->in, request);
+    const ParseResult result =
+        detail::parse_request(conn->in, request, conn->in_scanned);
     if (result == ParseResult::kNeedMore) break;
     if (result == ParseResult::kBad) {
       close_conn(conn);
@@ -1067,6 +1083,7 @@ void HttpServer::try_dispatch(const std::shared_ptr<Connection>& conn) {
       // The request's body cannot be delimited, so nothing after its
       // headers is parsed: answer 501 and close once it is written.
       conn->in.clear();
+      conn->in_scanned = 0;
       enqueue_response(conn,
                        HttpResponse::text("transfer-encoding not supported",
                                           501),
@@ -1276,6 +1293,7 @@ void HttpServer::begin_stream(
   // Bytes pipelined behind the converting request are discarded, never
   // parsed into a stream-mode connection (conn_event drains later ones).
   conn->in.clear();
+  conn->in_scanned = 0;
   if (conn->idle_timer != 0) {
     conn->shard->reactor->cancel(conn->idle_timer);
     conn->idle_timer = 0;

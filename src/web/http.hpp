@@ -402,6 +402,8 @@ class ResponseDecoder {
 
   std::string buffer_;
   std::size_t pos_ = 0;  // first byte of buffer_ not yet decoded
+  /// Bytes from pos_ searched for the end of the header block in vain.
+  std::size_t scanned_ = 0;
   State state_ = State::kHead;
   bool head_request_ = false;
   int status_ = 0;
@@ -528,8 +530,17 @@ bool write_all(int fd, const char* data, std::size_t n);
 enum class ParseResult { kOk, kNeedMore, kBad, kNotImplemented };
 /// Parse one untrusted request off the front of `buffer`: kOk consumes it,
 /// kNeedMore leaves the buffer intact, kNotImplemented means the request
-/// carries Transfer-Encoding.
-ParseResult parse_request(std::string& buffer, HttpRequest& out);
+/// carries Transfer-Encoding. `scanned`, kept by the buffer's owner (0 for
+/// a new or emptied buffer), is how far earlier calls searched for the end
+/// of the header block; the search resumes three bytes before it, so a
+/// head arriving in many small reads costs linear time.
+ParseResult parse_request(std::string& buffer, HttpRequest& out,
+                          std::size_t& scanned);
+/// One call on a buffer that no earlier call has searched.
+inline ParseResult parse_request(std::string& buffer, HttpRequest& out) {
+  std::size_t scanned = 0;
+  return parse_request(buffer, out, scanned);
+}
 }  // namespace detail
 
 }  // namespace ricsa::web

@@ -156,13 +156,15 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
   // The frame's encodes — full and half PNG with their base64, and each
   // tier's dirty rects — are independent of one another, so they are
   // queued here, each writing only its own slot, and run together below:
-  // concurrently on the publisher's lent pool, serially without one.
+  // concurrently on the publisher's lent pool, serially without one. Each
+  // encode lends the pool on to its PNG's deflate strips, which nest under
+  // these tasks.
   std::vector<std::function<void()>> encodes;
   std::string b64_full;
   std::string b64_half;
   if (raw_full) {
     encodes.emplace_back([&] {
-      frame->png = raw_full->encode_png();
+      frame->png = raw_full->encode_png(pool);
       b64_full = util::base64_encode(frame->png);
     });
   } else if (!frame->png.empty()) {
@@ -170,7 +172,7 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
   }
   if (raw_half) {
     encodes.emplace_back([&] {
-      frame->png_half = raw_half->encode_png();
+      frame->png_half = raw_half->encode_png(pool);
       b64_half = util::base64_encode(frame->png_half);
     });
   }
@@ -218,9 +220,9 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
     td.tile_rect.assign(grid.count(), -1);
     for (std::size_t r = 0; r < td.rects.size(); ++r) {
       const viz::TileRect& rc = td.rects[r];
-      encodes.emplace_back([&td, &rect_png_bytes, &raw, t, r] {
+      encodes.emplace_back([&td, &rect_png_bytes, &raw, pool, t, r] {
         const std::vector<std::uint8_t> png_bytes =
-            viz::TileGrid::extract(*raw, td.rects[r]).encode_png();
+            viz::TileGrid::extract(*raw, td.rects[r]).encode_png(pool);
         rect_png_bytes[t][r] = png_bytes.size();
         td.rect_b64[r] = util::base64_encode(png_bytes);
       });

@@ -233,8 +233,10 @@ class FrameHub {
   /// currently occupies the half tier (the common all-fast case) — such
   /// frames serve the full body to half-tier requests. `encode_pool`, lent
   /// by the publisher, runs the frame's full, half and dirty-rect PNG
-  /// encodes concurrently (the bodies are identical either way); null
-  /// encodes serially on the caller.
+  /// encodes concurrently, and each encode's deflate strips on it too, so
+  /// a publish waits for about its share of the encode work, not for its
+  /// largest PNG (the bodies are identical either way); null encodes
+  /// serially on the caller.
   /// Returns the new seq.
   std::uint64_t publish(util::Json state, const viz::Image& image,
                         bool build_half = true,

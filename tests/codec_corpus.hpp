@@ -104,13 +104,72 @@ inline std::vector<NamedInput> byte_corpus() {
     tie[i] = static_cast<std::uint8_t>(144 + i);
   }
   corpus.push_back({"fixed/stored cost tie", tie});
-  // A 6-byte match from position 65533 carries the span to 65537 bytes of
-  // random data: the block falls back to stored and splits into 65535 + 2.
+  // A 6-byte match from position 65533 over random data would carry the
+  // block's span to 65537 bytes; it is clipped at the strip (and block)
+  // end, so the block stays stored and exactly 65535 bytes.
   auto straddle_stored = random_bytes(70000, 3);
   std::copy(straddle_stored.begin() + 45533, straddle_stored.begin() + 45539,
             straddle_stored.begin() + 65533);
   corpus.push_back({"short match straddles block, stored", straddle_stored});
   return corpus;
+}
+
+/// Inputs around strip and block edges: k strips plus or minus one byte
+/// for k = 1-6 (the first block edge is 5 strips), 10 and 23 (about
+/// 300 KB). All are prefixes of one buffer of words with every third 4 KiB
+/// random, a 300-byte run centred on every other strip end and a 258-byte
+/// match straddling the others (its source 10000 bytes earlier), so the
+/// parse meets both at every strip and block edge of the longest input.
+inline std::vector<NamedInput> strip_edge_inputs() {
+  constexpr std::size_t kStrips = 23;
+  const std::size_t strip = v::kDeflateStrip;
+  const std::size_t size = kStrips * strip + 1;
+  std::vector<std::uint8_t> buffer = word_text(size, 21);
+  const std::vector<std::uint8_t> noise = random_bytes(size, 22);
+  for (std::size_t at = 0; at + 4096 <= size; at += 3 * 4096) {
+    std::copy_n(noise.begin() + static_cast<std::ptrdiff_t>(at), 4096,
+                buffer.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+  for (std::size_t k = 1; k < kStrips; ++k) {
+    const std::size_t end = k * strip;
+    if (k % 2 == 0) {
+      std::fill_n(buffer.begin() + static_cast<std::ptrdiff_t>(end - 150), 300,
+                  static_cast<std::uint8_t>(k));
+    } else {
+      std::copy_n(buffer.begin() + static_cast<std::ptrdiff_t>(end - 10129),
+                  258, buffer.begin() + static_cast<std::ptrdiff_t>(end - 129));
+    }
+  }
+  std::vector<NamedInput> inputs;
+  for (const std::size_t k : {1u, 2u, 3u, 4u, 5u, 6u, 10u, 23u}) {
+    for (const std::size_t n : {k * strip - 1, k * strip + 1}) {
+      inputs.push_back(
+          {std::to_string(n) + " bytes",
+           {buffer.begin(), buffer.begin() + static_cast<std::ptrdiff_t>(n)}});
+    }
+  }
+  return inputs;
+}
+
+/// Words with byte runs planted where inserting a run in bulk has edge
+/// cases: runs of 3, 4 and 5 bytes (no, one and two positions past the
+/// first share its hash), runs across a strip end and the first block end,
+/// a 40000-byte run (longer than the window, so its chain links wrap the
+/// table) and runs of 258 and 1000. The words make every strip costly, so
+/// a lent pool parses them with priming windows that cross the runs.
+inline std::vector<std::uint8_t> run_planted_input() {
+  std::vector<std::uint8_t> data = word_text(180000, 31);
+  const struct {
+    std::size_t at, length;
+    std::uint8_t byte;
+  } runs[] = {{1000, 3, 'x'},   {2000, 4, 'y'},          {3000, 5, 'z'},
+              {10000, 258, 0},  {2 * v::kDeflateStrip - 100, 200, 7},
+              {65535 - 30, 60, 0xFF}, {70000, 40000, 0}, {150000, 1000, 'a'}};
+  for (const auto& run : runs) {
+    std::fill_n(data.begin() + static_cast<std::ptrdiff_t>(run.at), run.length,
+                run.byte);
+  }
+  return data;
 }
 
 /// Input `index` of a seeded family of generated inputs. The kind cycles

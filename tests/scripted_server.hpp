@@ -61,6 +61,7 @@ class ScriptedServer {
   struct Conn {
     int fd = -1;
     std::string in;
+    std::size_t scanned = 0;  // parse_request's search offset into `in`
   };
 
   void run() {
@@ -100,7 +101,7 @@ class ScriptedServer {
     if (got <= 0) return false;
     c.in.append(buf, static_cast<std::size_t>(got));
     ricsa::web::HttpRequest request;
-    while (ricsa::web::detail::parse_request(c.in, request) ==
+    while (ricsa::web::detail::parse_request(c.in, request, c.scanned) ==
            ricsa::web::detail::ParseResult::kOk) {
       const Reply reply = script_(request);
       request = ricsa::web::HttpRequest();

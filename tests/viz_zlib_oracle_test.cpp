@@ -3,10 +3,12 @@
 //
 // Browsers decode the dashboard's PNGs with zlib-derived inflaters, which
 // reject streams our own inflater might accept. So every encoder output
-// here, from the golden corpus, a seeded family of generated inputs and
-// the golden PNGs' IDAT streams, is inflated by zlib's `uncompress`, and
-// zlib's bytes must equal both the input and our inflater's output. The
-// converse checks our inflater against streams zlib's compressor wrote.
+// here, from the golden corpus, a seeded family of generated inputs, the
+// inputs around strip and block edges and the golden PNGs' IDAT streams,
+// is inflated by zlib's `uncompress`, and zlib's bytes must equal both the
+// input and our inflater's output. The outputs are encoded on a thread
+// pool, strips in parallel, and must equal the serial ones. The converse
+// checks our inflater against streams zlib's compressor wrote.
 // The codec itself stays zlib-free; zlib links into this test only.
 #include <gtest/gtest.h>
 #include <zlib.h>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "codec_corpus.hpp"
+#include "util/thread_pool.hpp"
 #include "viz/deflate.hpp"
 #include "viz/image.hpp"
 
@@ -39,13 +42,21 @@ std::vector<std::uint8_t> zlib_uncompress(
   return out;
 }
 
-/// Compresses `in` through our encoder, inflates it with zlib and with our
-/// inflater, and checks all three agree. Returns the first block's BTYPE.
+/// The pool the encoder's strips run on in every check below.
+ricsa::util::ThreadPool& encode_pool() {
+  static ricsa::util::ThreadPool pool(4);
+  return pool;
+}
+
+/// Compresses `in` through our encoder on the pool, inflates it with zlib
+/// and with our inflater, and checks all three agree and that the serial
+/// encoder gives the same stream. Returns the first block's BTYPE.
 unsigned check_against_zlib(const std::vector<std::uint8_t>& in,
                             const std::string& name) {
-  const std::vector<std::uint8_t> raw = v::deflate(in);
+  const std::vector<std::uint8_t> raw = v::deflate(in, &encode_pool());
   const std::vector<std::uint8_t> stream =
-      v::zlib_compress(in.data(), in.size());
+      v::zlib_compress(in.data(), in.size(), &encode_pool());
+  EXPECT_EQ(v::zlib_compress(in.data(), in.size()), stream) << name;
   // The zlib stream is the raw stream between header and Adler-32.
   EXPECT_EQ(std::vector<std::uint8_t>(stream.begin() + 2, stream.end() - 4),
             raw)
@@ -84,6 +95,12 @@ TEST(ZlibOracle, InflatesGoldenCorpus) {
   }
 }
 
+TEST(ZlibOracle, InflatesStripEdgeInputs) {
+  for (const NamedInput& in : strip_edge_inputs()) {
+    check_against_zlib(in.bytes, in.name);
+  }
+}
+
 TEST(ZlibOracle, InflatesGeneratedInputs) {
   std::array<int, 4> first_block_type{};
   for (std::uint64_t i = 0; i < 300; ++i) {
@@ -103,7 +120,9 @@ TEST(ZlibOracle, InflatesGoldenPngIdat) {
       const int h = golden_height(w);
       const v::Image img =
           pattern_image(pattern, w, h, static_cast<std::uint64_t>(w));
-      const std::vector<std::uint8_t> idat = idat_of(img.encode_png());
+      const std::vector<std::uint8_t> png = img.encode_png(&encode_pool());
+      EXPECT_EQ(img.encode_png(), png);
+      const std::vector<std::uint8_t> idat = idat_of(png);
       const std::vector<std::uint8_t> ours =
           v::zlib_decompress(idat.data(), idat.size());
       // One filter byte per row, then 3 (RGB) or 4 (RGBA) bytes a pixel.

@@ -669,6 +669,38 @@ TEST(RelayNode, UnterminatedHeaderBlockOverOneMebibyteIsRefused) {
       {"HTTP/1.1 200 OK\r\nX-Pad: " + std::string((1u << 20) + 4096, 'p')});
 }
 
+TEST(RelayNode, StreamsBrokenAfterGoodJoinsBackOff) {
+  // Every join succeeds and every stream then sends chunk size -1. The
+  // good join must not reset the failure count: the relay backs off as
+  // from any other failure, doubling from 0.02 s to at most 2 s, which
+  // fits about seven reconnects into 2 s. Reset on every join, it would
+  // re-join every 0.02 s, about 90 times. Then the upstream turns good and
+  // the next frame is forwarded.
+  std::atomic<bool> good{false};
+  ricsa_test::ScriptedServer upstream([&](const w::HttpRequest& request) {
+    if (request.path == "/api/state") return state_reply(5);
+    if (good.load()) return stream_reply(6);
+    return Reply{kStreamHead + "-1\r\n" + frame_event(6) + "\r\n"};
+  });
+  r::RelayNodeConfig config = small_relay(upstream.port());
+  config.subscriber.backoff_max_s = 2.0;
+  r::RelayNode relay(config);
+  relay.start();
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (std::chrono::steady_clock::now() < until) {
+    ASSERT_LE(relay_stats(relay).reconnects, 12u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(relay_stats(relay).reconnects, 2u);
+  EXPECT_EQ(relay_stats(relay).frames, 0u);
+  good.store(true);
+  EXPECT_TRUE(
+      wait_until([&] { return relay_stats(relay).frames > 0; }, 5000));
+  EXPECT_EQ(relay.registry().find("main")->seq(), relay_stats(relay).frames);
+  relay.stop();
+}
+
 TEST(RelayNode, ResetHalfwayThroughAnEventReconnects) {
   const std::string event = frame_event(6);
   expect_refused_then_recovered(

@@ -11,12 +11,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 
 #include "mutation.hpp"
 #include "response_reader.hpp"
 #include "scripted_server.hpp"
+#include "time_scale.hpp"
 #include "util/base64.hpp"
 #include "util/json.hpp"
 #include "web/frontend.hpp"
@@ -337,6 +339,62 @@ TEST(Http, SeededResponseMutationsDecodeTheSameAtAnySlicing) {
   }
   EXPECT_GT(refused, 100);
   EXPECT_GT(complete, 100);
+}
+
+namespace {
+
+/// A header block just under the 1 MiB cap, nearly all of it an X-Pad
+/// field of kPadBytes, after `first_line`.
+constexpr std::size_t kPadBytes = (1u << 20) - 200;
+std::string padded_head(const std::string& first_line) {
+  return first_line + "\r\nX-Pad: " + std::string(kPadBytes, 'p') +
+         "\r\nContent-Length: 0\r\n\r\n";
+}
+
+/// 64-byte reads of a 1 MiB head take about 2 ms when each search resumes
+/// where the last ended; searching from the start every time takes about
+/// 200 ms. The bound sits between, with room for a loaded or instrumented
+/// host, and is checked after every read so a quadratic parser fails fast.
+constexpr int kSmallReadHeadBoundMs = 50;
+
+}  // namespace
+
+TEST(Http, RequestHeadInSmallReadsParsesInLinearTime) {
+  const std::string wire = padded_head("GET /api/state HTTP/1.1");
+  const auto start = std::chrono::steady_clock::now();
+  const auto bound = start + ricsa_test::scaled_ms(kSmallReadHeadBoundMs);
+  std::string buffer;
+  std::size_t scanned = 0;
+  w::HttpRequest request;
+  w::detail::ParseResult result = w::detail::ParseResult::kNeedMore;
+  for (std::size_t at = 0; at < wire.size(); at += 64) {
+    buffer.append(wire, at, 64);
+    result = w::detail::parse_request(buffer, request, scanned);
+    ASSERT_LT(std::chrono::steady_clock::now(), bound) << "at byte " << at;
+    if (result != w::detail::ParseResult::kNeedMore) break;
+  }
+  ASSERT_EQ(result, w::detail::ParseResult::kOk);
+  EXPECT_EQ(request.path, "/api/state");
+  EXPECT_EQ(request.headers["x-pad"].size(), kPadBytes);
+  EXPECT_TRUE(buffer.empty());
+}
+
+TEST(Http, ResponseHeadInSmallReadsDecodesInLinearTime) {
+  const std::string wire = padded_head("HTTP/1.1 200 OK");
+  const auto start = std::chrono::steady_clock::now();
+  const auto bound = start + ricsa_test::scaled_ms(kSmallReadHeadBoundMs);
+  w::ResponseDecoder decoder;
+  w::ResponseDecoder::Event event = w::ResponseDecoder::Event::kNeedMore;
+  for (std::size_t at = 0; at < wire.size(); at += 64) {
+    decoder.buffer().append(wire, at, 64);
+    event = decoder.next();
+    ASSERT_LT(std::chrono::steady_clock::now(), bound) << "at byte " << at;
+    if (event != w::ResponseDecoder::Event::kNeedMore) break;
+  }
+  ASSERT_EQ(event, w::ResponseDecoder::Event::kHead);
+  EXPECT_EQ(decoder.status(), 200);
+  EXPECT_EQ(decoder.headers().at("x-pad").size(), kPadBytes);
+  EXPECT_EQ(decoder.next(), w::ResponseDecoder::Event::kDone);
 }
 
 // ----------------------------------------------------------- HttpClient ----
