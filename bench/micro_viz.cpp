@@ -11,6 +11,11 @@
 //
 //   ./build/bench/micro_viz --benchmark_filter='HydroStep|RayCast|Isosurface|RenderMesh'
 //
+// Start-up: the cost-model calibration, split by kernel, and the kernels
+// it times:
+//
+//   ./build/bench/micro_viz --benchmark_filter='QuickCalibration|IsosurfaceExtract/n:24|RenderMesh|RayCast'
+//
 // PNG encoding of the steering benchmark's rendered frame, with the filter
 // and deflate stages timed apart, of the dirty rects its delta bodies
 // carry, of stored-fallback noise, and of one view-frame's publish:
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "core/mapper.hpp"
+#include "cost/models.hpp"
 #include "cost/network_profile.hpp"
 #include "data/generators.hpp"
 #include "hydro/setups.hpp"
@@ -184,6 +190,38 @@ BENCHMARK(BM_HydroStep)
     ->ArgNames({"n", "pool"})
     ->ArgsProduct({{24, 48}, kPoolSizes})
     ->UseRealTime();
+
+// BM_QuickCalibration: the cost-model calibration every steering session
+// runs once per process at start-up (steering::calibrate_quick_models),
+// most of the origin's time to its first frame. Serial by design: it times
+// the kernels to fit the Section 4.4 constants. The counters split one
+// calibration by kernel, in ms.
+void BM_QuickCalibration(benchmark::State& state) {
+  cost::CalibrationTimes sum;
+  for (auto _ : state) {
+    const cost::CostModels models = steering::calibrate_quick_models();
+    benchmark::DoNotOptimize(models.isosurface.alpha_cell_s);
+    const cost::CalibrationTimes& t = models.calibration;
+    sum.samples_s += t.samples_s;
+    sum.isosurface_s += t.isosurface_s;
+    sum.render_s += t.render_s;
+    sum.raycast_s += t.raycast_s;
+    sum.gradient_field_s += t.gradient_field_s;
+    sum.streamline_s += t.streamline_s;
+    sum.filter_s += t.filter_s;
+  }
+  const auto ms = [&state](double seconds) {
+    return 1e3 * seconds / static_cast<double>(state.iterations());
+  };
+  state.counters["samples_ms"] = ms(sum.samples_s);
+  state.counters["extract_ms"] = ms(sum.isosurface_s);
+  state.counters["render_ms"] = ms(sum.render_s);
+  state.counters["raycast_ms"] = ms(sum.raycast_s);
+  state.counters["field_ms"] = ms(sum.gradient_field_s);
+  state.counters["trace_ms"] = ms(sum.streamline_s);
+  state.counters["filter_ms"] = ms(sum.filter_s);
+}
+BENCHMARK(BM_QuickCalibration)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The steering benchmark origin's session (perfbench/steer_bench.cpp): a
 /// 40^3 bow shock ray-cast to 192x192.

@@ -45,9 +45,13 @@ double IsosurfaceModel::predict_render_s(double triangles, bool has_gpu) const {
   return triangles / std::max(rate, 1.0);
 }
 
+namespace {
+
+/// calibrate_isosurface, adding its extraction and render seconds to
+/// `times`.
 IsosurfaceModel calibrate_isosurface(
     const std::vector<const data::ScalarVolume*>& samples,
-    const CalibrationOptions& options) {
+    const CalibrationOptions& options, CalibrationTimes& times) {
   IsosurfaceModel model;
 
   // Accumulators over all runs.
@@ -55,7 +59,7 @@ IsosurfaceModel calibrate_isosurface(
   std::array<std::uint64_t, kMcClasses> triangles{};
   // Least squares for T_run = alpha * cells_run + beta * triangles_run.
   double s_cc = 0, s_ct = 0, s_tt = 0, s_cy = 0, s_ty = 0;
-  double render_tris = 0, render_seconds = 0;
+  double render_tris = 0, render_seconds = 0, extract_seconds = 0;
 
   for (const data::ScalarVolume* volume : samples) {
     const data::BlockDecomposition blocks(*volume, options.block_size);
@@ -71,6 +75,7 @@ IsosurfaceModel calibrate_isosurface(
       util::Stopwatch timer;
       const auto result = viz::extract_isosurface(*volume, blocks, iso, iso_opt);
       const double seconds = timer.elapsed();
+      extract_seconds += seconds;
 
       for (int i = 0; i < kMcClasses; ++i) {
         cells[static_cast<std::size_t>(i)] +=
@@ -135,13 +140,26 @@ IsosurfaceModel calibrate_isosurface(
   model.triangles_per_second =
       (render_seconds > 0 ? render_tris / render_seconds : 1e6) /
       options.host_power;
+  times.isosurface_s += extract_seconds;
+  times.render_s += render_seconds;
   return model;
+}
+
+}  // namespace
+
+IsosurfaceModel calibrate_isosurface(
+    const std::vector<const data::ScalarVolume*>& samples,
+    const CalibrationOptions& options) {
+  CalibrationTimes times;
+  return calibrate_isosurface(samples, options, times);
 }
 
 CostModels calibrate(const std::vector<const data::ScalarVolume*>& samples,
                      const CalibrationOptions& options) {
+  util::Stopwatch total;
   CostModels models;
-  models.isosurface = calibrate_isosurface(samples, options);
+  CalibrationTimes& times = models.calibration;
+  models.isosurface = calibrate_isosurface(samples, options, times);
 
   // Ray casting: time real casts, divide by samples taken (Eq. 7's
   // "t_sample can be considered as constant and easily computed by running
@@ -159,6 +177,7 @@ CostModels calibrate(const std::vector<const data::ScalarVolume*>& samples,
     cast_seconds += timer.elapsed();
     cast_samples += result.samples;
   }
+  times.raycast_s = cast_seconds;
   models.raycast.t_sample_s =
       (cast_samples ? cast_seconds / static_cast<double>(cast_samples) : 1e-8) *
       options.host_power;
@@ -168,6 +187,7 @@ CostModels calibrate(const std::vector<const data::ScalarVolume*>& samples,
   std::size_t trace_steps = 0;
   for (const data::ScalarVolume* volume : samples) {
     const int n = std::min({volume->nx(), volume->ny(), volume->nz(), 48});
+    util::Stopwatch field_timer;
     data::VectorVolume field(n, n, n);
     for (int z = 0; z < n; ++z) {
       for (int y = 0; y < n; ++y) {
@@ -178,6 +198,7 @@ CostModels calibrate(const std::vector<const data::ScalarVolume*>& samples,
         }
       }
     }
+    times.gradient_field_s += field_timer.elapsed();
     viz::StreamlineOptions opt;
     opt.max_steps = options.streamline_max_steps;
     const auto seeds = viz::grid_seeds(field, options.streamline_seed_grid);
@@ -186,6 +207,7 @@ CostModels calibrate(const std::vector<const data::ScalarVolume*>& samples,
     trace_seconds += timer.elapsed();
     trace_steps += set.advection_steps;
   }
+  times.streamline_s = trace_seconds;
   models.streamline.t_advection_s =
       (trace_steps ? trace_seconds / static_cast<double>(trace_steps) : 1e-7) *
       options.host_power;
@@ -204,7 +226,9 @@ CostModels calibrate(const std::vector<const data::ScalarVolume*>& samples,
       models.aux.filter_Bps = static_cast<double>(filter_bytes) /
                               filter_seconds / options.host_power;
     }
+    times.filter_s = filter_seconds;
   }
+  times.total_s = total.elapsed();
   return models;
 }
 

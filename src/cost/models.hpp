@@ -82,11 +82,25 @@ struct AuxiliaryModel {
   double display_Bps = 5e8;
 };
 
+/// Host wall-clock seconds a calibration spent, by kernel (not scaled by
+/// host_power): the start-up cost of the models.
+struct CalibrationTimes {
+  double samples_s = 0.0;  // generating the sample volumes, if timed
+  double isosurface_s = 0.0;  // the isovalue sweep's extractions
+  double render_s = 0.0;      // the renders of those meshes
+  double raycast_s = 0.0;
+  double gradient_field_s = 0.0;  // the streamline probe's vector fields
+  double streamline_s = 0.0;
+  double filter_s = 0.0;
+  double total_s = 0.0;  // the whole calibration, the above included
+};
+
 struct CostModels {
   IsosurfaceModel isosurface;
   RayCastModel raycast;
   StreamlineModel streamline;
   AuxiliaryModel aux;
+  CalibrationTimes calibration;
 };
 
 struct CalibrationOptions {

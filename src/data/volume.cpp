@@ -23,56 +23,6 @@ ScalarVolume::ScalarVolume(int nx, int ny, int nz, std::string variable)
                0.0f);
 }
 
-namespace {
-struct TrilinearWeights {
-  int x0, y0, z0, x1, y1, z1;
-  float fx, fy, fz;
-};
-
-TrilinearWeights clamp_weights(float x, float y, float z, int nx, int ny,
-                               int nz) {
-  const auto clampf = [](float v, float lo, float hi) {
-    return v < lo ? lo : (v > hi ? hi : v);
-  };
-  x = clampf(x, 0.0f, static_cast<float>(nx - 1));
-  y = clampf(y, 0.0f, static_cast<float>(ny - 1));
-  z = clampf(z, 0.0f, static_cast<float>(nz - 1));
-  TrilinearWeights w;
-  w.x0 = static_cast<int>(x);
-  w.y0 = static_cast<int>(y);
-  w.z0 = static_cast<int>(z);
-  w.x1 = std::min(w.x0 + 1, nx - 1);
-  w.y1 = std::min(w.y0 + 1, ny - 1);
-  w.z1 = std::min(w.z0 + 1, nz - 1);
-  w.fx = x - static_cast<float>(w.x0);
-  w.fy = y - static_cast<float>(w.y0);
-  w.fz = z - static_cast<float>(w.z0);
-  return w;
-}
-}  // namespace
-
-float ScalarVolume::sample(float x, float y, float z) const {
-  const TrilinearWeights w = clamp_weights(x, y, z, nx_, ny_, nz_);
-  const float c000 = at(w.x0, w.y0, w.z0), c100 = at(w.x1, w.y0, w.z0);
-  const float c010 = at(w.x0, w.y1, w.z0), c110 = at(w.x1, w.y1, w.z0);
-  const float c001 = at(w.x0, w.y0, w.z1), c101 = at(w.x1, w.y0, w.z1);
-  const float c011 = at(w.x0, w.y1, w.z1), c111 = at(w.x1, w.y1, w.z1);
-  const float c00 = c000 + (c100 - c000) * w.fx;
-  const float c10 = c010 + (c110 - c010) * w.fx;
-  const float c01 = c001 + (c101 - c001) * w.fx;
-  const float c11 = c011 + (c111 - c011) * w.fx;
-  const float c0 = c00 + (c10 - c00) * w.fy;
-  const float c1 = c01 + (c11 - c01) * w.fy;
-  return c0 + (c1 - c0) * w.fz;
-}
-
-Vec3 ScalarVolume::gradient(float x, float y, float z) const {
-  const float h = 1.0f;
-  return Vec3{(sample(x + h, y, z) - sample(x - h, y, z)) * 0.5f,
-              (sample(x, y + h, z) - sample(x, y - h, z)) * 0.5f,
-              (sample(x, y, z + h) - sample(x, y, z - h)) * 0.5f};
-}
-
 std::pair<float, float> ScalarVolume::min_max() const {
   float lo = std::numeric_limits<float>::max();
   float hi = std::numeric_limits<float>::lowest();
@@ -94,7 +44,8 @@ VectorVolume::VectorVolume(int nx, int ny, int nz)
 }
 
 Vec3 VectorVolume::sample(float x, float y, float z) const {
-  const TrilinearWeights w = clamp_weights(x, y, z, nx_, ny_, nz_);
+  const detail::TrilinearWeights w =
+      detail::clamp_weights(x, y, z, nx_, ny_, nz_);
   const auto lerp = [](const Vec3& a, const Vec3& b, float t) {
     return a + (b - a) * t;
   };

@@ -2,23 +2,31 @@
 
 #include "cost/pipeline_builder.hpp"
 #include "data/generators.hpp"
+#include "util/stopwatch.hpp"
 
 namespace ricsa::steering {
 
+cost::CostModels calibrate_quick_models() {
+  util::Stopwatch timer;
+  const data::ScalarVolume jet = data::make_jet(24, 24, 24);
+  const data::ScalarVolume rage = data::make_rage(24, 24, 24);
+  const double samples_s = timer.elapsed();
+  cost::CalibrationOptions opt;
+  opt.isovalue_samples = 3;
+  opt.raycast_size = 32;
+  opt.streamline_seed_grid = 2;
+  opt.streamline_max_steps = 50;
+  cost::CostModels models = cost::calibrate({&jet, &rage}, opt);
+  models.calibration.samples_s = samples_s;
+  models.calibration.total_s = timer.elapsed();
+  return models;
+}
+
 namespace {
-/// Quick shared calibration on small sample volumes (done once per process;
-/// session construction must stay interactive).
+/// The shared calibration, done once per process: session construction
+/// must stay interactive.
 const cost::CostModels& quick_models() {
-  static const cost::CostModels models = [] {
-    static const data::ScalarVolume jet = data::make_jet(24, 24, 24);
-    static const data::ScalarVolume rage = data::make_rage(24, 24, 24);
-    cost::CalibrationOptions opt;
-    opt.isovalue_samples = 3;
-    opt.raycast_size = 32;
-    opt.streamline_seed_grid = 2;
-    opt.streamline_max_steps = 50;
-    return cost::calibrate({&jet, &rage}, opt);
-  }();
+  static const cost::CostModels models = calibrate_quick_models();
   return models;
 }
 }  // namespace

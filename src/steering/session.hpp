@@ -36,6 +36,13 @@ struct SessionConfig {
   int cycles_per_frame = 2;
 };
 
+/// The session's cost models: Section 4.4's calibration on 24^3 jet and
+/// rage sample volumes, generated first, timing the real kernels. Sessions
+/// share one run per process, at the first session's construction, so it
+/// is start-up work; models().calibration holds its seconds by kernel, the
+/// sample generation included.
+cost::CostModels calibrate_quick_models();
+
 class SteeringSession {
  public:
   explicit SteeringSession(SessionConfig config);

@@ -22,18 +22,6 @@ Image::Image(int width, int height, Rgba fill)
   }
 }
 
-Rgba& Image::at(int x, int y) {
-  if (x < 0 || y < 0 || x >= width_ || y >= height_) {
-    throw std::out_of_range("Image::at");
-  }
-  return pixels_[static_cast<std::size_t>(y) * static_cast<std::size_t>(width_) +
-                 static_cast<std::size_t>(x)];
-}
-
-const Rgba& Image::at(int x, int y) const {
-  return const_cast<Image*>(this)->at(x, y);
-}
-
 void Image::write_ppm(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("Image: cannot open " + path);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -34,8 +35,19 @@ class Image {
   int height() const noexcept { return height_; }
   std::size_t bytes() const noexcept { return pixels_.size() * 4; }
 
-  Rgba& at(int x, int y);
-  const Rgba& at(int x, int y) const;
+  /// Pixel (x, y); throws std::out_of_range outside the image. Inline, as
+  /// the ray cast writes each of its pixels through it.
+  Rgba& at(int x, int y) {
+    if (x < 0 || y < 0 || x >= width_ || y >= height_) {
+      throw std::out_of_range("Image::at");
+    }
+    return pixels_[static_cast<std::size_t>(y) *
+                       static_cast<std::size_t>(width_) +
+                   static_cast<std::size_t>(x)];
+  }
+  const Rgba& at(int x, int y) const {
+    return const_cast<Image*>(this)->at(x, y);
+  }
 
   const std::vector<Rgba>& pixels() const noexcept { return pixels_; }
 

@@ -40,7 +40,10 @@ struct IsosurfaceOptions {
   /// serial scan. Null = serial.
   util::ThreadPool* pool = nullptr;
   /// Compute smooth per-vertex normals from the field gradient; otherwise
-  /// flat face normals are used (cheaper).
+  /// flat face normals are used (cheaper). A vertex's gradient is taken
+  /// once per z-slab, however many cells and triangles share its segment
+  /// (they interpolate it from the same two corners, bit for bit); where
+  /// the gradient vanishes, the triangle's flat normal stands in.
   bool gradient_normals = true;
 };
 

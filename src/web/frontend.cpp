@@ -21,6 +21,21 @@ HubRegistry::Config registry_config_of(const FrontEndConfig& config) {
   return registry;
 }
 
+/// The session's calibrated Section 4.4 constants (reference-PC seconds
+/// and rates) and the host seconds their one-time calibration took at
+/// start-up: calibration noise moves them from one process to the next.
+util::Json models_json(const cost::CostModels& models) {
+  util::Json out;
+  out["calibration_s"] = models.calibration.total_s;
+  out["alpha_cell_s"] = models.isosurface.alpha_cell_s;
+  out["beta_triangle_s"] = models.isosurface.beta_triangle_s;
+  out["triangles_per_second"] = models.isosurface.triangles_per_second;
+  out["t_sample_s"] = models.raycast.t_sample_s;
+  out["t_advection_s"] = models.streamline.t_advection_s;
+  out["filter_Bps"] = models.aux.filter_Bps;
+  return out;
+}
+
 FrameService::Setup setup_of(const FrontEndConfig& config) {
   FrameService::Setup setup;
   setup.poll_timeout_s = config.poll_timeout_s;
@@ -40,6 +55,9 @@ AjaxFrontEnd::AjaxFrontEnd(FrontEndConfig config)
                  ServingPolicy policy;
                  policy.add_stats = [this](util::Json& out) {
                    out["steers"] = static_cast<double>(steers_.load());
+                   // Set at construction and never written again, so
+                   // safe to read beside the monitor loop.
+                   out["models"] = models_json(session_.models());
                  };
                  return policy;
                }(),

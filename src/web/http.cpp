@@ -401,22 +401,32 @@ bool ResponseDecoder::keep_alive() const {
 }
 
 void SseSplitter::feed(std::string payload) {
-  // The usual case, one event per chunk, moves the payload in.
-  buffer_ = pos_ == buffer_.size() ? std::move(payload)
-                                   : buffer_.substr(pos_) + payload;
-  pos_ = 0;
+  // The usual case, one event per chunk, moves the payload in; the rest
+  // of an unfinished event grows in place.
+  if (pos_ == buffer_.size()) {
+    buffer_ = std::move(payload);
+    pos_ = 0;
+    scanned_ = 0;
+  } else {
+    buffer_.append(payload);
+  }
 }
 
 SseSplitter::Result SseSplitter::next(Event& out) {
-  const std::size_t end = buffer_.find("\n\n", pos_);
+  // Resume the search for the blank line one byte before the last one
+  // ended, so an event arriving in small payloads is scanned once.
+  const std::size_t end =
+      buffer_.find("\n\n", pos_ + (scanned_ > 0 ? scanned_ - 1 : 0));
   if (end == std::string::npos) {
     buffer_.erase(0, pos_);
     pos_ = 0;
+    scanned_ = buffer_.size();
     return buffer_.size() > kMaxBodyBytes ? Result::kBad : Result::kNeedMore;
   }
   if (end - pos_ > kMaxBodyBytes) return Result::kBad;
   std::string_view block(buffer_.data() + pos_, end - pos_);
   pos_ = end + 2;
+  scanned_ = 0;
   out = Event();
   while (!block.empty()) {
     const std::string_view line = take_line(block);

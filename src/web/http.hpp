@@ -434,6 +434,8 @@ class SseSplitter {
  private:
   std::string buffer_;
   std::size_t pos_ = 0;  // first byte of buffer_ not yet split off
+  /// Bytes from pos_ searched for the end of the event in vain.
+  std::size_t scanned_ = 0;
 };
 
 /// Blocking HTTP/1.1 client. Keeps its connection alive across requests

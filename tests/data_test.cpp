@@ -2,13 +2,19 @@
 // the RDF container format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "data/generators.hpp"
 #include "data/octree.hpp"
 #include "data/rdf_io.hpp"
 #include "data/volume.hpp"
+#include "util/prng.hpp"
 
 namespace d = ricsa::data;
 
@@ -65,6 +71,102 @@ TEST(ScalarVolume, GradientOfRampIsUnitX) {
   EXPECT_NEAR(g.x, 1.0f, 1e-5f);
   EXPECT_NEAR(g.y, 0.0f, 1e-5f);
   EXPECT_NEAR(g.z, 0.0f, 1e-5f);
+}
+
+namespace {
+
+/// The trilinear sampler as it stood before sample() went inline: the same
+/// clamps and float operations, every corner read through the
+/// bounds-checked at().
+float checked_sample(const d::ScalarVolume& v, float x, float y, float z) {
+  const auto clampf = [](float t, float lo, float hi) {
+    return t < lo ? lo : (t > hi ? hi : t);
+  };
+  x = clampf(x, 0.0f, static_cast<float>(v.nx() - 1));
+  y = clampf(y, 0.0f, static_cast<float>(v.ny() - 1));
+  z = clampf(z, 0.0f, static_cast<float>(v.nz() - 1));
+  const int x0 = static_cast<int>(x), y0 = static_cast<int>(y),
+            z0 = static_cast<int>(z);
+  const int x1 = std::min(x0 + 1, v.nx() - 1);
+  const int y1 = std::min(y0 + 1, v.ny() - 1);
+  const int z1 = std::min(z0 + 1, v.nz() - 1);
+  const float fx = x - static_cast<float>(x0);
+  const float fy = y - static_cast<float>(y0);
+  const float fz = z - static_cast<float>(z0);
+  const float c000 = v.at(x0, y0, z0), c100 = v.at(x1, y0, z0);
+  const float c010 = v.at(x0, y1, z0), c110 = v.at(x1, y1, z0);
+  const float c001 = v.at(x0, y0, z1), c101 = v.at(x1, y0, z1);
+  const float c011 = v.at(x0, y1, z1), c111 = v.at(x1, y1, z1);
+  const float c00 = c000 + (c100 - c000) * fx;
+  const float c10 = c010 + (c110 - c010) * fx;
+  const float c01 = c001 + (c101 - c001) * fx;
+  const float c11 = c011 + (c111 - c011) * fx;
+  const float c0 = c00 + (c10 - c00) * fy;
+  const float c1 = c01 + (c11 - c01) * fy;
+  return c0 + (c1 - c0) * fz;
+}
+
+d::Vec3 checked_gradient(const d::ScalarVolume& v, float x, float y,
+                         float z) {
+  const float h = 1.0f;
+  return d::Vec3{
+      (checked_sample(v, x + h, y, z) - checked_sample(v, x - h, y, z)) * 0.5f,
+      (checked_sample(v, x, y + h, z) - checked_sample(v, x, y - h, z)) * 0.5f,
+      (checked_sample(v, x, y, z + h) - checked_sample(v, x, y, z - h)) *
+          0.5f};
+}
+
+bool same_bits(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+}  // namespace
+
+TEST(ScalarVolume, SampleAndGradientMatchTheCheckedReference) {
+  // Seeded points inside, on and beyond the bounds of noise volumes,
+  // including axes of extent 1, must sample to the reference's bits. A
+  // corner of zero weight still enters the arithmetic, and an infinite
+  // value there makes the sample NaN, so a few voxels are infinite: a
+  // sampler that reads a wrong corner at a bound differs in its bits.
+  ricsa::util::Xoshiro256 rng(17);
+  const std::array<std::array<int, 3>, 5> shapes = {
+      {{13, 11, 7}, {1, 7, 5}, {6, 1, 1}, {9, 4, 1}, {1, 1, 1}}};
+  const float inf = std::numeric_limits<float>::infinity();
+  std::size_t points = 0;
+  for (const auto& [nx, ny, nz] : shapes) {
+    d::ScalarVolume vol(nx, ny, nz);
+    for (float& value : vol.raw()) {
+      value = static_cast<float>(rng.uniform(-5.0, 5.0));
+      if (rng.bernoulli(0.05)) value = rng.bernoulli(0.5) ? inf : -inf;
+    }
+    const auto coordinate = [&rng](int n) {
+      const int top = n - 1;
+      switch (rng.uniform_int(0, 3)) {
+        case 0:  // a lattice plane, the two bounds included
+          return static_cast<float>(rng.uniform_int(0, top));
+        case 1:  // exactly on a bound
+          return static_cast<float>(rng.bernoulli(0.5) ? 0 : top);
+        case 2:  // beyond the bounds, or inside
+          return static_cast<float>(rng.uniform(-3.0, top + 3.0));
+        default:  // inside
+          return static_cast<float>(rng.uniform(0.0, top));
+      }
+    };
+    for (int i = 0; i < 24000; ++i, ++points) {
+      const float x = coordinate(nx), y = coordinate(ny), z = coordinate(nz);
+      const float s = vol.sample(x, y, z);
+      ASSERT_TRUE(same_bits(s, checked_sample(vol, x, y, z)))
+          << nx << "x" << ny << "x" << nz << " at " << x << "," << y << ","
+          << z;
+      const d::Vec3 g = vol.gradient(x, y, z);
+      const d::Vec3 r = checked_gradient(vol, x, y, z);
+      ASSERT_TRUE(same_bits(g.x, r.x) && same_bits(g.y, r.y) &&
+                  same_bits(g.z, r.z))
+          << nx << "x" << ny << "x" << nz << " at " << x << "," << y << ","
+          << z;
+    }
+  }
+  EXPECT_GE(points, 100000u);
 }
 
 TEST(ScalarVolume, MinMax) {

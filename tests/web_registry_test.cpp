@@ -516,6 +516,31 @@ TEST(AjaxFrontEnd, ViewParameterRoutesToShardsAndUnknownViewsAre404) {
   frontend.stop();
 }
 
+TEST(AjaxFrontEnd, StatsReportTheCalibratedModels) {
+  // The origin reports the Section 4.4 constants its session calibrated at
+  // start-up, and what that calibration took: once per process, so every
+  // scrape reads the same block.
+  w::AjaxFrontEnd frontend(sharded_frontend());
+  const int port = frontend.start();
+  while (frontend.frame_seq() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const Json first = Json::parse(w::http_get(port, "/api/stats").body);
+  const Json& models = first.at("models");
+  ASSERT_TRUE(models.is_object());
+  for (const char* key :
+       {"calibration_s", "alpha_cell_s", "triangles_per_second",
+        "t_sample_s", "t_advection_s", "filter_Bps"}) {
+    EXPECT_GT(models.at(key).as_number(0.0), 0.0) << key;
+  }
+  EXPECT_GE(models.at("beta_triangle_s").as_number(-1.0), 0.0);
+  EXPECT_LT(models.at("calibration_s").as_number(), 10.0);
+  const Json again = Json::parse(
+      w::http_get(port, "/api/stats?view=rho%2Fiso").body);
+  EXPECT_EQ(again.at("models"), models);
+  frontend.stop();
+}
+
 TEST(AjaxFrontEnd, OneClientPollingTwoViewsSharesOneSession) {
   w::AjaxFrontEnd frontend(sharded_frontend());
   const int port = frontend.start();

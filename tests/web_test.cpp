@@ -355,6 +355,7 @@ std::string padded_head(const std::string& first_line) {
 /// where the last ended; searching from the start every time takes about
 /// 200 ms. The bound sits between, with room for a loaded or instrumented
 /// host, and is checked after every read so a quadratic parser fails fast.
+/// The event splitter's test below shares it.
 constexpr int kSmallReadHeadBoundMs = 50;
 
 }  // namespace
@@ -395,6 +396,32 @@ TEST(Http, ResponseHeadInSmallReadsDecodesInLinearTime) {
   EXPECT_EQ(decoder.status(), 200);
   EXPECT_EQ(decoder.headers().at("x-pad").size(), kPadBytes);
   EXPECT_EQ(decoder.next(), w::ResponseDecoder::Event::kDone);
+}
+
+TEST(Http, SseEventInSmallChunksSplitsInLinearTime) {
+  // A relay's upstream stream can deliver one large event in many small
+  // chunks. Splitting it must stay linear: appending each payload in place
+  // and resuming the blank-line search takes about 3 ms for this event;
+  // copying and rescanning the unfinished event per payload took about
+  // 1.3 s. The bound is checked after every payload, so a quadratic
+  // splitter fails fast.
+  const std::string wire =
+      "id: 7\ndata: " + std::string(kPadBytes, 'p') + "\n\n";
+  const auto start = std::chrono::steady_clock::now();
+  const auto bound = start + ricsa_test::scaled_ms(kSmallReadHeadBoundMs);
+  w::SseSplitter splitter;
+  w::SseSplitter::Event event;
+  w::SseSplitter::Result result = w::SseSplitter::Result::kNeedMore;
+  for (std::size_t at = 0; at < wire.size(); at += 64) {
+    splitter.feed(wire.substr(at, 64));
+    result = splitter.next(event);
+    ASSERT_LT(std::chrono::steady_clock::now(), bound) << "at byte " << at;
+    if (result != w::SseSplitter::Result::kNeedMore) break;
+  }
+  ASSERT_EQ(result, w::SseSplitter::Result::kEvent);
+  EXPECT_EQ(event.id, "7");
+  EXPECT_EQ(event.data.size(), kPadBytes);
+  EXPECT_EQ(splitter.next(event), w::SseSplitter::Result::kNeedMore);
 }
 
 // ----------------------------------------------------------- HttpClient ----
