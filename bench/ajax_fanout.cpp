@@ -37,12 +37,11 @@
 // *view* must not pace or delay the other shards, the isolation that a
 // single shared hub window cannot give.
 //
-// The delta scenario (--scenario delta) measures tile-based dirty-rect
-// image deltas on a localized-change workload — a steady isosurface under
-// an orbiting view, where most of the frame (background) is static — by
-// running the same client mix twice: once forcing full-frame resends
-// (full=1, the pre-tile behaviour) and once accepting tile deltas
-// (delta=1). The comparison reports steady-state bytes/frame both ways and
+// The delta scenario (--scenario delta) measures image deltas (one
+// changed-region rect per frame) on a localized-change workload — a steady
+// isosurface under an orbiting view, where most of the frame (background)
+// is static — by running the same client mix twice: once forcing
+// full-frame resends (full=1) and once accepting deltas (delta=1). The comparison reports steady-state bytes/frame both ways and
 // the saved fraction.
 //
 // The transport scenario (--scenario transport) is the long-poll vs SSE
@@ -463,7 +462,7 @@ Json run_round(ricsa::web::AjaxFrontEnd& frontend, int port, int n_clients,
 
   // Encoder-side compression accounting over this round: raw framebuffer
   // bytes handed to the PNG encoder vs compressed bytes it produced,
-  // across every full-frame and tile-rect encode the hub performed. The
+  // across every full-frame and rect encode the hub performed. The
   // wire bytes above additionally carry base64 and JSON framing, so this
   // is the codec's own ratio, not the end-to-end one.
   out["codec"] = "deflate";
@@ -1257,13 +1256,12 @@ int main(int argc, char** argv) {
   // The shard scenario's view namespace: the default "main" view plus three
   // fixed projections, each published into its own hub shard every frame.
   // Small images and a bounded raw window keep 4x per-frame rendering CI-
-  // sized; fine tiles keep the delta protocol engaged on every shard.
+  // sized.
   std::vector<std::string> shard_views = {"main"};
   if (scenario == "shard") {
     config.session.viz.isovalue = 1.1f;
     config.session.viz.image_width = 64;
     config.session.viz.image_height = 64;
-    config.tile_size = 16;
     config.raw_window = 32;
     const float azimuths[3] = {1.6f, 2.8f, 4.1f};
     const char* names[3] = {"rho/iso", "pressure/iso", "energy/iso"};
@@ -1285,21 +1283,17 @@ int main(int argc, char** argv) {
     config.session.viz.isovalue = 1.1f;
     config.session.viz.image_width = 128;
     config.session.viz.image_height = 128;
-    // Fine enough tiles that image deltas engage at this size — the
-    // adaptive round then exercises cursor-anchored deltas under real
+    // The adaptive round exercises cursor-anchored deltas under real
     // pacing skips (delta_breaks is the protocol-correctness signal).
-    config.tile_size = 24;
   }
   if (scenario == "delta") {
     // The localized-change workload: a steady isosurface under an orbiting
     // view. The object occupies the middle of the frame; the background
-    // never changes, so dirty-rect tiles should carry a fraction of the
-    // full image. A finer grid than the 64-px default keeps tiles
-    // meaningful at this image size.
+    // never changes, so each frame's changed-region rect should carry a
+    // fraction of the full image.
     config.session.viz.isovalue = 1.1f;
     config.session.viz.image_width = 192;
     config.session.viz.image_height = 192;
-    config.tile_size = 24;
   }
   // Mixed rounds each get a fresh front end: sessions left behind by one
   // adaptive round (idle expiry is 60 s) must not contaminate the next
@@ -1367,10 +1361,9 @@ int main(int argc, char** argv) {
       rounds.as_array().push_back(std::move(adaptive));
     } else if (scenario == "delta") {
       if (!first_round) fresh_frontend();
-      // Same workload twice: full-frame resends forced (the pre-tile
-      // behaviour), then tile deltas accepted. Clients are unpaced and
-      // prompt — steady-state sequential polls, where the per-frame delta
-      // is exactly one frame's dirty tiles.
+      // Same workload twice: full-frame resends forced, then deltas
+      // accepted. Clients are unpaced and prompt — steady-state sequential
+      // polls, where the per-frame delta is exactly one frame's rect.
       std::fprintf(stderr,
                    "[ajax_fanout] delta: %d clients full-resend baseline...\n",
                    n);

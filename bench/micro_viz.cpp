@@ -265,14 +265,13 @@ const OriginViews& origin_views() {
 /// The origin's main view, 40 frames in.
 const viz::Image& origin_frame() { return origin_views().frames[0].back(); }
 
-/// The dirty rects of `image` against `prev` on the hub's 24 px tiles,
-/// coalesced and cut out, as the hub encodes them.
+/// The rect the hub encodes for `image` against `prev`: the bounding box
+/// of the changed pixels, cut out (none when no pixel changed).
 std::vector<viz::Image> dirty_rects(const viz::Image& prev,
                                     const viz::Image& image) {
-  const viz::TileGrid grid(image.width(), image.height(), 24);
   std::vector<viz::Image> rects;
-  for (const viz::TileRect& rect : grid.coalesce(grid.diff(prev, image))) {
-    rects.push_back(viz::TileGrid::extract(image, rect));
+  if (const auto rect = viz::changed_bounds(prev, image)) {
+    rects.push_back(viz::TileGrid::extract(image, *rect));
   }
   return rects;
 }
@@ -315,8 +314,9 @@ std::vector<std::uint8_t> png_scanlines(const std::vector<std::uint8_t>& png) {
 // BM_PngEncodeFrame runs the whole encode_png, BM_DeflateFrame only the
 // deflate of that frame's filtered scanlines, so the difference is the
 // filter pass, the Adler-32 checksum and PNG framing. BM_PngEncodeRects
-// encodes every dirty rect of 40 frames of both views, the payload delta
-// bodies carry: `png_bytes_per_frame` is their PNG bytes per view-frame.
+// encodes the changed-region rect of each of 40 frames of both views, the
+// payload delta bodies carry: `png_bytes_per_frame` is their PNG bytes per
+// view-frame.
 // BM_PngEncodeNoise encodes uniform noise, where every block takes the
 // stored fallback (ratio ~1). `ratio` is raw RGBA bytes over PNG bytes.
 // Each takes the `pool` argument: 0 encodes serially, otherwise the
@@ -389,9 +389,9 @@ BENCHMARK(BM_PngEncodeRects)
 
 // BM_PublishEncodes: the encodes FrameHub::publish runs for one view-frame
 // (view 0 the main view, 1 the isosurface view), frames 31-40 in turn: the
-// full PNG and every coalesced 24 px dirty rect against the frame before,
-// each one task of one parallel_for on a host-sized pool, with the pool
-// lent to every encode. Its time is what a publish waits for its PNGs.
+// full PNG and the changed-region rect against the frame before, each one
+// task of one parallel_for on a host-sized pool, with the pool lent to
+// every encode. Its time is what a publish waits for its PNGs.
 void BM_PublishEncodes(benchmark::State& state) {
   const std::vector<viz::Image>& frames =
       origin_views().frames[static_cast<std::size_t>(state.range(0))];

@@ -31,12 +31,9 @@ int main(int argc, char** argv) {
   config.session.viz.image_height = 192;
   config.session.cycles_per_frame = 1;
   config.frame_interval_s = 0.25;
-  // Fine dirty-rect tiles for the 192x192 render: frame-to-frame changes
-  // ship as a handful of tiles onto the dashboard's canvas instead of a
-  // full PNG per frame.
-  config.tile_size = 24;
-  // Bound raw-framebuffer retention: tile encodes stay for the whole
-  // window, the pixels only for the frames a live skipper can anchor on.
+  // Bound raw-framebuffer retention: each frame's changed-region rect
+  // encode stays for the whole window, the pixels only for the frames a
+  // live skipper can anchor on.
   config.raw_window = 32;
   config.port = port;
   // A second published view: the same simulation step rendered as an

@@ -20,7 +20,8 @@ fraction; a missing or unreadable previous side is a note, not a failure —
 the first run on a branch has nothing to compare against.
 
 Self-contained gates, applied with or without a previous artifact: the
-congestion A/B, the tile-delta compression floor, and the protocol counters
+congestion A/B, the tile-delta compression floor and byte saving (deltas
+must not cost more than full frames), and the protocol counters
 of the transport and relay benches (every gaps_*/errors_*/delta_breaks_*
 comparison field, relay_image_encodes, and the relayed round's upstream
 reconnects must be 0).
@@ -289,9 +290,11 @@ def congestion_gate(cur_root):
 def compression_gate(cur_root):
     """Absolute gate on the tile-delta scenario, previous artifact or not:
     every tiled round must report the deflate codec holding at least
-    COMPRESSION_RATIO_FLOOR over the raw framebuffer bytes it encoded, and
-    a clean protocol run (no gaps, errors, or delta breaks). A ratio at
-    ~1.0 means the encoder fell back to stored blocks across the board."""
+    COMPRESSION_RATIO_FLOOR over the raw framebuffer bytes it encoded, a
+    non-negative bytes_saved_fraction (delta bodies must not cost more per
+    frame than full resends of the same workload), and a clean protocol run
+    (no gaps, errors, or delta breaks). A ratio at ~1.0 means the encoder
+    fell back to stored blocks across the board."""
     path = cur_root / "ajax_fanout_delta.json"
     if not path.is_file():
         return []
@@ -310,6 +313,12 @@ def compression_gate(cur_root):
             failures.append(
                 f"{label}: compression ratio {ratio:.2f} below floor "
                 f"{COMPRESSION_RATIO_FLOOR:.2f}")
+        saved = cmp_json.get("bytes_saved_fraction")
+        if saved is not None and saved < 0:
+            verdict = "REGRESSION"
+            failures.append(
+                f"{label}: deltas cost more than full frames "
+                f"(bytes saved {saved * 100:.1f}%)")
         for field in ("gaps", "errors", "delta_breaks"):
             count = cmp_json.get(field)
             if count:
@@ -318,7 +327,7 @@ def compression_gate(cur_root):
                                 "round")
         print(f"[bench-delta] {label}: codec={cmp_json.get('codec')} "
               f"ratio={ratio:.2f} saved="
-              f"{cmp_json.get('bytes_saved_fraction', 0.0) * 100:.0f}% "
+              f"{cmp_json.get('bytes_saved_fraction', 0.0) * 100:.1f}% "
               f"[{verdict}]")
     return failures
 
@@ -433,8 +442,8 @@ def main():
               f"-> {args.history_out}")
     print_trends(history)
 
-    # The congestion A/B, the compression floor and the protocol counters
-    # are self-contained in the current run, so those gates apply even on a
+    # The congestion A/B, the tile-delta compression floor and byte saving,
+    # and the protocol counters are self-contained in the current run, so those gates apply even on a
     # first run with no previous artifact.
     regressions = list(congestion_gate(cur_root))
     regressions += compression_gate(cur_root)

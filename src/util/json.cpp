@@ -229,14 +229,21 @@ void dump_string(const std::string& s, std::string& out) {
 }
 
 void dump_number(double d, std::string& out) {
+  // JSON has no NaN or infinity; null is what JSON.stringify writes too.
+  if (!std::isfinite(d)) {
+    out += "null";
+    return;
+  }
   // Range first: casting a double outside int64 is undefined.
   if (std::abs(d) < 1e15 &&
       d == static_cast<double>(static_cast<std::int64_t>(d))) {
     out += std::to_string(static_cast<std::int64_t>(d));
   } else {
+    // The shortest text that parses back to the same double: 2.7, not
+    // %.17g's 2.7000000000000002.
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out += buf;
+    const auto result = std::to_chars(buf, buf + sizeof(buf), d);
+    out.append(buf, result.ptr);
   }
 }
 }  // namespace

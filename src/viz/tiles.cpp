@@ -46,6 +46,48 @@ bool rows_equal(const std::uint8_t* a, const std::uint8_t* b, std::size_t n) {
 
 }  // namespace detail
 
+std::optional<TileRect> changed_bounds(const Image& before,
+                                       const Image& after) {
+  if (before.width() != after.width() || before.height() != after.height()) {
+    throw std::invalid_argument("changed_bounds: image dimension mismatch");
+  }
+  const int width = after.width();
+  const std::size_t stride = static_cast<std::size_t>(width);
+  const Rgba* a = before.pixels().data();
+  const Rgba* b = after.pixels().data();
+  const auto row_equal = [&](int y, int x0, int x1) {  // pixels [x0, x1)
+    const std::size_t off = static_cast<std::size_t>(y) * stride +
+                            static_cast<std::size_t>(x0);
+    return detail::rows_equal(reinterpret_cast<const std::uint8_t*>(a + off),
+                              reinterpret_cast<const std::uint8_t*>(b + off),
+                              static_cast<std::size_t>(x1 - x0) * sizeof(Rgba));
+  };
+  int top = 0;
+  while (top < after.height() && row_equal(top, 0, width)) ++top;
+  if (top == after.height()) return std::nullopt;
+  int bottom = after.height() - 1;
+  while (row_equal(bottom, 0, width)) --bottom;
+  // [left, right] only grows: each unequal row is scanned inward from both
+  // ends, and only over the columns outside the box found so far.
+  int left = width;
+  int right = -1;
+  for (int y = top; y <= bottom; ++y) {
+    const Rgba* pa = a + static_cast<std::size_t>(y) * stride;
+    const Rgba* pb = b + static_cast<std::size_t>(y) * stride;
+    if (left > 0 && !row_equal(y, 0, left)) {
+      int x = 0;
+      while (pa[x] == pb[x]) ++x;
+      left = x;
+    }
+    if (right < width - 1 && !row_equal(y, right + 1, width)) {
+      int x = width - 1;
+      while (pa[x] == pb[x]) --x;
+      right = x;
+    }
+  }
+  return TileRect{left, top, right - left + 1, bottom - top + 1};
+}
+
 TileGrid::TileGrid(int width, int height, int tile_size)
     : width_(width), height_(height), tile_(tile_size) {
   if (width <= 0 || height <= 0 || tile_size <= 0) {

@@ -1,14 +1,19 @@
-// Fixed-grid tile decomposition of a framebuffer for dirty-rect deltas.
+// Changed-region bounds and a fixed-grid tile decomposition of a
+// framebuffer, for image deltas.
 //
-// The paper's network optimization ships only what the link needs; the tile
-// grid is the image-side analogue of its partial state updates: a frame is
-// split into fixed-size tiles (edge tiles clamped to partial width/height),
-// two framebuffers are diffed tile-by-tile, and only the dirty tiles are
-// re-encoded and shipped. The web hub uses this to serve VNC-style
-// incremental image updates to long-poll clients (see web/hub.hpp).
+// The paper's network optimization ships only what the link needs; the
+// changed region is the image-side analogue of its partial state updates.
+// The web hub ships, per frame and image tier, one rectangle: the bounding
+// box of the pixels that differ from the predecessor (changed_bounds), cut
+// out with TileGrid::extract and composited by clients as VNC-style
+// incremental updates (see web/hub.hpp). The tile grid (fixed-size tiles,
+// edge tiles clamped to partial width/height, diffed tile by tile and
+// coalesced into rectangles) no longer feeds the hub; the steering
+// benchmark's replay spans and the viz tests still use it.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "viz/image.hpp"
@@ -27,6 +32,13 @@ struct TileRect {
   int x = 0, y = 0, w = 0, h = 0;
   bool operator==(const TileRect&) const = default;
 };
+
+/// The smallest rectangle holding every pixel that differs between
+/// `before` and `after`, or nullopt when no pixel differs. Rows are
+/// compared with detail::rows_equal; an unequal row is scanned inward from
+/// both ends, only as far as the box found so far. Throws
+/// std::invalid_argument when the dimensions differ.
+std::optional<TileRect> changed_bounds(const Image& before, const Image& after);
 
 /// Bitset over a grid's tile indices (row-major): dirty[i] != 0 means tile i
 /// differs between the two diffed framebuffers.
@@ -69,9 +81,9 @@ class TileGrid {
   /// row-major sweep extending each unclaimed dirty tile rightward, then
   /// downward while every tile in the span is dirty and unclaimed. The
   /// result is a set of disjoint pixel rectangles that together cover
-  /// exactly the dirty tiles (never a clean tile — callers rely on each
-  /// rectangle carrying only changed content). Fewer, larger rectangles
-  /// amortize per-tile PNG/base64/JSON overhead when encoding deltas.
+  /// exactly the dirty tiles (never a clean tile). The hub no longer
+  /// encodes these: one changed_bounds box per frame measured smaller on
+  /// the wire than the coalesced tiles it replaced.
   std::vector<TileRect> coalesce(const TileSet& dirty) const;
 
   /// Copy tile `r` out of `src` as a standalone image. `src` must contain

@@ -81,7 +81,9 @@ struct FrontEndConfig {
   /// backpressure reach the pacing meters after this many queued bytes
   /// instead of after megabytes of autotuned buffering.
   int sndbuf = 0;
-  /// Tile edge (pixels) of the hub's dirty-rect image-delta grid.
+  /// Read by nothing: the hub ships one changed-region rect per frame and
+  /// has no tile grid. Kept only because the steering benchmark
+  /// (perfbench/steer_bench.cpp) still assigns it.
   int tile_size = 64;
   /// Per-client adaptive pacing knobs (frame_interval_s is overridden with
   /// the front end's own cadence at construction). `pacing.controller`

@@ -27,7 +27,7 @@ std::string render_body(std::uint64_t seq, Tier tier, const util::Json& state,
   return out.dump();
 }
 
-/// One dirty tile of an image delta: its rectangle plus a pointer to the
+/// One rect of an image delta: its position plus a pointer to the
 /// publish-time base64(PNG) encode (shared, never copied until the final
 /// body render).
 struct TileRef {
@@ -35,10 +35,11 @@ struct TileRef {
   const std::string* b64 = nullptr;
 };
 
-/// Render a tile-delta poll body: the state as given (key-delta for the
+/// Render an image-delta poll body: the state as given (key-delta for the
 /// publish-time sequential body, full state for cursor-anchored skips — a
 /// skipping client cannot merge key deltas across frames it never saw), the
-/// base seq the tiles patch, the canvas dimensions, and the dirty tiles.
+/// base seq the rects patch, the canvas dimensions, and the rects in the
+/// order the client composites them.
 std::string render_tiles_body(std::uint64_t seq, Tier tier,
                               const util::Json& state, std::uint64_t base_seq,
                               int width, int height,
@@ -112,7 +113,7 @@ std::uint64_t FrameHub::publish(util::Json state, const viz::Image& image,
 std::uint64_t FrameHub::publish(util::Json state,
                                 std::vector<std::uint8_t> png) {
   // No raw pixels: no reduced image (half tier falls back to the full body)
-  // and no tile deltas (image changes resend the whole image).
+  // and no image deltas (image changes resend the whole image).
   return publish_impl(std::move(state), std::move(png), nullptr, nullptr,
                       nullptr);
 }
@@ -154,11 +155,11 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
   }
 
   // The frame's encodes — full and half PNG with their base64, and each
-  // tier's dirty rects — are independent of one another, so they are
-  // queued here, each writing only its own slot, and run together below:
-  // concurrently on the publisher's lent pool, serially without one. Each
-  // encode lends the pool on to its PNG's deflate strips, which nest under
-  // these tasks.
+  // tier's changed-region rect — are independent of one another, so they
+  // are queued here, each writing only its own slot, and run together
+  // below: concurrently on the publisher's lent pool, serially without one.
+  // Each encode lends the pool on to its PNG's deflate strips, which nest
+  // under these tasks.
   std::vector<std::function<void()>> encodes;
   std::string b64_full;
   std::string b64_half;
@@ -177,71 +178,51 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
     });
   }
 
-  // Tile-delta pass, per image tier: diff the raw framebuffer against the
-  // predecessor's on a fixed tile grid and PNG-encode only the dirty tiles
-  // — once per frame per tier, shared by every client whose delta includes
-  // the tile (sequential *and* cursor-anchored skippers).
+  // Image-delta pass, per image tier: bound the pixels that differ from
+  // the predecessor's raw framebuffer and PNG-encode that one rect — once
+  // per frame per tier, shared by every client whose delta includes it
+  // (sequential *and* cursor-anchored skippers).
   frame->tiles[0].set_raw(raw_full);
   frame->tiles[1].set_raw(raw_half);
   const std::array<std::shared_ptr<const viz::Image>, kImageTierCount> raws = {
       raw_full, raw_half};
-  std::array<std::vector<std::size_t>, kImageTierCount> rect_png_bytes;
+  std::array<std::size_t, kImageTierCount> rect_png_bytes{};
   for (std::size_t t = 0; t < kImageTierCount; ++t) {
     Frame::TileData& td = frame->tiles[t];
     const std::shared_ptr<const viz::Image>& raw = raws[t];
     if (!raw) continue;
     // The predecessor's raw may already have been dropped (raw_window):
-    // then there is no diff reference and this frame stays full_change.
+    // then there is no reference and this frame stays full_change.
     const std::shared_ptr<const viz::Image> prev_raw =
         prev ? prev->tiles[t].raw() : nullptr;
     if (!prev_raw || prev_raw->width() != raw->width() ||
         prev_raw->height() != raw->height()) {
-      continue;  // no reference: stays full_change
+      continue;
     }
-    const viz::TileGrid grid(raw->width(), raw->height(), config_.tile_size);
-    td.dirty = grid.diff(*prev_raw, *raw);
-    if (grid.dirty_fraction(td.dirty) >= config_.full_tile_fraction) {
-      td.dirty.clear();
-      continue;  // most of the frame changed: full image is the delta
-    }
-    td.full_change = false;
-    if (grid.dirty_count(td.dirty) == 0) {
+    const std::optional<viz::TileRect> rect =
+        viz::changed_bounds(*prev_raw, *raw);
+    if (!rect) {
       // Byte-identical pixels: share the predecessor's buffer so a
       // converged simulation retains one framebuffer, not window-many.
+      td.full_change = false;
       td.set_raw(prev_raw);
       continue;
     }
-    // Coalesce adjacent dirty tiles into maximal rectangles and encode
-    // each rect once — fewer, larger PNGs amortize the per-payload
-    // PNG/base64/JSON overhead and give DEFLATE longer runs to bite on.
-    td.rects = grid.coalesce(td.dirty);
-    td.rect_b64.resize(td.rects.size());
-    rect_png_bytes[t].resize(td.rects.size());
-    td.tile_rect.assign(grid.count(), -1);
-    for (std::size_t r = 0; r < td.rects.size(); ++r) {
-      const viz::TileRect& rc = td.rects[r];
-      encodes.emplace_back([&td, &rect_png_bytes, &raw, pool, t, r] {
-        const std::vector<std::uint8_t> png_bytes =
-            viz::TileGrid::extract(*raw, td.rects[r]).encode_png(pool);
-        rect_png_bytes[t][r] = png_bytes.size();
-        td.rect_b64[r] = util::base64_encode(png_bytes);
-      });
-      cost.bytes_in += static_cast<std::uint64_t>(rc.w) *
-                       static_cast<std::uint64_t>(rc.h) * 4;
-      ++cost.encodes;
-      const int col0 = rc.x / config_.tile_size;
-      const int col1 = (rc.x + rc.w - 1) / config_.tile_size;
-      const int row0 = rc.y / config_.tile_size;
-      const int row1 = (rc.y + rc.h - 1) / config_.tile_size;
-      for (int row = row0; row <= row1; ++row) {
-        for (int col = col0; col <= col1; ++col) {
-          td.tile_rect[static_cast<std::size_t>(row) *
-                           static_cast<std::size_t>(grid.cols()) +
-                       static_cast<std::size_t>(col)] =
-              static_cast<std::int32_t>(r);
-        }
-      }
+    const double area = static_cast<double>(rect->w) * rect->h;
+    if (area >= config_.full_tile_fraction * raw->width() * raw->height()) {
+      continue;  // most of the frame changed: the full image is the delta
     }
+    td.full_change = false;
+    td.rect = rect;
+    encodes.emplace_back([&td, &rect_png_bytes, &raw, pool, t] {
+      const std::vector<std::uint8_t> png_bytes =
+          viz::TileGrid::extract(*raw, *td.rect).encode_png(pool);
+      rect_png_bytes[t] = png_bytes.size();
+      td.rect_b64 = util::base64_encode(png_bytes);
+    });
+    cost.bytes_in += static_cast<std::uint64_t>(rect->w) *
+                     static_cast<std::uint64_t>(rect->h) * 4;
+    ++cost.encodes;
   }
 
   util::parallel_for(pool, 0, encodes.size(),
@@ -249,9 +230,7 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
                        for (std::size_t i = lo; i < hi; ++i) encodes[i]();
                      });
   frame->image_changed = !prev || frame->png != prev->png;
-  for (const std::vector<std::size_t>& sizes : rect_png_bytes) {
-    for (const std::size_t size : sizes) cost.bytes_out += size;
-  }
+  for (const std::size_t size : rect_png_bytes) cost.bytes_out += size;
   cost.encodes += (b64_full.empty() ? 0 : 1) + (b64_half.empty() ? 0 : 1);
   if (raw_full && !frame->png.empty()) {
     cost.bytes_in += raw_full->bytes();
@@ -274,17 +253,15 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
                                                          : none;
     frame->bodies[t].full =
         render_body(frame->seq, tier, frame->state, image_b64, false);
-    // The sequential delta body (cursor exactly one frame behind): dirty
-    // tiles when a tile delta exists, the whole image only as fallback.
+    // The sequential delta body (cursor exactly one frame behind): the
+    // changed-region rect when a delta exists, the whole image only as
+    // fallback.
     const bool tiled = t < kImageTierCount && !frame->tiles[t].full_change &&
                        frame->image_changed;
     if (tiled) {
       const Frame::TileData& td = frame->tiles[t];
       std::vector<TileRef> tiles;
-      tiles.reserve(td.rects.size());
-      for (std::size_t i = 0; i < td.rects.size(); ++i) {
-        tiles.push_back({td.rects[i], &td.rect_b64[i]});
-      }
+      if (td.rect) tiles.push_back({*td.rect, &td.rect_b64});
       frame->bodies[t].delta =
           render_tiles_body(frame->seq, tier, delta_state, frame->seq - 1,
                             raws[t]->width(), raws[t]->height(), tiles);
@@ -334,9 +311,9 @@ std::uint64_t FrameHub::commit_frame(std::shared_ptr<Frame> frame,
     // loses its framebuffers (O(1): seq_ advances by one per publish, so
     // exactly one frame crosses the boundary — everything older was
     // dropped by earlier publishes, and frames trimmed off the window
-    // free their raws with the Frame itself) while keeping its tile
+    // free their raws with the Frame itself) while keeping its rect
     // encodes. delta_body_for then declines cursors older than the raw
-    // window — full-frame fallback — but sequential clients keep tile
+    // window — full-frame fallback — but sequential clients keep rect
     // deltas from the prebuilt bodies.
     if (config_.raw_window > 0 && seq_ > config_.raw_window) {
       const std::uint64_t boundary = seq_ - config_.raw_window;
@@ -424,7 +401,7 @@ std::string FrameHub::delta_body_for(const FramePtr& frame,
   if (!frame || tier == Tier::kStateOnly || frame->seq <= since) return {};
   const std::size_t t = static_cast<std::size_t>(tier);
   // Snapshot the atomic raw pointers once: the publisher may drop them
-  // concurrently (raw_window), and a diff must run against a stable buffer.
+  // concurrently (raw_window).
   const std::shared_ptr<const viz::Image> cur_raw = frame->tiles[t].raw();
   if (!cur_raw) return {};
   // Snapshot the frame chain [since, frame->seq] out of the window. The
@@ -447,90 +424,66 @@ std::string FrameHub::delta_body_for(const FramePtr& frame,
       base_raw->height() != cur_raw->height()) {
     // The cursor frame never carried this tier's pixels (e.g. the half
     // image was not built then, the client's last body was actually a tier
-    // fallback, or the cursor fell behind the raw window and the reference
-    // buffer was dropped), or the canvas was resized since: no valid
-    // reference.
+    // fallback, or the cursor fell behind the raw window and the buffer was
+    // dropped), or the canvas was resized since: no valid reference.
     return {};
   }
-  // A full-change frame anywhere in the skipped range means tiles changed
-  // there are unaccounted for — the newest-dirty-wins lookup below would
-  // hand out stale tile content.
+  // A full-change frame anywhere in the skipped range changed pixels that
+  // no stored rect accounts for.
   for (std::size_t i = 1; i < chain.size(); ++i) {
     if (chain[i]->tiles[t].full_change) return {};
   }
-  const viz::TileGrid grid(cur_raw->width(), cur_raw->height(),
-                           config_.tile_size);
-  // The cursor-anchored dirty set: diff the client's actual cursor frame
-  // against the served one. Tighter than the union of per-frame dirty sets
-  // (a tile that changed and changed back drops out entirely).
-  const viz::TileSet dirty = grid.diff(*base_raw, *cur_raw);
-  if (grid.dirty_fraction(dirty) >= config_.full_tile_fraction) return {};
 
-  // Per-tile newest changer across the skipped range: that frame's rect
-  // holds the tile's current content (nothing newer touched it) — and its
-  // publish-time encode.
-  std::vector<std::size_t> newest(grid.count(), 0);  // 0 = no changer
-  for (std::size_t j = 1; j < chain.size(); ++j) {
-    const Frame::TileData& td = chain[j]->tiles[t];
-    const std::size_t lim = std::min(td.dirty.size(), grid.count());
-    for (std::size_t i = 0; i < lim; ++i) {
-      if (td.dirty[i] != 0) newest[i] = j;
-    }
-  }
-
-  // Coalesced rects cover whole groups of tiles, so shipping the newest
-  // changer's rect for each cursor-dirty tile can drag in neighbor tiles
-  // whose content moved on in a later frame. Close over coverage: whenever
-  // an included rect covers a tile whose newest changer is a *newer*
-  // frame, that frame's rect ships too — composited afterwards (ascending
-  // frame order below), it overwrites the stale neighbor content, so every
-  // covered tile ends at its current pixels.
-  std::vector<std::vector<char>> included(chain.size());
-  std::vector<std::pair<std::size_t, std::size_t>> work;
-  const auto include = [&](std::size_t tile_idx) -> bool {
-    const std::size_t j = newest[tile_idx];
-    if (j == 0) return false;  // inconsistent bookkeeping: full fallback
-    const Frame::TileData& td = chain[j]->tiles[t];
-    if (tile_idx >= td.tile_rect.size() || td.tile_rect[tile_idx] < 0) {
-      return false;
-    }
-    const std::size_t r = static_cast<std::size_t>(td.tile_rect[tile_idx]);
-    if (r >= td.rect_b64.size() || td.rect_b64[r].empty()) return false;
-    if (included[j].empty()) included[j].assign(td.rects.size(), 0);
-    if (included[j][r] == 0) {
-      included[j][r] = 1;
-      work.emplace_back(j, r);
+  // The coverage rule, newest frame first: take a frame's rect unless the
+  // rects already taken cover all of it. Sent oldest first, the newest
+  // taken rect over a pixel lands last, and it holds that pixel's current
+  // value: no newer frame's rect holds the pixel, so no newer frame changed
+  // it. Taking only the rects that touch the cursor-vs-current difference
+  // would be wrong: a pixel that changed and changed back inside the range
+  // must still be restored over an older taken rect's stale copy of it.
+  // Coverage is kept per row as sorted, disjoint [x0, x1) spans.
+  const std::vector<std::uint8_t>& full_png =
+      tier == Tier::kFull ? frame->png : frame->png_half;
+  const std::size_t full_b64 = (full_png.size() + 2) / 3 * 4;
+  std::vector<std::vector<std::pair<int, int>>> spans(
+      static_cast<std::size_t>(cur_raw->height()));
+  const auto covered = [&](const viz::TileRect& r) {
+    for (int y = r.y; y < r.y + r.h; ++y) {
+      const auto& row = spans[static_cast<std::size_t>(y)];
+      const auto holds = [&](const std::pair<int, int>& span) {
+        return span.first <= r.x && r.x + r.w <= span.second;
+      };
+      if (std::none_of(row.begin(), row.end(), holds)) return false;
     }
     return true;
   };
-  for (std::size_t i = 0; i < grid.count(); ++i) {
-    if (dirty[i] != 0 && !include(i)) return {};
-  }
-  while (!work.empty()) {
-    const auto [j, r] = work.back();
-    work.pop_back();
-    const viz::TileRect rc = chain[j]->tiles[t].rects[r];
-    const int col0 = rc.x / config_.tile_size;
-    const int col1 = (rc.x + rc.w - 1) / config_.tile_size;
-    const int row0 = rc.y / config_.tile_size;
-    const int row1 = (rc.y + rc.h - 1) / config_.tile_size;
-    for (int row = row0; row <= row1; ++row) {
-      for (int col = col0; col <= col1; ++col) {
-        const std::size_t k = static_cast<std::size_t>(row) *
-                                  static_cast<std::size_t>(grid.cols()) +
-                              static_cast<std::size_t>(col);
-        if (newest[k] > j && !include(k)) return {};
+  const auto cover = [&](const viz::TileRect& r) {
+    for (int y = r.y; y < r.y + r.h; ++y) {
+      auto& row = spans[static_cast<std::size_t>(y)];
+      row.emplace_back(r.x, r.x + r.w);
+      std::sort(row.begin(), row.end());
+      std::size_t kept = 0;
+      for (std::size_t i = 1; i < row.size(); ++i) {
+        if (row[i].first <= row[kept].second) {
+          row[kept].second = std::max(row[kept].second, row[i].second);
+        } else {
+          row[++kept] = row[i];
+        }
       }
+      row.resize(kept + 1);
     }
-  }
+  };
   std::vector<TileRef> tiles;
-  for (std::size_t j = 1; j < chain.size(); ++j) {
-    if (included[j].empty()) continue;
+  std::size_t b64_bytes = 0;
+  for (std::size_t j = chain.size() - 1; j >= 1; --j) {
     const Frame::TileData& td = chain[j]->tiles[t];
-    for (std::size_t r = 0; r < included[j].size(); ++r) {
-      if (included[j][r] != 0) tiles.push_back({td.rects[r], &td.rect_b64[r]});
-    }
+    if (!td.rect || covered(*td.rect)) continue;
+    b64_bytes += td.rect_b64.size();
+    if (b64_bytes >= full_b64) return {};  // the full body is no larger
+    cover(*td.rect);
+    tiles.push_back({*td.rect, &td.rect_b64});
   }
+  std::reverse(tiles.begin(), tiles.end());
   // Full state, not a key delta: the client skipped the intermediate frames
   // and has nothing valid to merge into.
   return render_tiles_body(frame->seq, tier, frame->state, since,

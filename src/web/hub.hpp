@@ -29,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,7 +55,7 @@ enum class Tier : std::uint8_t {
 inline constexpr std::size_t kTierCount = 3;
 const char* tier_name(Tier tier);
 
-/// Image tiers that carry pixels (and therefore tile-delta data): kFull and
+/// Image tiers that carry pixels (and therefore image-delta data): kFull and
 /// kHalf. kStateOnly has no image.
 inline constexpr std::size_t kImageTierCount = 2;
 
@@ -67,8 +68,8 @@ struct Frame {
   std::vector<std::uint8_t> png_half;   // encoded half-resolution image
   /// Fully rendered /api/poll JSON bodies, built once per frame per tier:
   /// `full` carries the whole state, `delta` only the keys that changed
-  /// since the previous frame — and, for the image, only the dirty tiles vs
-  /// the predecessor (`tiles` + `base_seq`), omitting the image entirely
+  /// since the previous frame — and, for the image, only the changed region
+  /// vs the predecessor (`tiles` + `base_seq`), omitting the image entirely
   /// when its bytes are identical. The paper's partial update, applied to
   /// both halves of the payload.
   struct Body {
@@ -77,32 +78,28 @@ struct Frame {
   };
   std::array<Body, kTierCount> bodies;
 
-  /// Tile-delta data for one image tier. The raw framebuffer is retained
+  /// Image-delta data for one image tier. The raw framebuffer is retained
   /// while the frame sits inside the hub's raw window (Config::raw_window;
-  /// by default the whole retention window), so poll completions can diff a
-  /// retained cursor frame against the served one — the cursor-anchored
-  /// delta that lets paced/skipping clients receive tiles instead of full
-  /// bodies. Frames carrying an unchanged image share the predecessor's raw
-  /// buffer instead of copying it.
+  /// by default the whole retention window): the next publish bounds its
+  /// changes against it, and a cursor-anchored delta requires the cursor
+  /// frame's. Frames carrying an unchanged image share the predecessor's
+  /// raw buffer instead of copying it.
   struct TileData {
-    viz::TileSet dirty;  // dirty tiles vs the predecessor
-    /// Coalesced dirty rectangles (TileGrid::coalesce over `dirty`): each
-    /// covers only dirty tiles, so a rect carries exactly this frame's
-    /// then-current content for every tile inside it — the invariant the
-    /// cursor-anchored rect closure in delta_body_for relies on.
-    std::vector<viz::TileRect> rects;
-    /// base64(PNG) per entry of `rects`. One encode per coalesced rect per
-    /// frame, shared by every client whose delta includes it. Kept for the
-    /// frame's whole window lifetime even after the raw buffer is dropped:
-    /// the prebuilt sequential delta body needs no raw pixels at serve time.
-    std::vector<std::string> rect_b64;
-    /// Tile index -> index into `rects` of the rect covering it, or -1 for
-    /// clean tiles. Sized to the grid when rects exist, empty otherwise.
-    std::vector<std::int32_t> tile_rect;
-    /// No usable per-tile delta vs the predecessor exists (first frame,
-    /// dimension change, dirty area above the fallback threshold, or the
-    /// predecessor had no raw for this tier). Cursor-anchored deltas whose
-    /// range crosses such a frame must fall back to a full image.
+    /// The bounding box of the pixels that differ from the predecessor
+    /// (viz::changed_bounds); nullopt when none differ or no delta exists.
+    /// Cut from this frame, it holds this frame's content for every pixel
+    /// inside it — what the coverage rule in delta_body_for relies on.
+    std::optional<viz::TileRect> rect;
+    /// base64(PNG) of `rect`: one encode per frame per tier, shared by
+    /// every client whose delta includes it. Kept for the frame's whole
+    /// window lifetime even after the raw buffer is dropped: the prebuilt
+    /// sequential delta body needs no raw pixels at serve time.
+    std::string rect_b64;
+    /// No usable delta vs the predecessor exists (first frame, dimension
+    /// change, `rect` covering at least Config::full_tile_fraction of the
+    /// frame, or the predecessor had no raw for this tier). Cursor-anchored
+    /// deltas whose range crosses such a frame must fall back to a full
+    /// image.
     bool full_change = true;
 
     /// Raw framebuffer snapshot; null when no pixels were published for
@@ -132,8 +129,8 @@ struct Frame {
   /// Body to serve for a tier. A half tier that was not built for this
   /// frame (no client demanded it at publish time) falls back to the full
   /// tier's *full* body — never its delta: the full tier's delta may carry
-  /// tiles diffed against the full-resolution reference, which would be
-  /// composited onto a half-resolution canvas.
+  /// a rect cut from the full-resolution image, which would be composited
+  /// onto a half-resolution canvas.
   const std::string& body(Tier tier, bool delta) const {
     const Body& b = bodies[static_cast<std::size_t>(tier)];
     const std::string& chosen = delta ? b.delta : b.full;
@@ -163,12 +160,10 @@ class FrameHub {
     std::size_t window = 128;
     /// Ceiling on any single long-poll wait.
     double max_wait_s = 60.0;
-    /// Tile edge (pixels) of the dirty-rect grid image deltas are encoded
-    /// on. Edge tiles are clamped to partial width/height.
-    int tile_size = 64;
-    /// Dirty-pixel fraction at or above which an image delta falls back to
-    /// the full image: when most of the frame changed, per-tile bookkeeping
-    /// costs more than it saves.
+    /// Fraction of the frame's area at or above which a frame's changed
+    /// region falls back to the full image, which is encoded anyway: when
+    /// most of the frame changed, a second encode of nearly the same pixels
+    /// buys nothing, and the frame marks a full change.
     double full_tile_fraction = 0.85;
     /// The event loop the hub runs on: waiter timeouts and pacing
     /// `not_before` sweeps are timer registrations on it, and the waiters
@@ -179,11 +174,11 @@ class FrameHub {
     /// Frames that keep their raw framebuffers (0 = the whole window). Raw
     /// retention is what makes hub memory scale as `window × W×H×4` per
     /// image tier; capping it separately drops the pixels early while
-    /// keeping the per-frame tile encodes, so sequential clients still get
-    /// tile deltas from the prebuilt bodies at any window size. Cursor-
-    /// anchored deltas need the *cursor frame's* raw buffer as reference,
-    /// so clients skipping further back than this fall back to a full
-    /// frame (delta_body_for declines).
+    /// keeping the per-frame rect encodes, so sequential clients still get
+    /// rect deltas from the prebuilt bodies at any window size. Cursor-
+    /// anchored deltas require the *cursor frame's* raw buffer, so clients
+    /// skipping further back than this fall back to a full frame
+    /// (delta_body_for declines).
     std::size_t raw_window = 0;
   };
 
@@ -193,14 +188,14 @@ class FrameHub {
     std::uint64_t timeouts = 0;  // waiter completions without one
     std::size_t waiting = 0;     // cursors currently parked
     std::size_t waiting_peak = 0;
-    /// Image encodes performed at publish time (full/half base64 + dirty
-    /// tiles). A relay hub fed exclusively through publish_encoded() must
+    /// Image encodes performed at publish time (full/half base64 + one
+    /// changed-region rect per image tier). A relay hub fed exclusively through publish_encoded() must
     /// hold this at zero — the forwarding-without-decoding assertion.
     std::uint64_t image_encodes = 0;
     /// Frames injected through publish_encoded() (the relay path).
     std::uint64_t preencoded_publishes = 0;
     /// Raw RGBA bytes fed into PNG encodes at publish time (full + half
-    /// frames and dirty rects) and the PNG bytes they produced — the
+    /// frames and changed-region rects) and the PNG bytes they produced — the
     /// codec's compression ratio as actually exercised by this hub
     /// (image_bytes_in / image_bytes_out), surfaced by the bench.
     std::uint64_t image_bytes_in = 0;
@@ -227,13 +222,14 @@ class FrameHub {
   FrameHub& operator=(const FrameHub&) = delete;
 
   /// Snapshot a new frame: delta-encode vs the previous one, render the
-  /// tier bodies (one PNG encode + base64 per image tier), append it to the
+  /// tier bodies (one full PNG encode + base64 per image tier, plus one
+  /// changed-region rect per image tier), append it to the
   /// window, and hand every satisfied waiter to the reactor.
   /// `build_half` skips the downsample + second encode when no client
   /// currently occupies the half tier (the common all-fast case) — such
   /// frames serve the full body to half-tier requests. `encode_pool`, lent
-  /// by the publisher, runs the frame's full, half and dirty-rect PNG
-  /// encodes concurrently, and each encode's deflate strips on it too, so
+  /// by the publisher, runs the frame's full, half and rect PNG encodes
+  /// concurrently, and each encode's deflate strips on it too, so
   /// a publish waits for about its share of the encode work, not for its
   /// largest PNG (the bodies are identical either way); null encodes
   /// serially on the caller.
@@ -256,7 +252,7 @@ class FrameHub {
   };
 
   /// Inject a pre-encoded frame: the relay's forwarding-without-decoding
-  /// path. No pixels are touched, no PNG/base64/tile encoding happens —
+  /// path. No pixels are touched, no PNG/base64/rect encoding happens —
   /// the received body strings become the frame's serve-time bodies
   /// verbatim. The caller must have rebased the bodies' top-level `seq`
   /// (and `base_seq`) to seq()+1 before publishing; this hub's window and
@@ -269,16 +265,18 @@ class FrameHub {
   FramePtr next_after(std::uint64_t since) const;
 
   /// Render a delta poll body for serving `frame` at `tier` to a client
-  /// whose last composited frame is `since` — the cursor-anchored delta:
-  /// the dirty-tile set is diffed against the client's *actual* cursor
-  /// frame (not just the predecessor), so paced/skipping clients receive
-  /// only the tiles that changed across the whole skipped range. Every tile
-  /// payload is a pre-encoded publish-time string; no per-client encoding
-  /// happens here. Returns an empty string whenever no valid tile delta
-  /// exists — cursor frame aged out of the window, raw framebuffer missing
-  /// for the tier, a full-change frame inside the range, or dirty area at
-  /// or above the full-frame threshold — in which case the caller serves
-  /// the full body.
+  /// whose last composited frame is `since` — the cursor-anchored delta,
+  /// which lets paced/skipping clients patch across the whole skipped
+  /// range. It is assembled from the skipped frames' publish-time rects by
+  /// one coverage rule: walking from `frame` back to the cursor, a frame's
+  /// rect is taken unless the rects already taken cover all of it; the
+  /// taken rects are sent oldest first, so the newest taken rect over any
+  /// pixel, which holds that pixel's current value, lands last. No
+  /// per-client encoding happens here. Returns an empty string whenever no
+  /// valid delta exists — cursor frame aged out of the window, raw
+  /// framebuffer missing for the tier or resized, a full-change frame
+  /// inside the range — or when the taken rects' base64 would total at
+  /// least the full image's; the caller then serves the full body.
   std::string delta_body_for(const FramePtr& frame, std::uint64_t since,
                              Tier tier) const;
   std::uint64_t seq() const;

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -366,6 +370,39 @@ TEST(Json, IntegerFormatting) {
   EXPECT_EQ(u::Json(42).dump(), "42");
   EXPECT_EQ(u::Json(-3).dump(), "-3");
   EXPECT_EQ(u::Json(2.5).dump(), "2.5");
+}
+
+TEST(Json, NumbersDumpShortestAndRoundTrip) {
+  // The shortest text that reads back as the same double.
+  EXPECT_EQ(u::Json(2.7).dump(), "2.7");
+  EXPECT_EQ(u::Json(0.4).dump(), "0.4");
+  EXPECT_EQ(u::Json(4.5204e-05).dump(), "4.5204e-05");
+  EXPECT_EQ(u::Json(1e21).dump(), "1e+21");
+  EXPECT_EQ(u::Json(5e-324).dump(), "5e-324");
+  EXPECT_EQ(u::Json(DBL_MAX).dump(), "1.7976931348623157e+308");
+  // JSON has no NaN or infinity: they dump as null, which parses.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf, -inf}) {
+    EXPECT_EQ(u::Json(bad).dump(), "null");
+  }
+  u::Json object;
+  object["x"] = std::nan("");
+  EXPECT_TRUE(u::Json::parse(object.dump()).at("x").is_null());
+  // Seeded finite bit patterns parse back bit for bit.
+  u::Xoshiro256 rng(0x6e756d73);
+  int checked = 0;
+  while (checked < 10000) {
+    const std::uint64_t bits = rng();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (!std::isfinite(value)) continue;
+    const std::string text = u::Json(value).dump();
+    const double back = u::Json::parse(text).as_number();
+    std::uint64_t back_bits = 0;
+    std::memcpy(&back_bits, &back, sizeof(back));
+    ASSERT_EQ(back_bits, bits) << text;
+    ++checked;
+  }
 }
 
 // -------------------------------------------------------------- Base64 ----

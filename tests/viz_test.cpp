@@ -4,8 +4,10 @@
 // ray casting, rasterization, image codecs and filters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -971,4 +973,110 @@ TEST(TileGrid, VectorizedDiffMatchesMemcmpReferenceOnRandomFrames) {
     }
     EXPECT_EQ(dirty, expected) << "round " << round;
   }
+}
+
+namespace {
+
+/// Per-pixel reference for changed_bounds: the box of every pixel whose
+/// four channels differ anywhere.
+std::optional<v::TileRect> brute_force_bounds(const v::Image& a,
+                                              const v::Image& b) {
+  int x0 = a.width(), y0 = a.height(), x1 = -1, y1 = -1;
+  for (int y = 0; y < a.height(); ++y) {
+    for (int x = 0; x < a.width(); ++x) {
+      if (a.at(x, y) == b.at(x, y)) continue;
+      x0 = std::min(x0, x);
+      y0 = std::min(y0, y);
+      x1 = std::max(x1, x);
+      y1 = std::max(y1, y);
+    }
+  }
+  if (x1 < 0) return std::nullopt;
+  return v::TileRect{x0, y0, x1 - x0 + 1, y1 - y0 + 1};
+}
+
+}  // namespace
+
+TEST(ChangedBounds, MatchesBruteForceBoxOnSeededPairs) {
+  // Random sizes (1x1, single rows and single columns included), a few
+  // scattered pixel changes each touching one channel (alpha too), plus
+  // occasionally a whole random patch: the box must equal the per-pixel
+  // reference, and nullopt exactly when no pixel differs.
+  ricsa::util::Xoshiro256 rng(0x626f756e);
+  int identical = 0;
+  for (int round = 0; round < 600; ++round) {
+    const int width = 1 + static_cast<int>(rng() % 41);
+    const int height = round % 7 == 0 ? 1 : 1 + static_cast<int>(rng() % 29);
+    v::Image before(width, height);
+    for (int y = 0; y < height; ++y) {
+      for (int x = 0; x < width; ++x) {
+        const std::uint64_t bits = rng();
+        before.at(x, y) = {static_cast<std::uint8_t>(bits),
+                           static_cast<std::uint8_t>(bits >> 8),
+                           static_cast<std::uint8_t>(bits >> 16),
+                           static_cast<std::uint8_t>(bits >> 24)};
+      }
+    }
+    v::Image after = before;
+    const int changes = static_cast<int>(rng() % 5);
+    for (int c = 0; c < changes; ++c) {
+      v::Rgba& p = after.at(static_cast<int>(rng() % width),
+                            static_cast<int>(rng() % height));
+      std::uint8_t* channels[4] = {&p.r, &p.g, &p.b, &p.a};
+      std::uint8_t& channel = *channels[rng() % 4];
+      channel = static_cast<std::uint8_t>(channel ^ (1u + rng() % 255));
+    }
+    if (rng() % 4 == 0) {
+      const int px = static_cast<int>(rng() % width);
+      const int py = static_cast<int>(rng() % height);
+      const int pw = 1 + static_cast<int>(rng() % (width - px));
+      const int ph = 1 + static_cast<int>(rng() % (height - py));
+      for (int y = py; y < py + ph; ++y) {
+        for (int x = px; x < px + pw; ++x) after.at(x, y).g ^= 0x5a;
+      }
+    }
+    const std::optional<v::TileRect> expected =
+        brute_force_bounds(before, after);
+    if (!expected) ++identical;
+    EXPECT_EQ(v::changed_bounds(before, after), expected)
+        << "round " << round << ": " << width << "x" << height;
+  }
+  EXPECT_GT(identical, 10);  // identical pairs are exercised too
+}
+
+TEST(ChangedBounds, EdgePixelsSinglesAndMismatchedSizes) {
+  // 1x1: identical, then changed.
+  v::Image one(1, 1, {1, 2, 3, 255});
+  EXPECT_EQ(v::changed_bounds(one, one), std::nullopt);
+  v::Image other = one;
+  other.at(0, 0).a = 254;
+  EXPECT_EQ(v::changed_bounds(one, other), (v::TileRect{0, 0, 1, 1}));
+  // One row and one column, a change at each end and in the middle.
+  for (const auto& [w, h] : {std::pair{37, 1}, std::pair{1, 23}}) {
+    const v::Image base(w, h, {9, 9, 9, 255});
+    for (const int at : {0, (w * h) / 2, w * h - 1}) {
+      v::Image changed = base;
+      const int x = w == 1 ? 0 : at;
+      const int y = w == 1 ? at : 0;
+      changed.at(x, y).b = 10;
+      EXPECT_EQ(v::changed_bounds(base, changed), (v::TileRect{x, y, 1, 1}))
+          << w << "x" << h << " at " << at;
+    }
+  }
+  // Only the first pixel, only the last pixel, and both.
+  const v::Image base(19, 13, {40, 50, 60, 255});
+  v::Image first = base;
+  first.at(0, 0).r = 41;
+  EXPECT_EQ(v::changed_bounds(base, first), (v::TileRect{0, 0, 1, 1}));
+  v::Image last = base;
+  last.at(18, 12).r = 41;
+  EXPECT_EQ(v::changed_bounds(base, last), (v::TileRect{18, 12, 1, 1}));
+  last.at(0, 0).r = 41;
+  EXPECT_EQ(v::changed_bounds(base, last), (v::TileRect{0, 0, 19, 13}));
+  EXPECT_EQ(v::changed_bounds(base, base), std::nullopt);
+  // Mismatched sizes throw, as TileGrid::diff does.
+  EXPECT_THROW(v::changed_bounds(base, v::Image(19, 12)),
+               std::invalid_argument);
+  EXPECT_THROW(v::changed_bounds(base, v::Image(18, 13)),
+               std::invalid_argument);
 }

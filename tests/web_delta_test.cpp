@@ -5,10 +5,12 @@
 // switch), and the HTTP-level full=1 resync escape hatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "hub_loop.hpp"
@@ -91,7 +93,6 @@ w::FrameHub::Config tile_hub_config(ricsa::net::Reactor* reactor) {
   config.window = 64;
   config.max_wait_s = 5.0;
   config.reactor = reactor;
-  config.tile_size = 16;
   return config;
 }
 
@@ -200,6 +201,203 @@ TEST(TileDelta, CursorAnchoredReassemblyIsByteIdenticalAfterRandomSkips) {
   EXPECT_GT(tile_polls, 5);
 }
 
+namespace {
+
+/// A fixed noise texture with 8x8 squares painted over it, one colour per
+/// square: the frames of the reassembly schedules below.
+v::Image squares_scene(const std::vector<std::pair<int, int>>& corners,
+                       int width = 96, int height = 64) {
+  v::Image img(width, height);
+  u::Xoshiro256 noise(4242);
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      const auto grey = static_cast<std::uint8_t>(noise() & 0x7F);
+      img.at(x, y) = {grey, grey, grey, 255};
+    }
+  }
+  for (std::size_t i = 0; i < corners.size(); ++i) {
+    const v::Rgba colour = {static_cast<std::uint8_t>(200 + 20 * i), 40,
+                            static_cast<std::uint8_t>(250 - 60 * i), 255};
+    for (int y = corners[i].second; y < corners[i].second + 8; ++y) {
+      for (int x = corners[i].first; x < corners[i].first + 8; ++x) {
+        img.at(x, y) = colour;
+      }
+    }
+  }
+  return img;
+}
+
+/// Publish `frames` (seq s is frames[s - 1]), then walk a client from
+/// seq 1 to the head by seeded random strides of 1..max_stride, serving
+/// each step the cursor-anchored delta when the hub builds one. The
+/// composite must equal the published image at every step, and no delta
+/// body may be larger than the full body. Returns the delta bodies served.
+int walk_with_skips(const std::vector<v::Image>& frames, int max_stride,
+                    std::uint64_t seed) {
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(tile_hub_config(loop.get()));
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    hub.publish(state_of(static_cast<double>(i)), frames[i]);
+  }
+  v::Image canvas = frames[0];
+  std::uint64_t composited = 1;
+  u::Xoshiro256 rng(seed);
+  int deltas = 0;
+  const auto head = static_cast<std::uint64_t>(frames.size());
+  while (composited < head) {
+    const std::uint64_t target = std::min<std::uint64_t>(
+        composited + 1 + rng() % static_cast<std::uint64_t>(max_stride),
+        head);
+    const w::FramePtr frame = hub.next_after(target - 1);
+    EXPECT_TRUE(frame && frame->seq == target);
+    if (!frame) return deltas;
+    std::string body = hub.delta_body_for(frame, composited, w::Tier::kFull);
+    if (body.empty()) {
+      body = frame->body(w::Tier::kFull, false);
+    } else {
+      EXPECT_LT(body.size(), frame->body(w::Tier::kFull, false).size());
+      ++deltas;
+    }
+    const std::uint64_t from = composited;
+    EXPECT_TRUE(apply_body(Json::parse(body), canvas, composited));
+    EXPECT_EQ(canvas.pixels(), frames[target - 1].pixels())
+        << "composite diverged serving " << target << " from " << from;
+    if (canvas.pixels() != frames[target - 1].pixels()) return deltas;
+  }
+  return deltas;
+}
+
+}  // namespace
+
+TEST(TileDelta, CursorAnchoredReassemblyOfTwoDistantFeatures) {
+  // One square roams the top-left quadrant, another the bottom-right; each
+  // frame moves one of them (both now and then, which makes the rect span
+  // most of the frame). A skip then covers separate rects far apart.
+  u::Xoshiro256 rng(7);
+  std::vector<std::pair<int, int>> at = {{2, 2}, {80, 50}};
+  std::vector<v::Image> frames = {squares_scene(at)};
+  for (int i = 1; i < 60; ++i) {
+    const std::uint64_t pick = rng() % 7;
+    if (pick != 1) at[0] = {2 + static_cast<int>(rng() % 30),
+                            2 + static_cast<int>(rng() % 20)};
+    if (pick <= 1) at[1] = {56 + static_cast<int>(rng() % 32),
+                            34 + static_cast<int>(rng() % 22)};
+    frames.push_back(squares_scene(at));
+  }
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EXPECT_GT(walk_with_skips(frames, 6, seed), 5);
+  }
+}
+
+TEST(TileDelta, CursorAnchoredReassemblyRestoresRegionsThatChangedBack) {
+  // Frame 2 paints squares A (left) and B (right): one rect spans both.
+  // Frame 3 erases A again: its rect is A alone. Served frame 3 from
+  // cursor 1, only B differs from what the client shows, yet frame 2's
+  // rect (the one carrying B) also carries A's square, so frame 3's rect
+  // must follow it to restore A.
+  const std::vector<v::Image> frames = {
+      squares_scene({}), squares_scene({{4, 4}, {60, 40}}),
+      squares_scene({{60, 40}}), squares_scene({{62, 42}})};
+  {
+    ricsa_test::HubLoop loop;
+    w::FrameHub hub(tile_hub_config(loop.get()));
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      hub.publish(state_of(static_cast<double>(i)), frames[i]);
+    }
+    for (const std::uint64_t served : {3u, 4u}) {
+      const w::FramePtr frame = hub.next_after(served - 1);
+      ASSERT_TRUE(frame);
+      const std::string body =
+          hub.delta_body_for(frame, 1, w::Tier::kFull);
+      ASSERT_FALSE(body.empty()) << "served " << served;
+      v::Image canvas = frames[0];
+      std::uint64_t composited = 1;
+      ASSERT_TRUE(apply_body(Json::parse(body), canvas, composited));
+      EXPECT_EQ(canvas.pixels(), frames[served - 1].pixels())
+          << "served " << served;
+    }
+  }
+  // The same hazard at random: three squares blink on and off in place,
+  // so skipped ranges keep crossing regions that changed and changed back.
+  const std::vector<std::pair<int, int>> spots = {{6, 6}, {44, 30}, {80, 8}};
+  u::Xoshiro256 rng(11);
+  std::vector<v::Image> blinking;
+  for (int i = 0; i < 60; ++i) {
+    std::vector<std::pair<int, int>> lit;
+    for (const auto& spot : spots) {
+      if (rng() % 3 == 0) lit.push_back(spot);
+    }
+    blinking.push_back(squares_scene(lit));
+  }
+  for (const std::uint64_t seed : {4u, 5u, 6u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EXPECT_GT(walk_with_skips(blinking, 5, seed), 3);
+  }
+}
+
+TEST(TileDelta, CursorAnchoredBodyIsNeverLargerThanTheFullBody) {
+  // A square hops between the four corners, so every frame's rect is a
+  // strip along one edge, and a skip of four frames or more takes a strip
+  // along every edge. From every cursor behind the head the hub must build
+  // a delta whose rects' base64 stays below the full image's, and which
+  // composites to the head's image, or decline. On a textured background
+  // the four strips stay well below the full frame, so every skip gets a
+  // delta smaller than the full body. On a flat one two strip PNGs already
+  // weigh about as much as the whole frame's, so the long skips decline;
+  // only a skip of one or two frames is built there (the rects' JSON
+  // framing, which the cap does not count, then makes the two-frame body
+  // the larger one).
+  const std::vector<std::pair<int, int>> corners = {
+      {0, 0}, {88, 0}, {88, 56}, {0, 56}};
+  for (const bool textured : {false, true}) {
+    SCOPED_TRACE(textured ? "textured" : "flat");
+    std::vector<v::Image> frames;
+    for (int i = 0; i < 40; ++i) {
+      const std::pair<int, int> at = corners[static_cast<std::size_t>(i % 4)];
+      v::Image img = textured ? squares_scene({at})
+                              : v::Image(96, 64, {10, 10, 30, 255});
+      if (!textured) {
+        for (int y = at.second; y < at.second + 8; ++y) {
+          for (int x = at.first; x < at.first + 8; ++x) {
+            img.at(x, y) = {250, 200, 40, 255};
+          }
+        }
+      }
+      frames.push_back(std::move(img));
+    }
+    ricsa_test::HubLoop loop;
+    w::FrameHub hub(tile_hub_config(loop.get()));
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      hub.publish(state_of(static_cast<double>(i)), frames[i]);
+    }
+    const w::FramePtr head = hub.latest();
+    ASSERT_TRUE(head);
+    const std::size_t full_body = head->body(w::Tier::kFull, false).size();
+    const std::size_t full_b64 = u::base64_encode(head->png).size();
+    int built = 0;
+    for (std::uint64_t since = 1; since < head->seq; ++since) {
+      const std::string body = hub.delta_body_for(head, since, w::Tier::kFull);
+      if (body.empty()) continue;
+      ++built;
+      const Json parsed = Json::parse(body);
+      std::size_t b64 = 0;
+      for (const Json& tile : parsed.at("tiles").as_array()) {
+        b64 += tile.at("png_b64").as_string().size();
+      }
+      EXPECT_LT(b64, full_b64) << "cursor " << since;
+      if (head->seq - since >= 4) {
+        EXPECT_LT(body.size(), full_body) << "cursor " << since;
+      }
+      v::Image canvas = frames[since - 1];
+      std::uint64_t composited = since;
+      ASSERT_TRUE(apply_body(parsed, canvas, composited));
+      EXPECT_EQ(canvas.pixels(), frames.back().pixels()) << "cursor " << since;
+    }
+    EXPECT_EQ(built, textured ? 39 : 2);
+  }
+}
+
 TEST(TileDelta, FullChangeFallsBackToFullImage) {
   ricsa_test::HubLoop loop;
   w::FrameHub hub(tile_hub_config(loop.get()));
@@ -262,7 +460,9 @@ TEST(TileDelta, CursorAgedOutOfWindowFallsBack) {
   w::FrameHub::Config config = tile_hub_config(loop.get());
   config.window = 4;
   w::FrameHub hub(config);
-  for (int i = 0; i < 10; ++i) hub.publish(state_of(i), scene(i));
+  // Textured frames: on a flat toy frame the full PNG is smaller than the
+  // two rects of 8 -> 10, so the size cap, not the window, would decide.
+  for (int i = 0; i < 10; ++i) hub.publish(state_of(i), textured_scene(i));
   const w::FramePtr latest = hub.next_after(9);
   ASSERT_TRUE(latest);
   ASSERT_EQ(hub.oldest_retained(), 7u);
@@ -324,9 +524,10 @@ TEST(TileDelta, TierSwitchForcesFullFrame) {
 
 TEST(TileDelta, LentEncodePoolBuildsIdenticalFrames) {
   // A publisher-lent pool only runs the frame's PNG encodes concurrently:
-  // every tier's full and delta body, and the encode accounting, must match
-  // the serial build exactly. The frames mix first/full-change frames, an
-  // unchanged frame and several dirty rects per tier.
+  // every tier's full and delta body, each tier's rect and its base64, and
+  // the encode accounting, must match the serial build exactly. The frames
+  // mix first/full-change frames, an unchanged frame and frames whose rect
+  // spans two separate changes.
   const auto frame_image = [](int step) {
     v::Image img = textured_scene(step, 96, 64);
     const int x0 = 80 - (step * 7) % 72;
@@ -361,11 +562,13 @@ TEST(TileDelta, LentEncodePoolBuildsIdenticalFrames) {
     }
     for (std::size_t t = 0; t < w::kImageTierCount; ++t) {
       EXPECT_EQ(a->tiles[t].rect_b64, b->tiles[t].rect_b64) << "tier " << t;
-      EXPECT_EQ(a->tiles[t].tile_rect, b->tiles[t].tile_rect) << "tier " << t;
-      if (a->tiles[t].rects.size() > 1) ++tiled;
+      EXPECT_EQ(a->tiles[t].rect, b->tiles[t].rect) << "tier " << t;
+      EXPECT_EQ(a->tiles[t].full_change, b->tiles[t].full_change)
+          << "tier " << t;
+      if (a->tiles[t].rect) ++tiled;
     }
   }
-  EXPECT_GE(tiled, 3u);  // multi-rect encodes actually ran concurrently
+  EXPECT_GE(tiled, 3u);  // rect encodes actually ran beside the full PNGs
   const w::FrameHub::Stats sa = serial.stats();
   const w::FrameHub::Stats sb = pooled.stats();
   EXPECT_EQ(sa.image_encodes, sb.image_encodes);
@@ -385,7 +588,6 @@ w::FrontEndConfig delta_frontend() {
   config.session.viz.image_height = 48;
   config.session.viz.isovalue = 0.5f;
   config.frame_interval_s = 0.02;
-  config.tile_size = 16;
   return config;
 }
 

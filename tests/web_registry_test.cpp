@@ -15,6 +15,7 @@
 
 #include "hub_loop.hpp"
 #include "util/json.hpp"
+#include "util/prng.hpp"
 #include "viz/image.hpp"
 #include "web/frontend.hpp"
 #include "web/http.hpp"
@@ -46,12 +47,26 @@ v::Image scene(int step, int width = 48, int height = 32) {
   return img;
 }
 
+/// scene() over a fixed noise texture, so a full PNG costs more than a few
+/// rects of the moving feature, as on rendered frames.
+v::Image textured_scene(int step) {
+  v::Image img = scene(step);
+  ricsa::util::Xoshiro256 noise(4242);  // same texture every frame
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      const auto grey = static_cast<std::uint8_t>(noise() & 0x7F);
+      v::Rgba& p = img.at(x, y);
+      if (p.r != 250) p = {grey, grey, grey, 255};
+    }
+  }
+  return img;
+}
+
 w::HubRegistry::Config small_registry(ricsa::net::Reactor* reactor) {
   w::HubRegistry::Config config;
   config.hub.window = 64;
   config.hub.max_wait_s = 5.0;
   config.hub.reactor = reactor;
-  config.hub.tile_size = 16;
   config.idle_reap_s = 0.0;  // tests opt in explicitly
   return config;
 }
@@ -313,10 +328,9 @@ TEST(FrameHub, RawWindowDropsFramebuffersButKeepsSequentialTileDeltas) {
   config.window = 16;
   config.max_wait_s = 5.0;
   config.reactor = loop.get();
-  config.tile_size = 16;
   config.raw_window = 3;
   w::FrameHub hub(config);
-  for (int k = 0; k < 8; ++k) hub.publish(state_of("v", k), scene(k));
+  for (int k = 0; k < 8; ++k) hub.publish(state_of("v", k), textured_scene(k));
 
   // Frames past the raw window lost their framebuffers; recent ones keep
   // them (seq > 8 - 3 = 5).
@@ -456,7 +470,6 @@ w::FrontEndConfig sharded_frontend() {
   config.session.viz.image_width = 32;
   config.session.viz.image_height = 32;
   config.frame_interval_s = 0.03;
-  config.tile_size = 16;
   w::ViewSpec spec;
   spec.name = "rho/iso";
   spec.viz = config.session.viz;

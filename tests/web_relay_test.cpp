@@ -63,7 +63,6 @@ w::FrontEndConfig small_origin() {
   config.session.viz.image_width = 32;
   config.session.viz.image_height = 32;
   config.frame_interval_s = 0.03;
-  config.tile_size = 16;
   return config;
 }
 
