@@ -8,8 +8,8 @@
 // out with TileGrid::extract and composited by clients as VNC-style
 // incremental updates (see web/hub.hpp). The tile grid (fixed-size tiles,
 // edge tiles clamped to partial width/height, diffed tile by tile and
-// coalesced into rectangles) no longer feeds the hub; the steering
-// benchmark's replay spans and the viz tests still use it.
+// coalesced into rectangles) does not feed the hub; the steering
+// benchmark's replay spans and the viz tests use it.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +81,8 @@ class TileGrid {
   /// row-major sweep extending each unclaimed dirty tile rightward, then
   /// downward while every tile in the span is dirty and unclaimed. The
   /// result is a set of disjoint pixel rectangles that together cover
-  /// exactly the dirty tiles (never a clean tile). The hub no longer
-  /// encodes these: one changed_bounds box per frame measured smaller on
-  /// the wire than the coalesced tiles it replaced.
+  /// exactly the dirty tiles (never a clean tile). Not on the hub's path:
+  /// the hub encodes one changed_bounds box per frame instead.
   std::vector<TileRect> coalesce(const TileSet& dirty) const;
 
   /// Copy tile `r` out of `src` as a standalone image. `src` must contain

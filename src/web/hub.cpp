@@ -479,7 +479,7 @@ std::string FrameHub::delta_body_for(const FramePtr& frame,
     const Frame::TileData& td = chain[j]->tiles[t];
     if (!td.rect || covered(*td.rect)) continue;
     b64_bytes += td.rect_b64.size();
-    if (b64_bytes >= full_b64) return {};  // the full body is no larger
+    if (b64_bytes >= full_b64) return {};  // the full image is no larger
     cover(*td.rect);
     tiles.push_back({*td.rect, &td.rect_b64});
   }

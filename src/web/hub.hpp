@@ -189,14 +189,15 @@ class FrameHub {
     std::size_t waiting = 0;     // cursors currently parked
     std::size_t waiting_peak = 0;
     /// Image encodes performed at publish time (full/half base64 + one
-    /// changed-region rect per image tier). A relay hub fed exclusively through publish_encoded() must
-    /// hold this at zero — the forwarding-without-decoding assertion.
+    /// changed-region rect per image tier). A relay hub fed exclusively
+    /// through publish_encoded() must hold this at zero — the
+    /// forwarding-without-decoding assertion.
     std::uint64_t image_encodes = 0;
     /// Frames injected through publish_encoded() (the relay path).
     std::uint64_t preencoded_publishes = 0;
     /// Raw RGBA bytes fed into PNG encodes at publish time (full + half
-    /// frames and changed-region rects) and the PNG bytes they produced — the
-    /// codec's compression ratio as actually exercised by this hub
+    /// frames and changed-region rects) and the PNG bytes they produced —
+    /// the codec's compression ratio as actually exercised by this hub
     /// (image_bytes_in / image_bytes_out), surfaced by the bench.
     std::uint64_t image_bytes_in = 0;
     std::uint64_t image_bytes_out = 0;
