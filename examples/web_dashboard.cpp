@@ -31,10 +31,6 @@ int main(int argc, char** argv) {
   config.session.viz.image_height = 192;
   config.session.cycles_per_frame = 1;
   config.frame_interval_s = 0.25;
-  // Bound raw-framebuffer retention: each frame's changed-region rect
-  // encode stays for the whole window, the pixels only for the frames a
-  // live skipper can anchor on.
-  config.raw_window = 32;
   config.port = port;
   // A second published view: the same simulation step rendered as an
   // isosurface from another camera, into its own hub shard. The dashboard's

@@ -21,10 +21,11 @@ the first run on a branch has nothing to compare against.
 
 Self-contained gates, applied with or without a previous artifact: the
 congestion A/B, the tile-delta compression floor and byte saving (deltas
-must not cost more than full frames), and the protocol counters
+must not cost more than full frames), the protocol counters
 of the transport and relay benches (every gaps_*/errors_*/delta_breaks_*
 comparison field, relay_image_encodes, and the relayed round's upstream
-reconnects must be 0).
+reconnects must be 0), and the mixed bench's per-round gaps, errors and
+image-delta breaks (must be 0).
 
 History: the previous artifact may carry a bench_history.json (also searched
 recursively); this run's summary is appended to it and written to
@@ -67,6 +68,11 @@ COMPRESSION_RATIO_FLOOR = 1.5
 # response through the shared HTTP response decoder.
 PROTOCOL_GATE_FILES = ["ajax_fanout_transport.json", "ajax_fanout_relay.json"]
 PROTOCOL_COUNTER_PREFIXES = ("gaps_", "errors_", "delta_breaks_")
+# Round gate: benches whose every round must read zero gaps, errors and
+# image_delta.delta_breaks. The adaptive round of the mixed scenario is the
+# one CI bench whose paced clients skip frames and so receive
+# cursor-anchored deltas; its comparison block carries no protocol counter.
+ROUND_GATE_FILES = ["ajax_fanout_mixed.json"]
 
 
 def load(path):
@@ -364,6 +370,35 @@ def protocol_gate(cur_root):
     return failures
 
 
+def round_gate(cur_root):
+    """Absolute gate on the mixed bench, previous artifact or not: every
+    round's gaps, errors and image_delta.delta_breaks must be 0. A broken
+    cursor-anchored delta shows as a delta break on the client that could
+    not composite it."""
+    failures = []
+    for name in ROUND_GATE_FILES:
+        path = cur_root / name
+        if not path.is_file():
+            continue
+        data = load(path)
+        if data is None:
+            continue
+        for r in data.get("rounds", []):
+            label = f"{name} {key_str(round_key(r))}"
+            counters = {
+                "gaps": r.get("gaps"),
+                "errors": r.get("errors"),
+                "image_delta.delta_breaks":
+                    (r.get("image_delta") or {}).get("delta_breaks"),
+            }
+            nonzero = {key: value for key, value in counters.items() if value}
+            for key, value in sorted(nonzero.items()):
+                failures.append(f"{label}: {key} = {value:.0f}, must be 0")
+            print(f"[bench-delta] {label}: gaps/errors/delta breaks "
+                  f"{'all 0 [ok]' if not nonzero else '[REGRESSION]'}")
+    return failures
+
+
 def summarize_run(cur_root, label):
     """This run's compact history record, one entry per bench file/round."""
     record = {"label": label, "benches": {}}
@@ -443,11 +478,13 @@ def main():
     print_trends(history)
 
     # The congestion A/B, the tile-delta compression floor and byte saving,
-    # and the protocol counters are self-contained in the current run, so those gates apply even on a
+    # the protocol counters and the mixed bench's round counters are
+    # self-contained in the current run, so those gates apply even on a
     # first run with no previous artifact.
     regressions = list(congestion_gate(cur_root))
     regressions += compression_gate(cur_root)
     regressions += protocol_gate(cur_root)
+    regressions += round_gate(cur_root)
 
     if not prev_root.is_dir():
         print(f"[bench-delta] no previous artifact at {prev_root}; "

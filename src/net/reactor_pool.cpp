@@ -12,10 +12,6 @@ ReactorPool::ReactorPool(std::size_t n) {
 
 ReactorPool::~ReactorPool() { stop(); }
 
-std::size_t ReactorPool::next_index() {
-  return next_.fetch_add(1) % reactors_.size();
-}
-
 void ReactorPool::resize(std::size_t n) {
   if (started_) return;
   if (n == 0) n = 1;

@@ -13,7 +13,6 @@
 // loops run (Reactor's "before run()" registration window).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <thread>
@@ -39,10 +38,6 @@ class ReactorPool {
     return reactors_[i];
   }
 
-  /// Round-robin pick (thread-safe) — the hand-off accept strategy's
-  /// distribution policy.
-  std::size_t next_index();
-
   /// Grow or shrink to `n` reactors (clamped to >= 1). Only before start():
   /// existing reactors keep their identity (callers may already hold
   /// reactor(0) for pre-start timer registration); extras must not have
@@ -61,7 +56,6 @@ class ReactorPool {
  private:
   std::vector<std::shared_ptr<Reactor>> reactors_;
   std::vector<std::thread> threads_;
-  std::atomic<std::size_t> next_{0};
   bool started_ = false;
 };
 

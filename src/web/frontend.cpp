@@ -13,7 +13,6 @@ namespace {
 HubRegistry::Config registry_config_of(const FrontEndConfig& config) {
   HubRegistry::Config registry;
   registry.hub.window = config.frame_window;
-  registry.hub.raw_window = config.raw_window;
   registry.pacing = config.pacing;
   registry.pacing.frame_interval_s = config.frame_interval_s;
   registry.idle_reap_s = config.view_idle_reap_s;
@@ -64,9 +63,6 @@ AjaxFrontEnd::AjaxFrontEnd(FrontEndConfig config)
       main_hub_(service_.registry().default_hub()) {
   HttpServer& server = service_.server();
   server.set_sndbuf(config_.sndbuf);
-  server.set_accept_mode(config_.accept_hand_off
-                             ? HttpServer::AcceptMode::kHandOff
-                             : HttpServer::AcceptMode::kReusePort);
   service_.route("GET", "/api/image",
                  [this](const HttpRequest& r) { return handle_image(r); });
   service_.route("POST", "/api/steer",

@@ -53,8 +53,9 @@ struct FrontEndConfig {
   /// Frames retained for catch-up replay (gap-free streams for clients that
   /// fall at most this many frames behind).
   std::size_t frame_window = 128;
-  /// Frames that keep raw framebuffers for cursor-anchored tile deltas
-  /// (0 = the whole window); see FrameHub::Config::raw_window.
+  /// Read by nothing: the hub keeps only the newest frame's raw
+  /// framebuffer per image tier. Kept only because the steering benchmark
+  /// (perfbench/steer_bench.cpp) still assigns it.
   std::size_t raw_window = 0;
   /// Extra views rendered and published per frame, each into its own hub
   /// shard. The default view ("main") always exists and follows the
@@ -67,13 +68,10 @@ struct FrontEndConfig {
   /// server-side thread — neither the client count nor the view count adds
   /// threads (hub shards run on reactor 0).
   std::size_t http_workers = 4;
-  /// Reactor (event-loop) threads; each owns its accepted connections
-  /// outright. 1 reproduces the single-loop server.
+  /// Reactor (event-loop) threads; each accepts on its own SO_REUSEPORT
+  /// listener and owns its accepted connections outright. 1 reproduces the
+  /// single-loop server.
   std::size_t reactors = 1;
-  /// Accept strategy with reactors > 1: false = SO_REUSEPORT listener per
-  /// reactor (kernel balances), true = one listener handing sockets off
-  /// round-robin (for kernels/tests where REUSEPORT balancing is unwanted).
-  bool accept_hand_off = false;
   /// Accepted-connection cap; connections beyond it get 503.
   std::size_t max_connections = 8192;
   /// Fixed SO_SNDBUF for accepted connections (0 = kernel autotuning).

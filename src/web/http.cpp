@@ -581,7 +581,7 @@ struct HttpServer::Shard {
   std::size_t index = 0;
   std::shared_ptr<net::Reactor> reactor;
   AcceptHandler accept_handler;
-  net::Socket listen;  // invalid on non-accepting shards (hand-off mode)
+  net::Socket listen;  // closed at stop(), or when its watch failed
   /// Reserve descriptor: on EMFILE it is closed so the offending
   /// connection can still be accepted, told 503, and closed — instead of
   /// the listener spinning on an un-acceptable backlog.
@@ -749,10 +749,6 @@ void HttpServer::set_reactors(std::size_t n) {
   if (!started_) reactors_.resize(n);
 }
 
-void HttpServer::set_accept_mode(AcceptMode mode) {
-  if (!started_) accept_mode_ = mode;
-}
-
 void HttpServer::set_sndbuf(int bytes) {
   if (!started_ && bytes >= 0) sndbuf_ = bytes;
 }
@@ -770,24 +766,18 @@ int HttpServer::start(int port) {
     shard->accept_handler.shard = shard.get();
     shards_.push_back(std::move(shard));
   }
-  // Accept strategy. SO_REUSEPORT: every shard binds its own listener on
-  // the same port (the option must be set on all of them, including the
-  // first) and the kernel spreads connections across the group. Hand-off:
-  // one plain listener on shard 0, accepted sockets posted round-robin to
-  // their owners. A single reactor needs neither — one plain listener.
-  const bool reuse_port = accept_mode_ == AcceptMode::kReusePort && n > 1;
-  shards_[0]->listen = net::Socket::listen_loopback(port, 1024, reuse_port);
+  // Every shard binds its own listener on the same port, with SO_REUSEPORT
+  // when there are several (the option must be set on all of them,
+  // including the first): the kernel spreads connections across the group.
+  shards_[0]->listen = net::Socket::listen_loopback(port, 1024, n > 1);
   port_ = shards_[0]->listen.local_port();
-  if (reuse_port) {
-    for (std::size_t i = 1; i < n; ++i) {
-      shards_[i]->listen = net::Socket::listen_loopback(port_, 1024, true);
-    }
+  for (std::size_t i = 1; i < n; ++i) {
+    shards_[i]->listen = net::Socket::listen_loopback(port_, 1024, true);
   }
   pool_ = std::make_unique<util::ThreadPool>(workers_);
   running_.store(true);
   for (const auto& owner : shards_) {
     Shard* shard = owner.get();
-    if (!shard->listen.valid()) continue;
     shard->reserve_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
     shard->reactor->post([shard] {
       if (!shard->reactor->add(shard->listen.fd(), EPOLLIN,
@@ -877,25 +867,12 @@ void HttpServer::on_acceptable(Shard* shard) {
       reject_with_503(shard, std::move(sock));
       continue;
     }
-    if (accept_mode_ == AcceptMode::kHandOff && shards_.size() > 1) {
-      Shard* target = shards_[reactors_.next_index()].get();
-      if (target != shard) {
-        // Reactor::Task must be copyable; a Socket is move-only, so the
-        // accepted fd rides the post inside a shared_ptr.
-        auto held = std::make_shared<net::Socket>(std::move(sock));
-        target->reactor->post(
-            [this, target, held, peer = std::move(peer)]() mutable {
-              adopt_connection(target, std::move(*held), std::move(peer));
-            });
-        continue;
-      }
-    }
     adopt_connection(shard, std::move(sock), std::move(peer));
   }
 }
 
-/// Register an accepted socket with its owning shard. Runs on the shard's
-/// loop thread (directly from its acceptor, or via post in hand-off mode).
+/// Register an accepted socket with the shard that accepted it, on that
+/// shard's loop thread.
 void HttpServer::adopt_connection(Shard* shard, net::Socket sock,
                                   std::string peer) {
   if (!running_.load()) return;  // raced with stop(); RAII closes the fd

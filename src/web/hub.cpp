@@ -181,9 +181,9 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
   // Image-delta pass, per image tier: bound the pixels that differ from
   // the predecessor's raw framebuffer and PNG-encode that one rect — once
   // per frame per tier, shared by every client whose delta includes it
-  // (sequential *and* cursor-anchored skippers).
-  frame->tiles[0].set_raw(raw_full);
-  frame->tiles[1].set_raw(raw_half);
+  // (sequential *and* cursor-anchored skippers). A tier the predecessor
+  // had no pixels for, or had at another size, has no reference: this
+  // frame stays full_change there.
   const std::array<std::shared_ptr<const viz::Image>, kImageTierCount> raws = {
       raw_full, raw_half};
   std::array<std::size_t, kImageTierCount> rect_png_bytes{};
@@ -191,10 +191,9 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
     Frame::TileData& td = frame->tiles[t];
     const std::shared_ptr<const viz::Image>& raw = raws[t];
     if (!raw) continue;
-    // The predecessor's raw may already have been dropped (raw_window):
-    // then there is no reference and this frame stays full_change.
-    const std::shared_ptr<const viz::Image> prev_raw =
-        prev ? prev->tiles[t].raw() : nullptr;
+    td.width = raw->width();
+    td.height = raw->height();
+    const viz::Image* prev_raw = last_raw_[t].get();
     if (!prev_raw || prev_raw->width() != raw->width() ||
         prev_raw->height() != raw->height()) {
       continue;
@@ -202,10 +201,7 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
     const std::optional<viz::TileRect> rect =
         viz::changed_bounds(*prev_raw, *raw);
     if (!rect) {
-      // Byte-identical pixels: share the predecessor's buffer so a
-      // converged simulation retains one framebuffer, not window-many.
-      td.full_change = false;
-      td.set_raw(prev_raw);
+      td.full_change = false;  // byte-identical pixels: an empty delta
       continue;
     }
     const double area = static_cast<double>(rect->w) * rect->h;
@@ -229,6 +225,9 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
                      [&](std::size_t lo, std::size_t hi) {
                        for (std::size_t i = lo; i < hi; ++i) encodes[i]();
                      });
+  // This frame's pixels are the next publish's reference; a tier it did
+  // not build has none.
+  last_raw_ = raws;
   frame->image_changed = !prev || frame->png != prev->png;
   for (const std::size_t size : rect_png_bytes) cost.bytes_out += size;
   cost.encodes += (b64_full.empty() ? 0 : 1) + (b64_half.empty() ? 0 : 1);
@@ -264,7 +263,7 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
       if (td.rect) tiles.push_back({*td.rect, &td.rect_b64});
       frame->bodies[t].delta =
           render_tiles_body(frame->seq, tier, delta_state, frame->seq - 1,
-                            raws[t]->width(), raws[t]->height(), tiles);
+                            td.width, td.height, tiles);
     } else {
       frame->bodies[t].delta =
           render_body(frame->seq, tier, delta_state,
@@ -278,12 +277,13 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
 std::uint64_t FrameHub::publish_encoded(PreEncoded pre) {
   // The relay's forwarding path: no pixels, no PNG, no base64 — the wire
   // bodies the caller received upstream become this frame's serve-time
-  // bodies. The frame carries no raw framebuffers, so cursor-anchored
-  // deltas decline (delta_body_for returns empty) and skipping clients
-  // fall back to the full body — or, when this frame has none, to the
-  // relay's resync-escalation path.
+  // bodies. With no pixels the frame is a full change on both image tiers
+  // and leaves the next publish no reference: cursor-anchored deltas
+  // decline and skipping clients fall back to the full body — or, when
+  // this frame has none, to the relay's resync-escalation path.
   std::lock_guard<std::mutex> publishing(publish_mutex_);
   FramePtr prev = latest();
+  last_raw_ = {};
 
   auto frame = std::make_shared<Frame>();
   frame->seq = (prev ? prev->seq : 0) + 1;
@@ -307,25 +307,6 @@ std::uint64_t FrameHub::commit_frame(std::shared_ptr<Frame> frame,
     seq_ = frame->seq;
     window_.push_back(frame);
     while (window_.size() > config_.window) window_.pop_front();
-    // Bounded raw retention: the frame that just crossed the raw window
-    // loses its framebuffers (O(1): seq_ advances by one per publish, so
-    // exactly one frame crosses the boundary — everything older was
-    // dropped by earlier publishes, and frames trimmed off the window
-    // free their raws with the Frame itself) while keeping its rect
-    // encodes. delta_body_for then declines cursors older than the raw
-    // window — full-frame fallback — but sequential clients keep rect
-    // deltas from the prebuilt bodies.
-    if (config_.raw_window > 0 && seq_ > config_.raw_window) {
-      const std::uint64_t boundary = seq_ - config_.raw_window;
-      const std::uint64_t oldest = window_.front()->seq;
-      if (boundary >= oldest) {
-        const Frame& aged =
-            *window_[static_cast<std::size_t>(boundary - oldest)];
-        for (std::size_t t = 0; t < kImageTierCount; ++t) {
-          aged.tiles[t].drop_raw();
-        }
-      }
-    }
 
     const auto now = std::chrono::steady_clock::now();
     const std::size_t queued = outbox_.size();
@@ -400,39 +381,29 @@ std::string FrameHub::delta_body_for(const FramePtr& frame,
                                      std::uint64_t since, Tier tier) const {
   if (!frame || tier == Tier::kStateOnly || frame->seq <= since) return {};
   const std::size_t t = static_cast<std::size_t>(tier);
-  // Snapshot the atomic raw pointers once: the publisher may drop them
-  // concurrently (raw_window).
-  const std::shared_ptr<const viz::Image> cur_raw = frame->tiles[t].raw();
-  if (!cur_raw) return {};
-  // Snapshot the frame chain [since, frame->seq] out of the window. The
+  // Snapshot the skipped frames (since, frame->seq] out of the window. The
   // window holds a contiguous seq range, so retaining the cursor frame
-  // means every intermediate frame is retained too.
+  // means every later frame is retained too.
   std::vector<FramePtr> chain;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (window_.empty()) return {};
     const std::uint64_t oldest = window_.front()->seq;
     if (since < oldest || frame->seq > seq_) return {};  // cursor aged out
-    chain.reserve(static_cast<std::size_t>(frame->seq - since) + 1);
-    for (std::uint64_t s = since; s <= frame->seq; ++s) {
+    chain.reserve(static_cast<std::size_t>(frame->seq - since));
+    for (std::uint64_t s = since + 1; s <= frame->seq; ++s) {
       chain.push_back(window_[static_cast<std::size_t>(s - oldest)]);
     }
   }
-  const std::shared_ptr<const viz::Image> base_raw =
-      chain.front()->tiles[t].raw();
-  if (!base_raw || base_raw->width() != cur_raw->width() ||
-      base_raw->height() != cur_raw->height()) {
-    // The cursor frame never carried this tier's pixels (e.g. the half
-    // image was not built then, the client's last body was actually a tier
-    // fallback, or the cursor fell behind the raw window and the buffer was
-    // dropped), or the canvas was resized since: no valid reference.
-    return {};
-  }
   // A full-change frame anywhere in the skipped range changed pixels that
-  // no stored rect accounts for.
-  for (std::size_t i = 1; i < chain.size(); ++i) {
-    if (chain[i]->tiles[t].full_change) return {};
+  // no stored rect accounts for. This also covers the reference: publish
+  // marks a tier full_change whenever the frame or its predecessor had no
+  // pixels for it or their sizes differ, so a range free of full changes
+  // starts at a cursor frame that had this tier's pixels at the served size.
+  for (const FramePtr& skipped : chain) {
+    if (skipped->tiles[t].full_change) return {};
   }
+  const Frame::TileData& served = frame->tiles[t];
 
   // The coverage rule, newest frame first: take a frame's rect unless the
   // rects already taken cover all of it. Sent oldest first, the newest
@@ -446,7 +417,7 @@ std::string FrameHub::delta_body_for(const FramePtr& frame,
       tier == Tier::kFull ? frame->png : frame->png_half;
   const std::size_t full_b64 = (full_png.size() + 2) / 3 * 4;
   std::vector<std::vector<std::pair<int, int>>> spans(
-      static_cast<std::size_t>(cur_raw->height()));
+      static_cast<std::size_t>(served.height));
   const auto covered = [&](const viz::TileRect& r) {
     for (int y = r.y; y < r.y + r.h; ++y) {
       const auto& row = spans[static_cast<std::size_t>(y)];
@@ -475,8 +446,8 @@ std::string FrameHub::delta_body_for(const FramePtr& frame,
   };
   std::vector<TileRef> tiles;
   std::size_t b64_bytes = 0;
-  for (std::size_t j = chain.size() - 1; j >= 1; --j) {
-    const Frame::TileData& td = chain[j]->tiles[t];
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    const Frame::TileData& td = (*it)->tiles[t];
     if (!td.rect || covered(*td.rect)) continue;
     b64_bytes += td.rect_b64.size();
     if (b64_bytes >= full_b64) return {};  // the full image is no larger
@@ -486,8 +457,12 @@ std::string FrameHub::delta_body_for(const FramePtr& frame,
   std::reverse(tiles.begin(), tiles.end());
   // Full state, not a key delta: the client skipped the intermediate frames
   // and has nothing valid to merge into.
-  return render_tiles_body(frame->seq, tier, frame->state, since,
-                           cur_raw->width(), cur_raw->height(), tiles);
+  std::string body = render_tiles_body(frame->seq, tier, frame->state, since,
+                                       served.width, served.height, tiles);
+  // The rects' JSON framing is not in the running cap above: a body that
+  // ends up no smaller than the full one is not worth sending.
+  if (body.size() >= frame->body(tier, false).size()) return {};
+  return body;
 }
 
 std::uint64_t FrameHub::seq() const {

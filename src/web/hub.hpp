@@ -22,7 +22,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -78,12 +77,9 @@ struct Frame {
   };
   std::array<Body, kTierCount> bodies;
 
-  /// Image-delta data for one image tier. The raw framebuffer is retained
-  /// while the frame sits inside the hub's raw window (Config::raw_window;
-  /// by default the whole retention window): the next publish bounds its
-  /// changes against it, and a cursor-anchored delta requires the cursor
-  /// frame's. Frames carrying an unchanged image share the predecessor's
-  /// raw buffer instead of copying it.
+  /// Image-delta data for one image tier, fixed at publish. Frames keep no
+  /// pixels: the hub holds only the newest frame's raw framebuffer, the
+  /// reference the next publish bounds its changed region against.
   struct TileData {
     /// The bounding box of the pixels that differ from the predecessor
     /// (viz::changed_bounds); nullopt when none differ or no delta exists.
@@ -91,35 +87,16 @@ struct Frame {
     /// inside it — what the coverage rule in delta_body_for relies on.
     std::optional<viz::TileRect> rect;
     /// base64(PNG) of `rect`: one encode per frame per tier, shared by
-    /// every client whose delta includes it. Kept for the frame's whole
-    /// window lifetime even after the raw buffer is dropped: the prebuilt
-    /// sequential delta body needs no raw pixels at serve time.
+    /// every client whose delta includes it.
     std::string rect_b64;
     /// No usable delta vs the predecessor exists (first frame, dimension
     /// change, `rect` covering at least Config::full_tile_fraction of the
-    /// frame, or the predecessor had no raw for this tier). Cursor-anchored
-    /// deltas whose range crosses such a frame must fall back to a full
-    /// image.
+    /// frame, or this frame or the predecessor had no pixels for this
+    /// tier). Cursor-anchored deltas whose range crosses such a frame must
+    /// fall back to a full image.
     bool full_change = true;
-
-    /// Raw framebuffer snapshot; null when no pixels were published for
-    /// this tier or the frame aged past the raw window. The one mutable
-    /// exception to Frame immutability: the publisher drops it early
-    /// (bounded raw retention) while poll completions may be reading it, so
-    /// access goes through an atomic shared_ptr.
-    std::shared_ptr<const viz::Image> raw() const {
-      return raw_.load(std::memory_order_acquire);
-    }
-    void set_raw(std::shared_ptr<const viz::Image> image) {
-      raw_.store(std::move(image), std::memory_order_release);
-    }
-    /// Publisher-side early release once the frame leaves the raw window.
-    /// `const` because retained frames are shared as `const Frame` — the
-    /// raw buffer is cache, not contract: readers must tolerate null.
-    void drop_raw() const { raw_.store(nullptr, std::memory_order_release); }
-
-   private:
-    mutable std::atomic<std::shared_ptr<const viz::Image>> raw_;
+    /// Size of this tier's pixels; 0 when the frame had none.
+    int width = 0, height = 0;
   };
   std::array<TileData, kImageTierCount> tiles;
 
@@ -171,15 +148,6 @@ class FrameHub {
     /// task — one loop serves connection readiness, hub deadlines and
     /// fan-out alike. Required; the reactor must outlive the hub.
     net::Reactor* reactor = nullptr;
-    /// Frames that keep their raw framebuffers (0 = the whole window). Raw
-    /// retention is what makes hub memory scale as `window × W×H×4` per
-    /// image tier; capping it separately drops the pixels early while
-    /// keeping the per-frame rect encodes, so sequential clients still get
-    /// rect deltas from the prebuilt bodies at any window size. Cursor-
-    /// anchored deltas require the *cursor frame's* raw buffer, so clients
-    /// skipping further back than this fall back to a full frame
-    /// (delta_body_for declines).
-    std::size_t raw_window = 0;
   };
 
   struct Stats {
@@ -274,10 +242,11 @@ class FrameHub {
   /// taken rects are sent oldest first, so the newest taken rect over any
   /// pixel, which holds that pixel's current value, lands last. No
   /// per-client encoding happens here. Returns an empty string whenever no
-  /// valid delta exists — cursor frame aged out of the window, raw
-  /// framebuffer missing for the tier or resized, a full-change frame
-  /// inside the range — or when the taken rects' base64 would total at
-  /// least the full image's; the caller then serves the full body.
+  /// valid delta exists — cursor frame aged out of the window, or a
+  /// full-change frame inside the range (which also covers a tier the
+  /// cursor frame had no pixels for, and a resized canvas) — or when the
+  /// body would be no smaller than the full body; the caller then serves
+  /// the full body.
   std::string delta_body_for(const FramePtr& frame, std::uint64_t since,
                              Tier tier) const;
   std::uint64_t seq() const;
@@ -341,8 +310,8 @@ class FrameHub {
     std::uint64_t bytes_out = 0;  // PNG bytes produced
   };
 
-  /// Shared publish tail: append `frame` to the window, age raws past the
-  /// raw window, satisfy waiters, update stats, hand them to the reactor.
+  /// Shared publish tail: append `frame` to the window, satisfy waiters,
+  /// update stats, hand them to the reactor.
   /// Requires publish_mutex_ held; takes mutex_ itself. `cost` is the
   /// encode work the build performed; `preencoded` marks a
   /// publish_encoded() frame.
@@ -374,6 +343,10 @@ class FrameHub {
   Config config_;
   /// Serializes publishers so frame building happens outside mutex_.
   std::mutex publish_mutex_;
+  /// The newest frame's raw framebuffer per image tier, null for a tier it
+  /// had no pixels for: the reference the next publish bounds its changed
+  /// region against. Guarded by publish_mutex_.
+  std::array<std::shared_ptr<const viz::Image>, kImageTierCount> last_raw_;
   mutable std::mutex mutex_;
   std::deque<FramePtr> window_;
   std::uint64_t seq_ = 0;

@@ -441,14 +441,6 @@ TEST(MultiReactor, ReusePortAcceptServesKeepAliveClientsAcrossReactors) {
   exercise_multireactor(server, 16, 25);
 }
 
-TEST(MultiReactor, HandOffAcceptServesKeepAliveClientsAcrossReactors) {
-  w::HttpServer server;
-  server.set_reactors(4);
-  server.set_accept_mode(w::HttpServer::AcceptMode::kHandOff);
-  server.route("GET", "/echo", echo_handler());
-  exercise_multireactor(server, 16, 25);
-}
-
 TEST(MultiReactor, SingleReactorPathUnchanged) {
   w::HttpServer server;  // default: one reactor, plain listener
   ASSERT_EQ(server.reactor_count(), 1u);

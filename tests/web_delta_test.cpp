@@ -1,8 +1,9 @@
 // Tile-based dirty-rect frame deltas: publish-time tile encoding, the
 // sequential prebuilt delta body, cursor-anchored reassembly for skipping
 // clients (byte-identical composites after random skips), the full-frame
-// fallbacks (full change, aged-out cursor, missing tier reference, tier
-// switch), and the HTTP-level full=1 resync escape hatch.
+// fallbacks (full change, aged-out cursor, missing tier reference,
+// image-less publish, canvas resize, tier switch), and the HTTP-level
+// full=1 resync escape hatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -340,14 +341,13 @@ TEST(TileDelta, CursorAnchoredBodyIsNeverLargerThanTheFullBody) {
   // A square hops between the four corners, so every frame's rect is a
   // strip along one edge, and a skip of four frames or more takes a strip
   // along every edge. From every cursor behind the head the hub must build
-  // a delta whose rects' base64 stays below the full image's, and which
-  // composites to the head's image, or decline. On a textured background
-  // the four strips stay well below the full frame, so every skip gets a
-  // delta smaller than the full body. On a flat one two strip PNGs already
-  // weigh about as much as the whole frame's, so the long skips decline;
-  // only a skip of one or two frames is built there (the rects' JSON
-  // framing, which the cap does not count, then makes the two-frame body
-  // the larger one).
+  // a delta whose rects' base64 stays below the full image's, whose body
+  // is smaller than the full body, and which composites to the head's
+  // image, or decline. On a textured background the four strips stay well
+  // below the full frame, so every skip gets a delta. On a flat one two
+  // strip PNGs already weigh about as much as the whole frame's, so only
+  // the one-frame skip is built there: a two-frame skip's rects stay under
+  // the base64 cap, but their JSON framing makes its body the larger one.
   const std::vector<std::pair<int, int>> corners = {
       {0, 0}, {88, 0}, {88, 56}, {0, 56}};
   for (const bool textured : {false, true}) {
@@ -386,15 +386,13 @@ TEST(TileDelta, CursorAnchoredBodyIsNeverLargerThanTheFullBody) {
         b64 += tile.at("png_b64").as_string().size();
       }
       EXPECT_LT(b64, full_b64) << "cursor " << since;
-      if (head->seq - since >= 4) {
-        EXPECT_LT(body.size(), full_body) << "cursor " << since;
-      }
+      EXPECT_LT(body.size(), full_body) << "cursor " << since;
       v::Image canvas = frames[since - 1];
       std::uint64_t composited = since;
       ASSERT_TRUE(apply_body(parsed, canvas, composited));
       EXPECT_EQ(canvas.pixels(), frames.back().pixels()) << "cursor " << since;
     }
-    EXPECT_EQ(built, textured ? 39 : 2);
+    EXPECT_EQ(built, textured ? 39 : 1);
   }
 }
 
@@ -430,19 +428,16 @@ TEST(TileDelta, CursorAnchoredDeltaRefusesRangesCrossingFullChangeFrames) {
   EXPECT_FALSE(hub.delta_body_for(f4, 3, w::Tier::kFull).empty());
 }
 
-TEST(TileDelta, UnchangedImageSharesRawBufferAndOmitsImage) {
+TEST(TileDelta, UnchangedImageOmitsImageAndKeepsTheDeltaChain) {
   ricsa_test::HubLoop loop;
   w::FrameHub hub(tile_hub_config(loop.get()));
   hub.publish(state_of(1.0), scene(0));
   hub.publish(state_of(2.0), scene(0));  // byte-identical pixels
-  const w::FramePtr f1 = hub.next_after(0);
   const w::FramePtr f2 = hub.next_after(1);
-  ASSERT_TRUE(f1 && f2);
+  ASSERT_TRUE(f2);
   const Json delta = Json::parse(f2->body(w::Tier::kFull, true));
   EXPECT_FALSE(delta.contains("tiles"));
   EXPECT_FALSE(delta.contains("image_b64"));
-  // A converged simulation retains one framebuffer, not window-many.
-  EXPECT_EQ(f1->tiles[0].raw().get(), f2->tiles[0].raw().get());
   // Cursor-anchored across the unchanged frame still works: 1 -> 3.
   hub.publish(state_of(3.0), scene(5));
   const w::FramePtr f3 = hub.next_after(2);
@@ -475,9 +470,11 @@ TEST(TileDelta, CursorAgedOutOfWindowFallsBack) {
 TEST(TileDelta, HalfTierDeltaNeedsAHalfReferenceFrame) {
   ricsa_test::HubLoop loop;
   w::FrameHub hub(tile_hub_config(loop.get()));
-  hub.publish(state_of(1.0), scene(0), /*build_half=*/false);
-  hub.publish(state_of(2.0), scene(1), /*build_half=*/true);
-  hub.publish(state_of(3.0), scene(2), /*build_half=*/true);
+  // Textured frames: on a flat 32x24 half frame the 2 -> 3 delta body is
+  // no smaller than the half full body, so the size cap would decline it.
+  hub.publish(state_of(1.0), textured_scene(0), /*build_half=*/false);
+  hub.publish(state_of(2.0), textured_scene(1), /*build_half=*/true);
+  hub.publish(state_of(3.0), textured_scene(2), /*build_half=*/true);
   const w::FramePtr f2 = hub.next_after(1);
   const w::FramePtr f3 = hub.next_after(2);
   ASSERT_TRUE(f2 && f3);
@@ -488,12 +485,146 @@ TEST(TileDelta, HalfTierDeltaNeedsAHalfReferenceFrame) {
   // exactly the server's half-resolution framebuffer.
   const std::string body = hub.delta_body_for(f3, 2, w::Tier::kHalf);
   ASSERT_FALSE(body.empty());
-  v::Image canvas = v::downsample(scene(1), 2);
+  v::Image canvas = v::downsample(textured_scene(1), 2);
   std::uint64_t composited = 2;
   ASSERT_TRUE(apply_body(Json::parse(body), canvas, composited));
-  EXPECT_EQ(canvas.pixels(), v::downsample(scene(2), 2).pixels());
+  EXPECT_EQ(canvas.pixels(), v::downsample(textured_scene(2), 2).pixels());
   // The full tier, meanwhile, is never poisoned by the half tier's gaps.
   EXPECT_FALSE(hub.delta_body_for(f3, 2, w::Tier::kFull).empty());
+}
+
+namespace {
+
+/// The sequential delta body of `frame` at `tier` must resend the whole
+/// image: no rect, `image_b64` present.
+void expect_full_image_delta(const w::FramePtr& frame, w::Tier tier) {
+  const Json delta = Json::parse(frame->body(tier, true));
+  EXPECT_FALSE(delta.contains("tiles")) << w::tier_name(tier);
+  EXPECT_TRUE(delta.contains("image_b64")) << w::tier_name(tier);
+}
+
+}  // namespace
+
+TEST(TileDelta, HalfTierBuiltAgainAfterAFrameWithoutItIsAFullChange) {
+  // Frame 2 has no half image, so frame 1's half pixels are no reference
+  // for frame 3's: a half-tier client served frame 2 got the full tier's
+  // fallback body, and a rect bounded against frame 1 would patch the
+  // wrong canvas.
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(tile_hub_config(loop.get()));
+  hub.publish(state_of(1.0), textured_scene(0), /*build_half=*/true);
+  hub.publish(state_of(2.0), textured_scene(1), /*build_half=*/false);
+  hub.publish(state_of(3.0), textured_scene(2), /*build_half=*/true);
+  const w::FramePtr f3 = hub.latest();
+  ASSERT_TRUE(f3);
+  EXPECT_TRUE(f3->tiles[1].full_change);
+  expect_full_image_delta(f3, w::Tier::kHalf);
+  EXPECT_TRUE(hub.delta_body_for(f3, 1, w::Tier::kHalf).empty());
+  EXPECT_TRUE(hub.delta_body_for(f3, 2, w::Tier::kHalf).empty());
+  // The full tier was built every frame and keeps its delta chain.
+  EXPECT_FALSE(f3->tiles[0].full_change);
+  EXPECT_TRUE(Json::parse(f3->body(w::Tier::kFull, true)).contains("tiles"));
+  const std::string body = hub.delta_body_for(f3, 1, w::Tier::kFull);
+  ASSERT_FALSE(body.empty());
+  v::Image canvas = textured_scene(0);
+  std::uint64_t composited = 1;
+  ASSERT_TRUE(apply_body(Json::parse(body), canvas, composited));
+  EXPECT_EQ(canvas.pixels(), textured_scene(2).pixels());
+}
+
+TEST(TileDelta, ImageLessPublishLeavesTheNextFrameNoReference) {
+  // A publish without pixels, pre-encoded or relayed, sits between two
+  // rendered frames: the third frame must not bound its changes against
+  // the first frame's pixels.
+  for (const bool relayed : {false, true}) {
+    SCOPED_TRACE(relayed ? "publish_encoded" : "publish(state, png)");
+    ricsa_test::HubLoop loop;
+    w::FrameHub hub(tile_hub_config(loop.get()));
+    hub.publish(state_of(1.0), textured_scene(0));
+    if (relayed) {
+      w::FrameHub::PreEncoded pre;
+      pre.full_body = R"({"seq":2,"delta":false,"state":{}})";
+      hub.publish_encoded(std::move(pre));
+    } else {
+      hub.publish(state_of(2.0), textured_scene(1).encode_png());
+    }
+    hub.publish(state_of(3.0), textured_scene(2));
+    const w::FramePtr f3 = hub.latest();
+    ASSERT_TRUE(f3);
+    ASSERT_EQ(f3->seq, 3u);
+    for (const w::Tier tier : {w::Tier::kFull, w::Tier::kHalf}) {
+      EXPECT_TRUE(f3->tiles[static_cast<std::size_t>(tier)].full_change)
+          << w::tier_name(tier);
+      expect_full_image_delta(f3, tier);
+      EXPECT_TRUE(hub.delta_body_for(f3, 1, tier).empty());
+      EXPECT_TRUE(hub.delta_body_for(f3, 2, tier).empty());
+    }
+  }
+}
+
+TEST(TileDelta, CanvasResizeIsAFullChange) {
+  ricsa_test::HubLoop loop;
+  w::FrameHub hub(tile_hub_config(loop.get()));
+  hub.publish(state_of(1.0), textured_scene(0, 64, 48));
+  hub.publish(state_of(2.0), textured_scene(1, 32, 24));
+  hub.publish(state_of(3.0), textured_scene(2, 32, 24));
+  const w::FramePtr f2 = hub.next_after(1);
+  const w::FramePtr f3 = hub.next_after(2);
+  ASSERT_TRUE(f2 && f3);
+  EXPECT_TRUE(f2->tiles[0].full_change);
+  expect_full_image_delta(f2, w::Tier::kFull);
+  // No rect spans the resize...
+  EXPECT_TRUE(hub.delta_body_for(f3, 1, w::Tier::kFull).empty());
+  // ...while a cursor at the new size patches as usual.
+  const std::string body = hub.delta_body_for(f3, 2, w::Tier::kFull);
+  ASSERT_FALSE(body.empty());
+  const Json parsed = Json::parse(body);
+  EXPECT_EQ(parsed.at("img_w").as_number(), 32.0);
+  EXPECT_EQ(parsed.at("img_h").as_number(), 24.0);
+  v::Image canvas = textured_scene(1, 32, 24);
+  std::uint64_t composited = 2;
+  ASSERT_TRUE(apply_body(parsed, canvas, composited));
+  EXPECT_EQ(canvas.pixels(), textured_scene(2, 32, 24).pixels());
+}
+
+TEST(TileDelta, DeltaFromEveryRetainedCursorReassemblesToTheHead) {
+  // A window of 48 frames, slid by 16 more: the hub keeps no pixels of the
+  // retained frames, yet every cursor it still retains, however far back,
+  // gets a delta that composites to the head's image. A square hops among
+  // five nearby spots, so the coverage rule keeps a long skip's rects few
+  // and the size cap never declines.
+  const std::vector<std::pair<int, int>> spots = {
+      {20, 14}, {34, 20}, {26, 30}, {40, 12}, {30, 24}};
+  std::vector<v::Image> frames;
+  for (std::size_t i = 0; i < 64; ++i) {
+    frames.push_back(squares_scene({spots[i % spots.size()]}));
+  }
+  ricsa_test::HubLoop loop;
+  w::FrameHub::Config config = tile_hub_config(loop.get());
+  config.window = 48;
+  w::FrameHub hub(config);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    hub.publish(state_of(static_cast<double>(i)), frames[i]);
+  }
+  const w::FramePtr head = hub.latest();
+  ASSERT_TRUE(head);
+  ASSERT_EQ(hub.oldest_retained(), 17u);
+  for (std::uint64_t since = hub.oldest_retained(); since < head->seq;
+       ++since) {
+    const w::FramePtr next = hub.next_after(since);
+    ASSERT_TRUE(next);
+    // The prebuilt sequential delta body carries the frame's rect.
+    EXPECT_TRUE(Json::parse(next->body(w::Tier::kFull, true)).contains("tiles"))
+        << "seq " << next->seq;
+    const std::string body = hub.delta_body_for(head, since, w::Tier::kFull);
+    ASSERT_FALSE(body.empty()) << "cursor " << since;
+    v::Image canvas = frames[since - 1];
+    std::uint64_t composited = since;
+    ASSERT_TRUE(apply_body(Json::parse(body), canvas, composited));
+    EXPECT_EQ(canvas.pixels(), frames.back().pixels()) << "cursor " << since;
+  }
+  // A cursor that left the window gets no delta.
+  EXPECT_TRUE(hub.delta_body_for(head, 16, w::Tier::kFull).empty());
 }
 
 TEST(TileDelta, TierSwitchForcesFullFrame) {

@@ -1,7 +1,7 @@
 // Multi-hub sharding tests: HubRegistry lifecycle (lazy creation, revival,
-// idle reaping), cross-shard isolation under concurrency, bounded raw
-// framebuffer retention, the registry-level shared pacing session, and the
-// `view=` HTTP contract end to end.
+// idle reaping), cross-shard isolation under concurrency, the
+// registry-level shared pacing session, and the `view=` HTTP contract end
+// to end.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 
 #include "hub_loop.hpp"
 #include "util/json.hpp"
-#include "util/prng.hpp"
 #include "viz/image.hpp"
 #include "web/frontend.hpp"
 #include "web/http.hpp"
@@ -42,21 +41,6 @@ v::Image scene(int step, int width = 48, int height = 32) {
   for (int y = y0; y < y0 + 8; ++y) {
     for (int x = x0; x < x0 + 8; ++x) {
       img.at(x, y) = {250, 200, 40, 255};
-    }
-  }
-  return img;
-}
-
-/// scene() over a fixed noise texture, so a full PNG costs more than a few
-/// rects of the moving feature, as on rendered frames.
-v::Image textured_scene(int step) {
-  v::Image img = scene(step);
-  ricsa::util::Xoshiro256 noise(4242);  // same texture every frame
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      const auto grey = static_cast<std::uint8_t>(noise() & 0x7F);
-      v::Rgba& p = img.at(x, y);
-      if (p.r != 250) p = {grey, grey, grey, 255};
     }
   }
   return img;
@@ -318,46 +302,6 @@ TEST(HubRegistry, ShardsOwnNoThreads) {
   EXPECT_EQ(served.load(), 8);
   EXPECT_EQ(registry.stats().live, 8u);
   EXPECT_EQ(thread_count(), before);
-}
-
-// ------------------------------------------- bounded raw retention ----
-
-TEST(FrameHub, RawWindowDropsFramebuffersButKeepsSequentialTileDeltas) {
-  ricsa_test::HubLoop loop;
-  w::FrameHub::Config config;
-  config.window = 16;
-  config.max_wait_s = 5.0;
-  config.reactor = loop.get();
-  config.raw_window = 3;
-  w::FrameHub hub(config);
-  for (int k = 0; k < 8; ++k) hub.publish(state_of("v", k), textured_scene(k));
-
-  // Frames past the raw window lost their framebuffers; recent ones keep
-  // them (seq > 8 - 3 = 5).
-  for (std::uint64_t s = 1; s <= 8; ++s) {
-    const w::FramePtr frame = hub.next_after(s - 1);
-    ASSERT_NE(frame, nullptr);
-    ASSERT_EQ(frame->seq, s);
-    if (s > 5) {
-      EXPECT_NE(frame->tiles[0].raw(), nullptr) << "seq " << s;
-    } else {
-      EXPECT_EQ(frame->tiles[0].raw(), nullptr) << "seq " << s;
-    }
-    // The prebuilt sequential delta body still carries tiles: raw pixels
-    // are only the diff *reference*, not the payload.
-    if (s > 1) {
-      const Json delta = Json::parse(frame->body(w::Tier::kFull, true));
-      EXPECT_TRUE(delta.contains("tiles")) << "seq " << s;
-    }
-  }
-
-  const w::FramePtr head = hub.latest();
-  ASSERT_NE(head, nullptr);
-  // Cursor inside the raw window: a cursor-anchored tile delta assembles.
-  EXPECT_FALSE(hub.delta_body_for(head, 6, w::Tier::kFull).empty());
-  // Cursor behind the raw window: the reference framebuffer is gone, so
-  // the hub declines and the caller serves the full body.
-  EXPECT_TRUE(hub.delta_body_for(head, 3, w::Tier::kFull).empty());
 }
 
 // ------------------------------------- shared session across views ----
