@@ -21,9 +21,9 @@
 // in a mixed population — fast, slow, and adaptively paced — against one
 // reactor-driven server. Besides the latency/throughput metrics it samples
 // process-wide fd count, thread count, and peak RSS during the round and
-// reports the configured server thread budget (reactors + HTTP workers +
-// session pool + monitor loop), which stays constant while client count
-// scales 8x. The
+// reports the configured server thread budget (reactors + session pool +
+// monitor loop; route handlers run on the reactors), which stays constant
+// while client count scales 8x. The
 // clients are driven by the epoll fleet (bench/epoll_client.hpp): ONE
 // load-generator thread, so generator scheduling jitter no longer inflates
 // the tail latency attributed to the server.
@@ -1711,20 +1711,18 @@ int main(int argc, char** argv) {
   report["scenario"] = scenario;
   report["frame_interval_s"] = frame_interval_s;
   // The server-side thread budget — constant in the client count and in
-  // the view count (hub shards run on reactor 0): the reactor loops, the
-  // HTTP handler workers, the session's render pool, and the monitor loop.
-  // Everything else in the process is bench clients. The congestion
-  // scenario runs no server, so it reports none.
+  // the view count (hub shards run on reactor 0): the reactor loops, which
+  // also run the route handlers, the session's render pool, and the
+  // monitor loop. Everything else in the process is bench clients. The
+  // congestion scenario runs no server, so it reports none.
   if (frontend) {
     const std::size_t reactors = std::max<std::size_t>(1, config.reactors);
     const std::size_t session_pool = frontend->session_pool_threads();
     Json threads;
     threads["reactors"] = static_cast<double>(reactors);
-    threads["http_workers"] = static_cast<double>(config.http_workers);
     threads["session_pool"] = static_cast<double>(session_pool);
     threads["monitor_loop"] = 1.0;
-    threads["total"] = static_cast<double>(
-        reactors + config.http_workers + session_pool + 1);
+    threads["total"] = static_cast<double>(reactors + session_pool + 1);
     report["server_threads"] = threads;
   }
   report["rounds"] = rounds;

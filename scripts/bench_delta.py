@@ -24,8 +24,10 @@ congestion A/B, the tile-delta compression floor and byte saving (deltas
 must not cost more than full frames), the protocol counters
 of the transport and relay benches (every gaps_*/errors_*/delta_breaks_*
 comparison field, relay_image_encodes, and the relayed round's upstream
-reconnects must be 0), and the mixed bench's per-round gaps, errors and
-image-delta breaks (must be 0).
+reconnects must be 0), the mixed bench's per-round gaps, errors and
+image-delta breaks (must be 0), and the server thread budget of the
+fanout, shard and transport benches (every round's process.peak_threads
+at most server_threads.total + 2).
 
 History: the previous artifact may carry a bench_history.json (also searched
 recursively); this run's summary is appended to it and written to
@@ -73,6 +75,14 @@ PROTOCOL_COUNTER_PREFIXES = ("gaps_", "errors_", "delta_breaks_")
 # one CI bench whose paced clients skip frames and so receive
 # cursor-anchored deltas; its comparison block carries no protocol counter.
 ROUND_GATE_FILES = ["ajax_fanout_mixed.json"]
+# Thread gate: benches whose every round must peak at no more threads than
+# the server budget they report (server_threads.total) plus the bench's
+# own two: its main thread, which drives the one-thread epoll client
+# fleet, and its resource sampler. A thread pool added to the server shows
+# here whether or not latency moves.
+THREAD_GATE_FILES = ["ajax_fanout_fanout.json", "ajax_fanout_shard.json",
+                     "ajax_fanout_transport.json"]
+BENCH_OWN_THREADS = 2
 
 
 def load(path):
@@ -399,6 +409,41 @@ def round_gate(cur_root):
     return failures
 
 
+def thread_gate(cur_root):
+    """Absolute gate on the epoll-fleet benches, previous artifact or not:
+    every round's process.peak_threads must be at most
+    server_threads.total + BENCH_OWN_THREADS. (The multireactor bench
+    reports the 4-reactor budget for its 1-reactor rounds too, so it is
+    not gated.)"""
+    failures = []
+    for name in THREAD_GATE_FILES:
+        path = cur_root / name
+        if not path.is_file():
+            continue
+        data = load(path)
+        if data is None:
+            continue
+        budget = (data.get("server_threads") or {}).get("total")
+        if budget is None:
+            failures.append(f"{name}: no server_threads.total")
+            continue
+        limit = budget + BENCH_OWN_THREADS
+        for r in data.get("rounds", []):
+            label = f"{name} {key_str(round_key(r))}"
+            peak = (r.get("process") or {}).get("peak_threads")
+            if peak is None:
+                failures.append(f"{label}: no process.peak_threads")
+                continue
+            verdict = "ok" if peak <= limit else "REGRESSION"
+            if peak > limit:
+                failures.append(f"{label}: peak_threads {peak:.0f} above "
+                                f"server budget {budget:.0f} + "
+                                f"{BENCH_OWN_THREADS}")
+            print(f"[bench-delta] {label}: peak_threads {peak:.0f}, limit "
+                  f"{limit:.0f} [{verdict}]")
+    return failures
+
+
 def summarize_run(cur_root, label):
     """This run's compact history record, one entry per bench file/round."""
     record = {"label": label, "benches": {}}
@@ -478,13 +523,14 @@ def main():
     print_trends(history)
 
     # The congestion A/B, the tile-delta compression floor and byte saving,
-    # the protocol counters and the mixed bench's round counters are
-    # self-contained in the current run, so those gates apply even on a
-    # first run with no previous artifact.
+    # the protocol counters, the mixed bench's round counters and the
+    # thread budget are self-contained in the current run, so those gates
+    # apply even on a first run with no previous artifact.
     regressions = list(congestion_gate(cur_root))
     regressions += compression_gate(cur_root)
     regressions += protocol_gate(cur_root)
     regressions += round_gate(cur_root)
+    regressions += thread_gate(cur_root)
 
     if not prev_root.is_dir():
         print(f"[bench-delta] no previous artifact at {prev_root}; "

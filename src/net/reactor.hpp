@@ -3,17 +3,17 @@
 // The thread-per-connection web server parks one kernel-blocked read and a
 // full thread stack per idle long-poll client, which caps fan-out around a
 // thousand browsers. The reactor inverts that: every connection registers
-// an EventHandler for readiness events on one epoll instance, a single loop
-// thread dispatches them, and blocking work (route handlers, frame
-// rendering) lives on a separate bounded worker pool. Idle clients then
-// cost one fd and a few hundred bytes of state — the 10k+ regime the
-// ROADMAP's fan-out item asks for.
+// an EventHandler for readiness events on one epoll instance, and a single
+// loop thread dispatches them and runs the work that never blocks (the web
+// server's route handlers); blocking work (frame rendering) lives on other
+// threads. Idle clients then cost one fd and a few hundred bytes of state
+// — the 10k+ regime the ROADMAP's fan-out item asks for.
 //
 // Three event sources share the loop:
 //  * I/O readiness — level-triggered epoll on registered fds;
 //  * timers — a hashed TimerWheel (poll timeouts, idle deadlines, pacing);
 //  * cross-thread tasks — post() enqueues a closure and wakes the loop via
-//    eventfd; hub completions and route handlers' responses reach the loop
+//    eventfd; hub completions and asynchronous responses reach the loop
 //    thread this way.
 //
 // Threading contract: add/modify/remove and the timer API are loop-thread

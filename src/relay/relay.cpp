@@ -27,7 +27,6 @@ web::HubRegistry::Config registry_config(const RelayNodeConfig& config) {
 web::FrameService::Setup setup_of(const RelayNodeConfig& config) {
   web::FrameService::Setup setup;
   setup.poll_timeout_s = config.poll_timeout_s;
-  setup.workers = config.http_workers;
   setup.reactors = config.reactors;
   setup.max_connections = config.max_connections;
   return setup;
@@ -44,9 +43,14 @@ RelayNode::RelayNode(RelayNodeConfig config)
   // Control traffic goes upstream: a relay can serve frames, only the
   // origin can steer the simulation or declare views.
   for (const char* path : {"/api/steer", "/api/view"}) {
-    service_.route("POST", path, [this, path](const web::HttpRequest& r) {
-      return forward_post(r, path);
-    });
+    service_.route_async(
+        "POST", path,
+        [this, path](const web::HttpRequest& r,
+                     web::FrameService::Reply reply) {
+          forwarder_.submit([this, path, r, reply = std::move(reply)] {
+            reply(forward_post(r, path));
+          });
+        });
   }
 }
 
@@ -155,16 +159,12 @@ web::HttpResponse RelayNode::forward_post(const web::HttpRequest& request,
   try {
     web::HttpClient::RetryPolicy policy;
     policy.max_attempts = 3;
-    web::HttpClient::Response upstream;
-    {
-      std::lock_guard<std::mutex> lock(forward_mutex_);
-      upstream = forward_client_.post_with_retry(
-          target, request.body, policy,
-          request.headers.count("content-type")
-              ? request.headers.at("content-type")
-              : "application/json",
-          5.0);
-    }
+    const web::HttpClient::Response upstream = forward_client_.post_with_retry(
+        target, request.body, policy,
+        request.headers.count("content-type")
+            ? request.headers.at("content-type")
+            : "application/json",
+        5.0);
     web::HttpResponse response = web::HttpResponse::json(upstream.body);
     response.status = upstream.status;
     return response;

@@ -17,15 +17,16 @@
 // upstream — while its poll re-parks (its stream skips) until the full
 // frame lands; every response carries X-Relay-Path, and requests whose
 // chain would close a loop get 409. Control traffic (POST /api/steer,
-// /api/view) is forwarded upstream verbatim: steering always reaches the
-// origin simulation.
+// /api/view) is forwarded upstream verbatim, one request at a time on the
+// node's forwarding thread, so the blocking upstream call never holds a
+// reactor: steering always reaches the origin simulation.
 #pragma once
 
 #include <atomic>
-#include <mutex>
 #include <string>
 
 #include "relay/subscriber.hpp"
+#include "util/thread_pool.hpp"
 #include "web/frame_service.hpp"
 #include "web/http.hpp"
 #include "web/registry.hpp"
@@ -42,7 +43,6 @@ struct RelayNodeConfig {
   double poll_timeout_s = 15.0;
   /// Local frame window (catch-up replay depth for downstream clients).
   std::size_t frame_window = 256;
-  std::size_t http_workers = 2;
   std::size_t reactors = 1;
   std::size_t max_connections = 8192;
   /// Per-client adaptive pacing for *downstream* clients, identical to the
@@ -90,13 +90,16 @@ class RelayNode {
   web::FrameService service_;
   RelaySubscriber subscriber_;
 
-  /// Upstream control-channel client (steer/view forwarding). HttpClient
-  /// is a single blocking connection, hence the mutex.
-  std::mutex forward_mutex_;
+  /// Upstream control-channel client (steer/view forwarding): one
+  /// blocking keep-alive connection, used by the forwarder's thread only.
   web::HttpClient forward_client_;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
+
+  /// The one thread that runs forward_post(). Declared last, so it is
+  /// joined before anything its tasks use is destroyed.
+  util::ThreadPool forwarder_{1};
 };
 
 }  // namespace ricsa::relay

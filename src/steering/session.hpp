@@ -10,6 +10,8 @@
 // -> return the image plus monitoring metadata.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -101,7 +103,9 @@ class SteeringSession {
   pipeline::VisualizationRoutingTable vrt_;
   std::uint32_t vrt_version_ = 0;
   ExecuteOptions view_;
-  std::uint32_t message_seq_ = 0;
+  /// Sequence of the session's own messages: steer() runs on the web
+  /// server's threads, set_variable() on the monitor loop.
+  std::atomic<std::uint32_t> message_seq_{0};
   /// The last frame's volume snapshot, retained so render_view() can fan
   /// one simulation step out into several published views.
   std::shared_ptr<const data::ScalarVolume> last_snapshot_;

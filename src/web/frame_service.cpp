@@ -284,6 +284,8 @@ function postView(){
     zoom: parseFloat(document.getElementById('zoom').value),
     octant: parseInt(document.getElementById('octant').value)
   };
+  // A blank or non-numeric field keeps its setting: the server refuses null.
+  for (const k in body) if (Number.isNaN(body[k])) delete body[k];
   const xhr = new XMLHttpRequest();
   xhr.open('POST', '/api/view', true);
   xhr.send(JSON.stringify(body));
@@ -402,7 +404,6 @@ FrameService::FrameService(HubRegistry::Config registry, Setup setup,
   // The idle-read timeout must exceed the longest wait any route hands
   // out, else a legal configuration kills keep-alive connections mid-poll.
   server_.set_idle_read_timeout(setup_.poll_timeout_s + 15.0);
-  server_.set_workers(setup_.workers);
   server_.set_max_connections(setup_.max_connections);
   // set_reactors keeps reactor(0)'s identity, so the hub sweeps the
   // registry registered on it above stay valid.
@@ -432,6 +433,23 @@ void FrameService::route(const std::string& method, const std::string& path,
                   std::optional<HttpResponse> refusal = refused(r);
                   return decorated(refusal ? std::move(*refusal) : handler(r));
                 });
+}
+
+void FrameService::route_async(
+    const std::string& method, const std::string& path,
+    std::function<void(const HttpRequest&, Reply reply)> handler) {
+  server_.route_async(
+      method, path,
+      [this, handler = std::move(handler)](const HttpRequest& r,
+                                           HttpServer::ResponseSink sink) {
+        if (std::optional<HttpResponse> refusal = refused(r)) {
+          sink(decorated(std::move(*refusal)));
+          return;
+        }
+        handler(r, [this, sink](HttpResponse response) {
+          sink(decorated(std::move(response)));
+        });
+      });
 }
 
 void FrameService::stop() {

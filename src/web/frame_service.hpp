@@ -11,8 +11,8 @@
 // with one parameter parser, one per-delivery sequence (pacing decision,
 // hub wait, body selection, dispatch/drain accounting) and one SSE pump.
 // The owning node adds its other routes (the origin's /api/image and
-// steering POSTs, the relay's forwarded POSTs) through route(), so they
-// get the same policy refusal and headers.
+// steering POSTs through route(), the relay's forwarded POSTs through
+// route_async()), so they get the same policy refusal and headers.
 //
 // Where the nodes really differ, the node fills in a ServingPolicy in
 // code. The origin serves tiered bodies rendered from pixels; a relay
@@ -62,7 +62,6 @@ class FrameService {
   struct Setup {
     /// Ceiling on long-poll waits and stream keepalive intervals.
     double poll_timeout_s = 15.0;
-    std::size_t workers = 4;
     std::size_t reactors = 1;
     std::size_t max_connections = 8192;
   };
@@ -80,9 +79,18 @@ class FrameService {
   const HubRegistry& registry() const noexcept { return registry_; }
 
   /// Register one of the node's own routes; its responses pass through
-  /// the policy's refusal and headers like the service's.
+  /// the policy's refusal and headers like the service's. The handler runs
+  /// on a reactor and must not block.
   void route(const std::string& method, const std::string& path,
              HttpServer::Handler handler);
+
+  /// Completes one request of a route_async() route, from any thread.
+  using Reply = std::function<void(HttpResponse)>;
+  /// As route(), for a handler that waits: it returns at once, and the
+  /// request is answered when something else calls `reply`.
+  void route_async(
+      const std::string& method, const std::string& path,
+      std::function<void(const HttpRequest&, Reply reply)> handler);
 
   /// The publish period pacing decisions and delivery accounting use.
   void set_cadence(double seconds) { cadence_s_.store(seconds); }

@@ -1,8 +1,12 @@
 #include "web/frontend.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "util/strings.hpp"
 
@@ -37,7 +41,6 @@ util::Json models_json(const cost::CostModels& models) {
 FrameService::Setup setup_of(const FrontEndConfig& config) {
   FrameService::Setup setup;
   setup.poll_timeout_s = config.poll_timeout_s;
-  setup.workers = config.http_workers;
   setup.reactors = config.reactors;
   setup.max_connections = config.max_connections;
   return setup;
@@ -95,40 +98,18 @@ void AjaxFrontEnd::frame_loop() {
     // Apply client-posted view/viz changes on the session's thread.
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
-      while (!pending_view_.empty()) {
-        const util::Json op = pending_view_.front();
-        pending_view_.pop_front();
-        if (op.contains("variable")) {
-          session_.set_variable(op.at("variable").as_string());
+      for (const ViewChange& change : pending_view_) {
+        if (change.variable) session_.set_variable(*change.variable);
+        if (change.technique) {
+          session_.viz_request().technique = *change.technique;
         }
-        if (op.contains("isovalue")) {
-          session_.viz_request().isovalue =
-              static_cast<float>(op.at("isovalue").as_number(0.5));
-        }
-        if (op.contains("azimuth")) {
-          session_.view().azimuth =
-              static_cast<float>(op.at("azimuth").as_number(0.7));
-        }
-        if (op.contains("elevation")) {
-          session_.view().elevation =
-              static_cast<float>(op.at("elevation").as_number(0.35));
-        }
-        if (op.contains("zoom")) {
-          session_.view().zoom =
-              static_cast<float>(op.at("zoom").as_number(1.0));
-        }
-        if (op.contains("octant")) {
-          session_.view().octant =
-              static_cast<int>(op.at("octant").as_int(-1));
-        }
-        if (op.contains("technique")) {
-          const std::string t = op.at("technique").as_string();
-          auto& technique = session_.viz_request().technique;
-          if (t == "isosurface") technique = cost::VizRequest::Technique::kIsosurface;
-          if (t == "raycast") technique = cost::VizRequest::Technique::kRayCast;
-          if (t == "streamline") technique = cost::VizRequest::Technique::kStreamline;
-        }
+        if (change.isovalue) session_.viz_request().isovalue = *change.isovalue;
+        if (change.azimuth) session_.view().azimuth = *change.azimuth;
+        if (change.elevation) session_.view().elevation = *change.elevation;
+        if (change.zoom) session_.view().zoom = *change.zoom;
+        if (change.octant) session_.view().octant = *change.octant;
       }
+      pending_view_.clear();
     }
 
     const auto frame = session_.next_frame();
@@ -318,9 +299,52 @@ HttpResponse AjaxFrontEnd::handle_view(const HttpRequest& request) {
   } catch (const std::exception& e) {
     return HttpResponse::bad_request(e.what());
   }
+  if (!body.is_object()) return HttpResponse::bad_request("expected object");
+  // Every value is checked here, so the monitor loop applies only settings
+  // it can render. Unknown keys are ignored.
+  ViewChange change;
+  for (const auto& [key, value] : body.as_object()) {
+    if (key == "variable") {
+      const std::vector<std::string> known = session_.simulation().variables();
+      if (!value.is_string() || std::find(known.begin(), known.end(),
+                                          value.as_string()) == known.end()) {
+        return HttpResponse::bad_request("variable must name a field");
+      }
+      change.variable = value.as_string();
+    } else if (key == "technique") {
+      const std::string name = value.is_string() ? value.as_string() : "";
+      using Technique = cost::VizRequest::Technique;
+      if (name == "isosurface") change.technique = Technique::kIsosurface;
+      if (name == "raycast") change.technique = Technique::kRayCast;
+      if (name == "streamline") change.technique = Technique::kStreamline;
+      if (!change.technique) {
+        return HttpResponse::bad_request(
+            "technique must be isosurface, raycast or streamline");
+      }
+    } else if (key == "octant") {
+      const double octant = value.as_number(-2.0);
+      if (!value.is_number() || octant != std::floor(octant) ||
+          octant < -1.0 || octant > 7.0) {
+        return HttpResponse::bad_request("octant must be an integer in [-1, 7]");
+      }
+      change.octant = static_cast<int>(octant);
+    } else if (std::optional<float>* number =
+                   key == "isovalue"    ? &change.isovalue
+                   : key == "azimuth"   ? &change.azimuth
+                   : key == "elevation" ? &change.elevation
+                   : key == "zoom"      ? &change.zoom
+                                        : nullptr) {
+      // Within float range: the camera and the request hold floats.
+      if (!value.is_number() ||
+          !(std::abs(value.as_number()) <= std::numeric_limits<float>::max())) {
+        return HttpResponse::bad_request(key + " must be a number");
+      }
+      *number = static_cast<float>(value.as_number());
+    }
+  }
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
-    pending_view_.push_back(std::move(body));
+    pending_view_.push_back(std::move(change));
   }
   return HttpResponse::json("{\"ok\":true}");
 }

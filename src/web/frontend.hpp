@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "steering/session.hpp"
@@ -63,14 +65,12 @@ struct FrontEndConfig {
   std::vector<ViewSpec> views;
   /// Idle-shard reaping horizon for the registry (0 disables).
   double view_idle_reap_s = 300.0;
-  /// HTTP route-handler worker threads. Together with the reactor threads,
-  /// the session's host-sized pool and the monitor loop this bounds *every*
+  /// Reactor (event-loop) threads; each accepts on its own SO_REUSEPORT
+  /// listener, owns its accepted connections outright and runs their route
+  /// handlers. 1 reproduces the single-loop server. Together with the
+  /// session's host-sized pool and the monitor loop this bounds *every*
   /// server-side thread — neither the client count nor the view count adds
   /// threads (hub shards run on reactor 0).
-  std::size_t http_workers = 4;
-  /// Reactor (event-loop) threads; each accepts on its own SO_REUSEPORT
-  /// listener and owns its accepted connections outright. 1 reproduces the
-  /// single-loop server.
   std::size_t reactors = 1;
   /// Accepted-connection cap; connections beyond it get 503.
   std::size_t max_connections = 8192;
@@ -135,9 +135,16 @@ class AjaxFrontEnd {
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> steers_{0};
 
+  /// One validated POST /api/view body: the settings it changes.
+  struct ViewChange {
+    std::optional<std::string> variable;
+    std::optional<cost::VizRequest::Technique> technique;
+    std::optional<int> octant;
+    std::optional<float> isovalue, azimuth, elevation, zoom;
+  };
   /// View/viz changes posted by clients, applied by the loop thread.
   std::mutex pending_mutex_;
-  std::deque<util::Json> pending_view_;
+  std::deque<ViewChange> pending_view_;
 };
 
 }  // namespace ricsa::web

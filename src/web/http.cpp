@@ -103,6 +103,10 @@ bool parse_content_length(const std::string& text, std::size_t& out) {
 }
 
 constexpr std::size_t kMaxHeaderBytes = 1u << 20;
+/// A request body, like its header block, is capped at 1 MiB: handlers
+/// parse it on the reactor. Responses keep the larger kMaxBodyBytes,
+/// which relayed frames need.
+constexpr std::size_t kMaxRequestBodyBytes = 1u << 20;
 constexpr std::size_t kMaxBodyBytes = 64u << 20;
 /// Bytes a client may pipeline behind an in-flight response before the
 /// connection is dropped (nothing is parsed while a response is pending,
@@ -113,27 +117,6 @@ constexpr std::size_t kMaxPipelinedBytes = 1u << 20;
 /// the producer ignores backpressure while the consumer is effectively
 /// dead, and the connection is dropped rather than growing without bound.
 constexpr std::size_t kMaxStreamBuffered = 16u << 20;
-
-/// Flat-string serialization, used only for the pre-connection 503 reject
-/// (a fresh socket, one small write). Live connections serialize onto
-/// their BufferChain via detail::append_response_chain instead.
-void append_response(std::string& out, const HttpResponse& response,
-                     bool keep_alive, bool suppress_body) {
-  out += util::strprintf(
-      "HTTP/1.1 %d %s\r\nContent-Length: %zu\r\nConnection: %s\r\n",
-      response.status, status_text(response.status), response.body_size(),
-      keep_alive ? "keep-alive" : "close");
-  for (const auto& [key, value] : response.headers) {
-    out += key + ": " + value + "\r\n";
-  }
-  out += "\r\n";
-  if (suppress_body) return;
-  if (response.shared_body) {
-    out += *response.shared_body;
-  } else {
-    out += response.body;
-  }
-}
 
 /// iovec batch per sendmsg. Far above a typical response's segment count
 /// (header + body = 2); a long streaming backlog just loops.
@@ -240,7 +223,10 @@ ParseResult parse_request(std::string& buffer, HttpRequest& out,
   }
 
   std::size_t content_length = 0;
-  if (!content_length_of(out.headers, content_length)) return ParseResult::kBad;
+  if (!content_length_of(out.headers, content_length) ||
+      content_length > kMaxRequestBodyBytes) {
+    return ParseResult::kBad;
+  }
   const std::size_t total = header_end + 4 + content_length;
   if (buffer.size() < total) return ParseResult::kNeedMore;
   out.body = buffer.substr(header_end + 4, content_length);
@@ -519,8 +505,8 @@ HttpResponse HttpResponse::bad_request(const std::string& why) {
 // ---------------------------------------------------------------- server --
 
 /// One client connection: a state machine advanced by the reactor. All
-/// fields are loop-thread-only; cross-thread completions (worker-pool
-/// handlers, async sinks) re-enter via Reactor::post. The fd closes with
+/// fields are loop-thread-only; completions from other threads (async and
+/// stream sinks) re-enter via Reactor::post. The fd closes with
 /// the object, so a sink holding a weak_ptr can never write into a reused
 /// descriptor.
 struct HttpServer::Connection : net::EventHandler,
@@ -549,9 +535,9 @@ struct HttpServer::Connection : net::EventHandler,
   /// received are still served — a request-then-FIN client is legal HTTP —
   /// and the connection closes once the last response has drained.
   bool peer_eof = false;
-  /// Re-entrancy guard: an inline response (404/405) re-enters
-  /// try_dispatch via enqueue_response; the outer parse loop continues
-  /// instead of recursing once per pipelined request.
+  /// Re-entrancy guard: an inline response (a sync handler's, a 404/405)
+  /// re-enters try_dispatch via enqueue_response; the outer parse loop
+  /// continues instead of recursing once per pipelined request.
   bool dispatching = false;
   /// Streaming (chunked) response in progress: the connection never
   /// returns to request parsing. Further received bytes are drained and
@@ -712,33 +698,29 @@ HttpServer::HttpServer() = default;
 HttpServer::~HttpServer() { stop(); }
 
 void HttpServer::route(const std::string& method, const std::string& path,
-                       Handler handler, bool prefix) {
-  std::lock_guard<std::mutex> lock(routes_mutex_);
-  if (prefix) {
-    prefix_.emplace_back(method, path, std::move(handler));
-  } else {
-    exact_[{method, path}] = std::move(handler);
-  }
+                       Handler handler) {
+  add_route(method, path, std::move(handler));
 }
 
 void HttpServer::route_async(const std::string& method, const std::string& path,
                              AsyncHandler handler) {
-  std::lock_guard<std::mutex> lock(routes_mutex_);
-  async_[{method, path}] = std::move(handler);
+  add_route(method, path, std::move(handler));
 }
 
 void HttpServer::route_stream(const std::string& method,
                               const std::string& path, StreamHandler handler) {
-  std::lock_guard<std::mutex> lock(routes_mutex_);
-  stream_[{method, path}] = std::move(handler);
+  add_route(method, path, std::move(handler));
+}
+
+void HttpServer::add_route(const std::string& method, const std::string& path,
+                           RouteHandler handler) {
+  // The reactors read the table without a lock once they run.
+  if (started_) throw std::logic_error("http: route added after start()");
+  routes_[{method, path}] = std::move(handler);
 }
 
 void HttpServer::set_idle_read_timeout(double seconds) {
   if (seconds > 0.0) read_timeout_s_ = seconds;
-}
-
-void HttpServer::set_workers(std::size_t workers) {
-  if (workers > 0) workers_ = workers;
 }
 
 void HttpServer::set_max_connections(std::size_t max_connections) {
@@ -774,7 +756,6 @@ int HttpServer::start(int port) {
   for (std::size_t i = 1; i < n; ++i) {
     shards_[i]->listen = net::Socket::listen_loopback(port_, 1024, true);
   }
-  pool_ = std::make_unique<util::ThreadPool>(workers_);
   running_.store(true);
   for (const auto& owner : shards_) {
     Shard* shard = owner.get();
@@ -812,9 +793,6 @@ void HttpServer::stop() {
     });
   }
   reactors_.stop();  // joins every loop thread
-  // Joining the pool after the loops: in-flight handlers finish, and their
-  // completion posts land in drained reactors as no-ops.
-  pool_.reset();
   for (const auto& owner : shards_) {
     if (owner->reserve_fd >= 0) {
       ::close(owner->reserve_fd);
@@ -898,13 +876,13 @@ void HttpServer::adopt_connection(Shard* shard, net::Socket sock,
 
 void HttpServer::reject_with_503(Shard* shard, net::Socket sock) {
   rejected_.fetch_add(1);
-  std::string wire;
-  append_response(wire,
-                  HttpResponse::text("service unavailable: connection limit",
-                                     503),
-                  /*keep_alive=*/false, /*suppress_body=*/false);
+  net::BufferChain wire;
+  detail::append_response_chain(
+      wire, HttpResponse::text("service unavailable: connection limit", 503),
+      /*keep_alive=*/false, /*suppress_body=*/false);
+  struct iovec iov[kMaxWriteIov];
   std::size_t written = 0;
-  sock.write_some(wire.data(), wire.size(), written);  // fresh socket: fits
+  sock.writev(iov, wire.fill_iov(iov, kMaxWriteIov), written);  // fits
   // Half-close instead of close: an immediate close() with the client's
   // request sitting unread in our receive buffer turns into an RST that
   // can destroy the 503 before the client reads it. The fd is reaped
@@ -1082,6 +1060,9 @@ void HttpServer::try_dispatch(const std::shared_ptr<Connection>& conn) {
     dispatch(conn, std::move(request));
   }
   conn->dispatching = false;
+  // Only now: a half-closed peer's pipelined requests are all answered or
+  // pending, even those behind a response the loop wrote inline.
+  finish_after_eof(conn);
 }
 
 void HttpServer::dispatch(const std::shared_ptr<Connection>& conn,
@@ -1092,63 +1073,24 @@ void HttpServer::dispatch(const std::shared_ptr<Connection>& conn,
                          : "keep-alive",
                      "close");
   const bool is_head = request.method == "HEAD";
-  bool suppress_body = is_head;
 
-  AsyncHandler async_handler;
-  StreamHandler stream_handler;
-  Handler handler;
-  std::string allow;  // populated when the path exists under other methods
-  {
-    std::lock_guard<std::mutex> lock(routes_mutex_);
-    const auto find_for = [&](const std::string& method) {
-      if (const auto it = async_.find({method, request.path});
-          it != async_.end()) {
-        async_handler = it->second;
-        return true;
-      }
-      if (const auto st = stream_.find({method, request.path});
-          st != stream_.end()) {
-        stream_handler = st->second;
-        return true;
-      }
-      if (const auto jt = exact_.find({method, request.path});
-          jt != exact_.end()) {
-        handler = jt->second;
-        return true;
-      }
-      for (const auto& [m, prefix, h] : prefix_) {
-        if (m == method && util::starts_with(request.path, prefix)) {
-          handler = h;
-          return true;
-        }
-      }
-      return false;
-    };
-    // HEAD falls back to the GET route with the body suppressed. For a
-    // stream route the sink answers HEAD itself (headers, then close) —
-    // it must never park a suppressed infinite body.
-    if (!find_for(request.method) && !(is_head && find_for("GET"))) {
-      std::set<std::string> methods;
-      for (const auto& [key, h] : exact_) {
-        if (key.second == request.path) methods.insert(key.first);
-      }
-      for (const auto& [key, h] : async_) {
-        if (key.second == request.path) methods.insert(key.first);
-      }
-      for (const auto& [key, h] : stream_) {
-        if (key.second == request.path) methods.insert(key.first);
-      }
-      for (const auto& [m, prefix, h] : prefix_) {
-        if (util::starts_with(request.path, prefix)) methods.insert(m);
-      }
-      if (methods.count("GET")) methods.insert("HEAD");
-      for (const std::string& m : methods) {
-        allow += (allow.empty() ? "" : ", ") + m;
-      }
-    }
+  auto route = routes_.find({request.method, request.path});
+  // HEAD falls back to the GET route with the body suppressed. For a
+  // stream route the sink answers HEAD itself (headers, then close) — it
+  // must never park a suppressed infinite body.
+  if (route == routes_.end() && is_head) {
+    route = routes_.find({"GET", request.path});
   }
-
-  if (!handler && !async_handler && !stream_handler) {
+  if (route == routes_.end()) {
+    std::set<std::string> methods;  // the path's routes under other methods
+    for (const auto& [key, handler] : routes_) {
+      if (key.second == request.path) methods.insert(key.first);
+    }
+    if (methods.count("GET")) methods.insert("HEAD");
+    std::string allow;
+    for (const std::string& m : methods) {
+      allow += (allow.empty() ? "" : ", ") + m;
+    }
     HttpResponse response;
     if (!allow.empty()) {
       // The resource exists, the method is wrong (RFC 7231 §6.5.5).
@@ -1160,11 +1102,12 @@ void HttpServer::dispatch(const std::shared_ptr<Connection>& conn,
     } else {
       response = HttpResponse::not_found();
     }
-    enqueue_response(conn, std::move(response), keep_alive, suppress_body);
+    enqueue_response(conn, std::move(response), keep_alive, is_head);
     return;
   }
 
-  if (stream_handler) {
+  // The handler runs here, on the connection's reactor.
+  if (const auto* handler = std::get_if<StreamHandler>(&route->second)) {
     auto reply = std::make_shared<StreamReply>();
     reply->reactor = conn->shard->reactor;
     reply->server = this;
@@ -1172,59 +1115,43 @@ void HttpServer::dispatch(const std::shared_ptr<Connection>& conn,
     reply->head = is_head;
     StreamSink sink;
     sink.reply_ = std::move(reply);
-    pool_->submit([handler = std::move(stream_handler),
-                   request = std::move(request), sink] {
-      try {
-        handler(request, sink);
-      } catch (const std::exception&) {
-        // Best effort: an empty chunked 500 if the stream never began, a
-        // truncating terminator if it did. begin() is a no-op once begun.
-        sink.begin({{"Content-Type", "text/plain; charset=utf-8"}}, 500);
-        sink.end();
-      }
-    });
+    try {
+      (*handler)(request, sink);
+    } catch (const std::exception&) {
+      // Best effort: an empty chunked 500 if the stream never began, a
+      // truncating terminator if it did. begin() is a no-op once begun.
+      sink.begin({{"Content-Type", "text/plain; charset=utf-8"}}, 500);
+      sink.end();
+    }
     return;
   }
 
-  if (async_handler) {
+  if (const auto* handler = std::get_if<AsyncHandler>(&route->second)) {
     auto reply = std::make_shared<AsyncReply>();
     reply->reactor = conn->shard->reactor;
     reply->server = this;
     reply->conn = conn;
     reply->keep_alive = keep_alive;
-    reply->suppress_body = suppress_body;
+    reply->suppress_body = is_head;
     ResponseSink sink;
     sink.reply_ = std::move(reply);
-    pool_->submit([handler = std::move(async_handler),
-                   request = std::move(request), sink] {
-      try {
-        handler(request, sink);
-      } catch (const std::exception& e) {
-        sink(HttpResponse::text(std::string("internal error: ") + e.what(),
-                                500));
-      }
-    });
+    try {
+      (*handler)(request, sink);
+    } catch (const std::exception& e) {
+      sink(HttpResponse::text(std::string("internal error: ") + e.what(),
+                              500));
+    }
     return;
   }
 
-  // Sync handlers run on the worker pool — the loop thread never blocks on
-  // application code — and complete by posting back to the connection's
-  // home reactor, exactly like a sink.
-  pool_->submit([this, handler = std::move(handler),
-                 request = std::move(request), conn, keep_alive,
-                 suppress_body, reactor = conn->shard->reactor] {
-    HttpResponse response;
-    try {
-      response = handler(request);
-    } catch (const std::exception& e) {
-      response =
-          HttpResponse::text(std::string("internal error: ") + e.what(), 500);
-    }
-    reactor->post([this, conn, response = std::move(response), keep_alive,
-                   suppress_body]() mutable {
-      enqueue_response(conn, std::move(response), keep_alive, suppress_body);
-    });
-  });
+  HttpResponse response;
+  try {
+    response = std::get<Handler>(route->second)(request);
+  } catch (const std::exception& e) {
+    response =
+        HttpResponse::text(std::string("internal error: ") + e.what(), 500);
+  }
+  enqueue_response(conn, std::move(response), keep_alive, is_head);
 }
 
 void HttpServer::enqueue_response(const std::shared_ptr<Connection>& conn,
@@ -1247,7 +1174,6 @@ void HttpServer::enqueue_response(const std::shared_ptr<Connection>& conn,
   // A pipelined request may already be buffered; its response will simply
   // append behind the bytes still draining.
   if (!conn->closed) try_dispatch(conn);
-  if (!conn->closed) finish_after_eof(conn);
 }
 
 void HttpServer::begin_stream(

@@ -5,15 +5,16 @@
 // server. Since the epoll port it is *event-driven*: N net::Reactor
 // threads (a ReactorPool, default 1) multiplex the connections — accept,
 // request parsing, and response writes are state machines advanced by
-// readiness events — and a small worker pool runs the route handlers.
-// Every connection is owned end-to-end by the reactor that accepted it
-// on its own SO_REUSEPORT listener, so the wire path needs no
-// cross-reactor locks; responses leave through a refcounted BufferChain
-// gathered into writev, so a frame body fanned out to N clients is never
-// copied per client. An idle long-poll client costs one fd plus a few
-// hundred bytes of connection state instead of a parked thread stack,
-// which is what pushes fan-out from ~1k clients to 10k+.
-// No TLS, loopback-oriented.
+// readiness events — and the server starts no other thread. Every
+// connection is owned end-to-end by the reactor that accepted it on its
+// own SO_REUSEPORT listener, and its route handlers run on that reactor
+// too, so they must not block: a handler that waits on I/O takes a sink
+// and completes it from elsewhere. The wire path needs no cross-reactor
+// locks; responses leave through a refcounted BufferChain gathered into
+// writev, so a frame body fanned out to N clients is never copied per
+// client. An idle long-poll client costs one fd plus a few hundred bytes
+// of connection state instead of a parked thread stack, which is what
+// pushes fan-out from ~1k clients to 10k+. No TLS, loopback-oriented.
 //
 // Long-poll endpoints use *async routes*: the handler receives a
 // ResponseSink instead of returning a response. Whichever thread later
@@ -49,19 +50,16 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <tuple>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "net/buffer_chain.hpp"
 #include "net/reactor.hpp"
 #include "net/reactor_pool.hpp"
 #include "net/socket.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ricsa::web {
 
@@ -189,24 +187,31 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Route an exact path for a method ("GET", "POST"). Longest-prefix
-  /// fallback routes can be added with `prefix = true`. HEAD requests fall
-  /// back to the matching GET route with the body suppressed.
+  /// Route an exact path for a method ("GET", "POST"). HEAD requests fall
+  /// back to the matching GET route with the body suppressed. Every
+  /// handler runs on the reactor that owns the request's connection and
+  /// must not block. Register routes before start(); a later registration
+  /// of the same method and path, of any kind, replaces the earlier one.
   void route(const std::string& method, const std::string& path,
-             Handler handler, bool prefix = false);
+             Handler handler);
 
-  /// Route whose handler completes asynchronously via the ResponseSink.
+  /// Route whose handler completes asynchronously via the ResponseSink —
+  /// the shape for a handler that waits: it returns at once and the sink
+  /// is invoked later, from any thread.
   void route_async(const std::string& method, const std::string& path,
                    AsyncHandler handler);
 
   /// Route whose handler produces a chunked streaming response via the
-  /// StreamSink. HEAD requests reach the handler too (head_only() sinks).
+  /// StreamSink, which it keeps: the handler returns at once, and the
+  /// stream goes on from drained callbacks or other threads. HEAD requests
+  /// reach the handler too (head_only() sinks).
   void route_stream(const std::string& method, const std::string& path,
                     StreamHandler handler);
 
-  /// Bind loopback:port (0 = ephemeral), start the reactor thread and the
-  /// worker pool. Returns the bound port. Throws std::runtime_error on
-  /// failure. Single-shot: a stopped server cannot be restarted.
+  /// Bind loopback:port (0 = ephemeral) and start the reactor threads, the
+  /// only threads the server runs. Returns the bound port. Throws
+  /// std::runtime_error on failure. Single-shot: a stopped server cannot
+  /// be restarted.
   int start(int port = 0);
   void stop();
   int port() const noexcept { return port_; }
@@ -231,11 +236,6 @@ class HttpServer {
   /// long-poll wait is never killed mid-poll; call before start().
   void set_idle_read_timeout(double seconds);
   double idle_read_timeout_s() const noexcept { return read_timeout_s_; }
-
-  /// Handler worker-pool size (the only thread count that scales with
-  /// load; connections never get threads). Call before start().
-  void set_workers(std::size_t workers);
-  std::size_t workers() const noexcept { return workers_; }
 
   /// Accepted-connection cap: connections beyond it receive 503 and are
   /// closed immediately. Call before start(). With several reactors the
@@ -302,11 +302,12 @@ class HttpServer {
   void arm_idle_timer(const std::shared_ptr<Connection>& conn);
   void close_conn(const std::shared_ptr<Connection>& conn);
 
-  std::map<std::pair<std::string, std::string>, Handler> exact_;
-  std::map<std::pair<std::string, std::string>, AsyncHandler> async_;
-  std::map<std::pair<std::string, std::string>, StreamHandler> stream_;
-  std::vector<std::tuple<std::string, std::string, Handler>> prefix_;
-  std::mutex routes_mutex_;
+  using RouteHandler = std::variant<Handler, AsyncHandler, StreamHandler>;
+  void add_route(const std::string& method, const std::string& path,
+                 RouteHandler handler);
+
+  /// (method, path) -> the handler of whichever kind was registered last.
+  std::map<std::pair<std::string, std::string>, RouteHandler> routes_;
 
   /// The event loops. Reactor 0 exists from construction (pre-start timer
   /// registration); set_reactors() grows the pool before start().
@@ -314,12 +315,10 @@ class HttpServer {
   /// Per-reactor accept/connection state; built at start(), stable
   /// addresses for the server's lifetime (Connections point into it).
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<util::ThreadPool> pool_;
   int sndbuf_ = 0;
 
   int port_ = 0;
   double read_timeout_s_ = 30.0;
-  std::size_t workers_ = 4;
   std::size_t max_connections_ = 8192;
   bool started_ = false;
   std::atomic<bool> running_{false};
@@ -521,10 +520,13 @@ bool write_all(int fd, const char* data, std::size_t n);
 enum class ParseResult { kOk, kNeedMore, kBad, kNotImplemented };
 /// Parse one untrusted request off the front of `buffer`: kOk consumes it,
 /// kNeedMore leaves the buffer intact, kNotImplemented means the request
-/// carries Transfer-Encoding. `scanned`, kept by the buffer's owner (0 for
-/// a new or emptied buffer), is how far earlier calls searched for the end
-/// of the header block; the search resumes three bytes before it, so a
-/// head arriving in many small reads costs linear time.
+/// carries Transfer-Encoding. The header block and the body are each
+/// capped at 1 MiB, so no handler parses more: a longer Content-Length is
+/// kBad as soon as the head has arrived, before any body byte. `scanned`,
+/// kept by the buffer's owner (0 for a new or emptied buffer), is how far
+/// earlier calls searched for the end of the header block; the search
+/// resumes three bytes before it, so a head arriving in many small reads
+/// costs linear time.
 ParseResult parse_request(std::string& buffer, HttpRequest& out,
                           std::size_t& scanned);
 /// One call on a buffer that no earlier call has searched.

@@ -105,8 +105,9 @@ struct PacingConfig {
   transport::ControllerConfig controller;
 };
 
-/// One client's adaptive pacing state. Thread-safe: polls arrive on HTTP
-/// workers, deliveries complete on the reactors.
+/// One client's adaptive pacing state. Thread-safe: a client's requests
+/// and deliveries run on its connections' reactors, and hub completions
+/// on reactor 0.
 class ClientSession {
  public:
   ClientSession(const PacingConfig& config, std::string id, std::string peer,

@@ -29,6 +29,7 @@
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "net/timer_wheel.hpp"
+#include "proc_threads.hpp"
 #include "response_reader.hpp"
 #include "web/http.hpp"
 #include "web/hub.hpp"
@@ -239,6 +240,34 @@ TEST(ReactorHttp, RequestThenFinClientIsStillServed) {
   server.stop();
 }
 
+TEST(ReactorHttp, PipelinedRequestsThenFinAreAllServed) {
+  // Three requests and the FIN in one burst. The handlers answer inline on
+  // the reactor, so each response is written before the next request is
+  // parsed; the half-closed peer must still get all three, the 404 of an
+  // unknown path included, and only then see the connection close.
+  w::HttpServer server;
+  server.route("GET", "/hello",
+               [](const w::HttpRequest&) { return w::HttpResponse::text("hi"); });
+  const int port = server.start();
+
+  const int fd = raw_connect(port);
+  ASSERT_TRUE(send_all(fd,
+                       "GET /hello HTTP/1.1\r\nHost: x\r\n\r\n"
+                       "GET /missing HTTP/1.1\r\nHost: x\r\n\r\n"
+                       "GET /hello HTTP/1.1\r\nHost: x\r\n\r\n"));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  std::string carry;
+  for (const int status : {200, 404, 200}) {
+    RawResponse response;
+    ASSERT_TRUE(read_response(fd, carry, response)) << status;
+    EXPECT_EQ(response.status, status);
+  }
+  char buf[16];
+  EXPECT_EQ(::recv(fd, buf, sizeof(buf), 0), 0);
+  ::close(fd);
+  server.stop();
+}
+
 TEST(ReactorHttp, TransferEncodedRequestGets501ThenCloseNeverAMisparse) {
   // Request bodies are delimited by Content-Length only. A chunked POST
   // must be answered 501 and the connection closed: its chunk bytes, and
@@ -411,10 +440,10 @@ TEST(ReactorHttp, ConnectionCapAnswers503AndRecoversWhenSlotsFree) {
 // ------------------------------------------------------- thread budget --
 
 TEST(ReactorHttp, ParkedConnectionsDoNotGrowServerThreads) {
-  // 64 parked long-polls on a 2-worker server: with thread-per-connection
-  // this needed 64 threads; the reactor needs its loop plus the pool.
+  // 64 parked long-polls: with thread-per-connection this needed 64 server
+  // threads. The server runs its reactor and nothing else — the handlers
+  // run on it too — however many connections it holds.
   w::HttpServer server;
-  server.set_workers(2);
   std::atomic<int> parked{0};
   std::vector<w::HttpServer::ResponseSink> sinks;
   std::mutex sinks_mutex;
@@ -424,7 +453,10 @@ TEST(ReactorHttp, ParkedConnectionsDoNotGrowServerThreads) {
                        sinks.push_back(std::move(s));
                        ++parked;
                      });
+  const long before = ricsa_test::baseline_threads();
   const int port = server.start();
+  const long reactors = static_cast<long>(server.reactor_count());
+  EXPECT_EQ(ricsa_test::process_threads(), before + reactors);
 
   std::vector<std::unique_ptr<w::HttpClient>> clients;
   std::vector<std::thread> pollers;
@@ -445,6 +477,8 @@ TEST(ReactorHttp, ParkedConnectionsDoNotGrowServerThreads) {
   }
   EXPECT_EQ(parked.load(), 64);
   EXPECT_EQ(server.connections_open(), 64u);
+  // The only new threads are the test's own 64 pollers.
+  EXPECT_EQ(ricsa_test::process_threads(), before + reactors + 64);
 
   // Release everyone and let the clients finish.
   {

@@ -144,6 +144,65 @@ TEST(WebConcurrency, SteeredParameterReachesAllWatchers) {
   frontend.stop();
 }
 
+TEST(WebConcurrency, SteersAndViewChangesRaceTheMonitorLoop) {
+  // steer() numbers its message on a reactor while set_variable() numbers
+  // its own on the monitor loop, from one session counter: two steering
+  // clients and one switching variables for about a second (longer under
+  // TSAN, which CI runs this under). Frames keep coming, and every
+  // accepted steer is counted.
+  w::AjaxFrontEnd frontend(fast_config());
+  const int port = frontend.start();
+  while (frontend.frame_seq() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const std::uint64_t seq_before = frontend.frame_seq();
+  const auto deadline =
+      std::chrono::steady_clock::now() + ricsa_test::scaled_ms(1000);
+  std::atomic<std::uint64_t> steers{0};
+  std::atomic<int> views{0};
+  std::atomic<int> failures{0};
+  const auto post_until_deadline = [&](const std::string& path,
+                                       const std::vector<std::string>& bodies,
+                                       const auto& on_ok) {
+    w::HttpClient http(port);
+    for (std::size_t k = 0; std::chrono::steady_clock::now() < deadline; ++k) {
+      try {
+        if (http.post(path, bodies[k % bodies.size()], "application/json",
+                      5.0).status == 200) {
+          on_ok();
+        } else {
+          ++failures;
+        }
+      } catch (const std::exception&) {
+        ++failures;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  };
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&] {
+      post_until_deadline("/api/steer", {"{\"cfl\": 0.3}", "{\"cfl\": 0.4}"},
+                          [&] { ++steers; });
+    });
+  }
+  clients.emplace_back([&] {
+    post_until_deadline(
+        "/api/view",
+        {"{\"variable\":\"pressure\"}", "{\"variable\":\"density\"}"},
+        [&] { ++views; });
+  });
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(views.load(), 0);
+  EXPECT_GT(steers.load(), 0u);
+  EXPECT_EQ(frontend.steer_count(), steers.load());
+  // The monitor loop kept publishing through the storm.
+  const std::uint64_t seq_after = frontend.frame_seq();
+  EXPECT_GE(seq_after, seq_before + 3);
+  frontend.stop();
+}
+
 // ------------------------------------------------------------- FrameHub ----
 
 namespace {

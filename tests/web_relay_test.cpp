@@ -22,6 +22,7 @@
 
 #include "hub_loop.hpp"
 #include "net/socket.hpp"
+#include "proc_threads.hpp"
 #include "relay/relay.hpp"
 #include "relay/subscriber.hpp"
 #include "scripted_server.hpp"
@@ -706,6 +707,99 @@ TEST(RelayNode, ResetHalfwayThroughAnEventReconnects) {
       "/api/stream", {kStreamHead + chunk_size(event.size()) + "\r\n" +
                           event.substr(0, event.size() / 2),
                       After::kReset});
+}
+
+// ---------------------------------------------- forwarded control POSTs ----
+
+namespace {
+
+Reply json_reply(const std::string& body) {
+  return {"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+          "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n" +
+          body};
+}
+
+}  // namespace
+
+TEST(RelayNode, ThreadsAreReactorsSubscriberAndForwarder) {
+  ricsa_test::ScriptedServer upstream([](const w::HttpRequest& request) {
+    return request.path == "/api/state" ? state_reply(5) : stream_reply(6);
+  });
+  const long before = ricsa_test::baseline_threads();
+  r::RelayNode relay(small_relay(upstream.port()));
+  relay.start();
+  // The reactors run every route handler; the subscriber's loop and the
+  // one forwarding thread are the node's only other threads.
+  EXPECT_EQ(ricsa_test::process_threads(),
+            before + static_cast<long>(relay.server().reactor_count()) + 2);
+  relay.stop();
+}
+
+TEST(RelayNode, SlowForwardLeavesTheReactorServing) {
+  // The upstream takes 1 s to answer a forwarded steer. The relay's own
+  // routes answer meanwhile: the blocking upstream call runs on the
+  // forwarding thread, never on the reactor.
+  std::atomic<int> posts{0};
+  ricsa_test::ScriptedServer upstream([&](const w::HttpRequest& request) {
+    if (request.method == "POST") {
+      ++posts;
+      std::this_thread::sleep_for(std::chrono::seconds(1));
+      return json_reply("{\"posted\":[\"gamma\"]}");
+    }
+    return request.path == "/api/state" ? state_reply(5) : stream_reply(6);
+  });
+  r::RelayNode relay(small_relay(upstream.port()));
+  relay.start();
+  w::HttpClient::Response steer;
+  std::atomic<bool> steered{false};
+  std::thread steerer([&] {
+    steer = w::http_post(relay.port(), "/api/steer", "{\"gamma\":1.5}",
+                         "application/json", 10.0);
+    steered.store(true);
+  });
+  ASSERT_TRUE(wait_until([&] { return posts.load() > 0; }, 2000));
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto index = w::http_get(relay.port(), "/");
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(index.status, 200);
+  EXPECT_LT(waited, ricsa_test::scaled_ms(200));
+  EXPECT_FALSE(steered.load());  // the forward was still in flight
+  steerer.join();
+  EXPECT_EQ(steer.status, 200);
+  EXPECT_EQ(steer.body, "{\"posted\":[\"gamma\"]}");
+  ASSERT_TRUE(steer.headers.count("x-relay-path"));
+  EXPECT_EQ(steer.headers.at("x-relay-path"), "relay-under-test");
+  relay.stop();
+}
+
+TEST(RelayNode, ForwardedPostClosingALoopIsRefused) {
+  std::atomic<int> posts{0};
+  ricsa_test::ScriptedServer upstream([&](const w::HttpRequest& request) {
+    if (request.method == "POST") {
+      ++posts;
+      return json_reply("{\"posted\":[\"gamma\"]}");
+    }
+    return request.path == "/api/state" ? state_reply(5) : stream_reply(6);
+  });
+  r::RelayNode relay(small_relay(upstream.port()));
+  relay.start();
+  const std::string body = "{\"gamma\":1.5}";
+  w::HttpClient client(relay.port());
+  const auto looped = client.exchange(
+      "POST /api/steer HTTP/1.1\r\nHost: x\r\n"
+      "X-Relay-Path: edge-b,relay-under-test\r\n"
+      "Content-Type: application/json\r\nContent-Length: " +
+          std::to_string(body.size()) + "\r\n\r\n" + body,
+      5.0, false);
+  EXPECT_EQ(looped.status, 409);
+  ASSERT_TRUE(looped.headers.count("x-relay-path"));
+  EXPECT_EQ(looped.headers.at("x-relay-path"), "relay-under-test");
+  // The same steer without the loop is forwarded. Forwards run in order on
+  // one thread, so had the refused one gone upstream it would count too.
+  EXPECT_EQ(client.post("/api/steer", body, "application/json", 5.0).status,
+            200);
+  EXPECT_EQ(posts.load(), 1);
+  relay.stop();
 }
 
 // ----------------------------------------------- HttpClient hardening ----
