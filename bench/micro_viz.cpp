@@ -12,9 +12,10 @@
 //   ./build/bench/micro_viz --benchmark_filter='HydroStep|RayCast|Isosurface|RenderMesh'
 //
 // Start-up: the cost-model calibration, split by kernel, and the kernels
-// it times:
+// it times, with the origin's isosurface view, which runs the same two
+// kernels every frame:
 //
-//   ./build/bench/micro_viz --benchmark_filter='QuickCalibration|IsosurfaceExtract/n:24|RenderMesh|RayCast'
+//   ./build/bench/micro_viz --benchmark_filter='QuickCalibration|IsosurfaceExtract/n:24|RenderMesh|RayCast|OriginIsoView'
 //
 // PNG encoding of the steering benchmark's rendered frame, with the filter
 // and deflate stages timed apart, of the dirty rects its delta bodies
@@ -33,6 +34,7 @@
 #include "cost/network_profile.hpp"
 #include "data/generators.hpp"
 #include "hydro/setups.hpp"
+#include "steering/executor.hpp"
 #include "steering/message.hpp"
 #include "steering/session.hpp"
 #include "util/prng.hpp"
@@ -236,31 +238,88 @@ steering::SessionConfig origin_config() {
   return config;
 }
 
+/// The origin's isosurface view: its request and its camera.
+cost::VizRequest origin_iso_request() {
+  cost::VizRequest iso = origin_config().viz;
+  iso.technique = cost::VizRequest::Technique::kIsosurface;
+  iso.isovalue = 1.1f;
+  return iso;
+}
+
+steering::ExecuteOptions origin_iso_camera() {
+  steering::ExecuteOptions camera;
+  camera.azimuth = 2.2f;
+  camera.elevation = 0.5f;
+  return camera;
+}
+
 /// The origin's two views over its first 40 frames: the main view, and the
-/// isosurface view from a second camera.
+/// isosurface view from a second camera, with each frame's snapshot.
 struct OriginViews {
   std::vector<viz::Image> frames[2];  // [0] main, [1] isosurface
+  std::vector<data::ScalarVolume> snapshots;
 };
 
 const OriginViews& origin_views() {
   static const OriginViews views = [] {
-    const steering::SessionConfig config = origin_config();
-    cost::VizRequest iso = config.viz;
-    iso.technique = cost::VizRequest::Technique::kIsosurface;
-    iso.isovalue = 1.1f;
-    steering::ExecuteOptions iso_camera;
-    iso_camera.azimuth = 2.2f;
-    iso_camera.elevation = 0.5f;
-    steering::SteeringSession session(config);
+    const cost::VizRequest iso = origin_iso_request();
+    steering::SteeringSession session(origin_config());
     OriginViews out;
     for (int f = 0; f < 40; ++f) {
       out.frames[0].push_back(session.next_frame().image);
-      out.frames[1].push_back(session.render_view(iso, iso_camera)->image);
+      out.frames[1].push_back(
+          session.render_view(iso, origin_iso_camera())->image);
+      out.snapshots.push_back(
+          session.simulation().snapshot(session.variable()));
     }
     return out;
   }();
   return views;
 }
+
+// BM_OriginIsoView: the isosurface view the origin's monitor loop builds
+// every frame (SteeringSession::render_view: extraction, then the
+// 192x192 render from the view's camera), over the 40 bow-shock snapshots
+// in turn. `pool` 0 is serial; the monitor loop lends its host-sized
+// pool. Counters per frame: `extract_ms`, `render_ms`, and the mesh's
+// `geometry_bytes`. Every image is first checked against the one the
+// origin published.
+void BM_OriginIsoView(benchmark::State& state) {
+  const OriginViews& views = origin_views();
+  const cost::VizRequest iso = origin_iso_request();
+  const auto pool = make_pool(state.range(0));
+  steering::ExecuteOptions options = origin_iso_camera();
+  options.pool = pool.get();
+  for (std::size_t f = 0; f < views.snapshots.size(); ++f) {
+    if (steering::execute_pipeline(views.snapshots[f], iso, options)
+            .image.pixels() != views.frames[1][f].pixels()) {
+      state.SkipWithError("isosurface view differs from the origin's");
+      return;
+    }
+  }
+  double extract_s = 0, render_s = 0, geometry_bytes = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const steering::ExecuteResult result = steering::execute_pipeline(
+        views.snapshots[next++ % views.snapshots.size()], iso, options);
+    benchmark::DoNotOptimize(result.image.pixels().data());
+    extract_s += result.transform_s;
+    render_s += result.render_s;
+    geometry_bytes += static_cast<double>(result.geometry_bytes);
+  }
+  const auto per_frame = [&state](double total) {
+    return total / static_cast<double>(std::max<benchmark::IterationCount>(
+                       state.iterations(), 1));
+  };
+  state.counters["extract_ms"] = 1e3 * per_frame(extract_s);
+  state.counters["render_ms"] = 1e3 * per_frame(render_s);
+  state.counters["geometry_bytes"] = per_frame(geometry_bytes);
+}
+BENCHMARK(BM_OriginIsoView)
+    ->ArgNames({"pool"})
+    ->ArgsProduct({kPoolSizes})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// The origin's main view, 40 frames in.
 const viz::Image& origin_frame() { return origin_views().frames[0].back(); }

@@ -60,6 +60,7 @@ IsosurfaceModel calibrate_isosurface(
   // Least squares for T_run = alpha * cells_run + beta * triangles_run.
   double s_cc = 0, s_ct = 0, s_tt = 0, s_cy = 0, s_ty = 0;
   double render_tris = 0, render_seconds = 0, extract_seconds = 0;
+  double mesh_bytes = 0, mesh_triangles = 0;
 
   for (const data::ScalarVolume* volume : samples) {
     const data::BlockDecomposition blocks(*volume, options.block_size);
@@ -90,6 +91,8 @@ IsosurfaceModel calibrate_isosurface(
       s_tt += t * t;
       s_cy += c * seconds;
       s_ty += t * seconds;
+      mesh_bytes += static_cast<double>(result.mesh.bytes());
+      mesh_triangles += static_cast<double>(result.mesh.triangle_count());
 
       // Rendering throughput from the same meshes.
       if (result.mesh.triangle_count() > 0) {
@@ -140,6 +143,7 @@ IsosurfaceModel calibrate_isosurface(
   model.triangles_per_second =
       (render_seconds > 0 ? render_tris / render_seconds : 1e6) /
       options.host_power;
+  if (mesh_triangles > 0) model.bytes_per_triangle = mesh_bytes / mesh_triangles;
   times.isosurface_s += extract_seconds;
   times.render_s += render_seconds;
   return model;

@@ -42,6 +42,11 @@ struct IsosurfaceModel {
   /// unit-power node, and the speedup factor of a graphics card.
   double triangles_per_second = 1.0;
   double gpu_speedup = 25.0;
+  /// Wire bytes of extracted geometry per triangle (viz::TriangleMesh::
+  /// bytes() over triangle_count()), measured on the calibration's own
+  /// meshes. The default is the unwelded bound: three vertices of their
+  /// own (6 floats each) and three 32-bit indices.
+  double bytes_per_triangle = 84.0;
 
   /// Eq. 5: expected extraction seconds for one block of `cells` cells.
   double t_block(std::size_t cells) const;

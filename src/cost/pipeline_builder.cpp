@@ -40,11 +40,14 @@ DatasetProperties scale_properties(const DatasetProperties& measured,
   return out;
 }
 
-std::size_t geometry_bytes(double triangles) {
-  // The extractor emits triangle soup: 3 vertices x 6 floats (position +
-  // normal) + 3 u32 indices = 84 B per triangle — the exact wire size of
-  // viz::TriangleMesh::bytes() for an unwelded mesh.
-  return static_cast<std::size_t>(std::max(0.0, triangles) * 84.0);
+std::size_t geometry_bytes(double triangles, double bytes_per_triangle) {
+  // The extractor shares a vertex among the triangles of a z-slab that
+  // meet on it, so a mesh's wire size (viz::TriangleMesh::bytes(): 6
+  // floats per vertex + 3 u32 indices per triangle) is not a constant per
+  // triangle: the calibration measures it on its own meshes (about 30 B,
+  // against 84 B for an unwelded soup).
+  return static_cast<std::size_t>(std::max(0.0, triangles) *
+                                  bytes_per_triangle);
 }
 
 std::size_t framebuffer_bytes(int width, int height) {
@@ -75,7 +78,8 @@ pipeline::PipelineSpec build_pipeline(const VizRequest& request,
           dataset.active_blocks, dataset.cells_per_block);
       const double triangles = models.isosurface.predict_triangles(
           dataset.active_blocks, dataset.cells_per_block);
-      const std::size_t geom = std::max<std::size_t>(geometry_bytes(triangles), 1);
+      const std::size_t geom = std::max<std::size_t>(
+          geometry_bytes(triangles, models.isosurface.bytes_per_triangle), 1);
       modules.push_back({ModuleKind::kIsosurface, "isosurface",
                          extract_s / std::max(filtered_bytes, 1.0), 0.0, geom,
                          false});

@@ -50,8 +50,10 @@ pipeline::PipelineSpec build_pipeline(const VizRequest& request,
                                       const CostModels& models);
 
 /// Bytes of a triangle mesh with `triangles` triangles in the wire format
-/// used down the pipeline (3 vertices x (position+normal) + indices).
-std::size_t geometry_bytes(double triangles);
+/// used down the pipeline (positions + normals per vertex, 3 indices per
+/// triangle), at the calibrated `bytes_per_triangle`
+/// (IsosurfaceModel::bytes_per_triangle).
+std::size_t geometry_bytes(double triangles, double bytes_per_triangle);
 
 /// Bytes of a rendered framebuffer (RGBA8).
 std::size_t framebuffer_bytes(int width, int height);

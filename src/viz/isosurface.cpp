@@ -15,21 +15,22 @@ namespace {
 using data::ScalarVolume;
 using data::Vec3;
 
-/// Gradient normals of one z-slab's isosurface vertices, one slot per
-/// lattice segment: its low corner and its direction. The Kuhn
-/// decomposition orders every segment low corner -> high corner, so the
-/// cells that share a segment interpolate the same vertex from the same
-/// two corners, bit for bit, and its gradient is taken once per slab.
-struct SlabNormals {
-  std::vector<Vec3> normal;
-  std::vector<std::uint8_t> state;  // 0 unset, 1 normal, 2 no gradient
+/// The shared vertices of one z-slab's isosurface, one slot per lattice
+/// segment: its low corner and its direction. The Kuhn decomposition
+/// orders every segment low corner -> high corner, so the cells that share
+/// a segment interpolate the same vertex from the same two corners, bit
+/// for bit: its gradient is taken once per slab, and every triangle corner
+/// on the segment indexes one vertex of the mesh.
+struct SlabVertices {
+  std::vector<std::uint32_t> index;  // the segment's vertex in the mesh
+  std::vector<std::uint8_t> state;   // 0 unset, 1 vertex, 2 no gradient
 };
 
 /// Extract the cells of one z-slab of a block into `mesh`, accumulating
-/// stats. `normals_cache` is reset here and reused from slab to slab.
+/// stats. `shared` is reset here and reused from slab to slab.
 void extract_slab(const ScalarVolume& volume, const data::Block& block, int z,
                   float isovalue, bool gradient_normals, TriangleMesh& mesh,
-                  IsosurfaceStats& stats, SlabNormals& normals_cache) {
+                  IsosurfaceStats& stats, SlabVertices& shared) {
   const CubeTables& tables = cube_tables();
 
   // Corner c of the cell at (x, y, z) sits at offset(x, y, z) +
@@ -59,8 +60,8 @@ void extract_slab(const ScalarVolume& volume, const data::Block& block, int z,
                       static_cast<std::size_t>((a ^ b) - 1);
   }
   if (gradient_normals) {
-    normals_cache.normal.resize(2 * level_slots);
-    normals_cache.state.assign(2 * level_slots, 0);
+    shared.index.resize(2 * level_slots);
+    shared.state.assign(2 * level_slots, 0);
   }
 
   std::vector<Vec3>& positions = mesh.positions();
@@ -109,23 +110,27 @@ void extract_slab(const ScalarVolume& volume, const data::Block& block, int z,
         }
         return seg_vertex[i];
       };
-      // The field-gradient normal at a segment's vertex (pointing from
-      // high to low value, matching triangle winding), or null where the
-      // gradient vanishes and the triangle's flat normal stands in.
+      // The shared vertex of a segment, emitted on first use with the
+      // field-gradient normal (pointing from high to low value, matching
+      // triangle winding), or null where the gradient vanishes.
       const std::size_t cell_slot =
           static_cast<std::size_t>(y - block.y0) * row_slots +
           static_cast<std::size_t>(x - block.x0) * 7;
-      const auto segment_normal = [&](int s) -> const Vec3* {
+      const auto shared_vertex = [&](int s) -> const std::uint32_t* {
         const std::size_t slot =
             cell_slot + segment_slot[static_cast<std::size_t>(s)];
-        std::uint8_t& state = normals_cache.state[slot];
+        std::uint8_t& state = shared.state[slot];
         if (state == 0) {
           const Vec3& p = segment_vertex(s);
           const Vec3 g = volume.gradient(p.x, p.y, p.z);
           state = g.norm() > 1e-12f ? 1 : 2;
-          if (state == 1) normals_cache.normal[slot] = (g * -1.0f).normalized();
+          if (state == 1) {
+            shared.index[slot] = static_cast<std::uint32_t>(positions.size());
+            positions.push_back(p);
+            normals.push_back((g * -1.0f).normalized());
+          }
         }
-        return state == 1 ? &normals_cache.normal[slot] : nullptr;
+        return state == 1 ? &shared.index[slot] : nullptr;
       };
 
       for (const auto& tri : tris) {
@@ -136,22 +141,21 @@ void extract_slab(const ScalarVolume& volume, const data::Block& block, int z,
         // segment vertices onto a shared corner).
         const Vec3 cross = (b - a).cross(c - a);
         if (cross.norm() < 1e-12f) continue;
-        const auto base = static_cast<std::uint32_t>(positions.size());
-        positions.push_back(a);
-        positions.push_back(b);
-        positions.push_back(c);
+        // A corner without a shared vertex gets one of its own, with the
+        // triangle's flat normal.
         std::optional<Vec3> flat;  // computed only where a vertex needs it
         for (const int s : tri) {
-          const Vec3* n = gradient_normals ? segment_normal(s) : nullptr;
-          if (n == nullptr) {
-            if (!flat) flat = cross.normalized();
-            n = &*flat;
+          const std::uint32_t* vertex =
+              gradient_normals ? shared_vertex(s) : nullptr;
+          if (vertex != nullptr) {
+            indices.push_back(*vertex);
+            continue;
           }
-          normals.push_back(*n);
+          if (!flat) flat = cross.normalized();
+          indices.push_back(static_cast<std::uint32_t>(positions.size()));
+          positions.push_back(segment_vertex(s));
+          normals.push_back(*flat);
         }
-        indices.push_back(base);
-        indices.push_back(base + 1);
-        indices.push_back(base + 2);
         ++stats.triangles;
         ++stats.class_triangles[static_cast<std::size_t>(cls)];
       }
@@ -183,11 +187,11 @@ IsosurfaceResult extract_isosurface(const ScalarVolume& volume,
 
   // The serial scan extracts straight into the result.
   if (options.pool == nullptr) {
-    SlabNormals normals;
+    SlabVertices shared;
     for (const data::Block* b : active) {
       for (int z = b->z0; z < b->z1; ++z) {
         extract_slab(volume, *b, z, isovalue, options.gradient_normals,
-                     result.mesh, result.stats, normals);
+                     result.mesh, result.stats, shared);
       }
     }
     return result;
@@ -205,11 +209,11 @@ IsosurfaceResult extract_isosurface(const ScalarVolume& volume,
   std::vector<IsosurfaceResult> parts(slabs.size());
   util::parallel_for(
       options.pool, 0, slabs.size(), [&](std::size_t lo, std::size_t hi) {
-        SlabNormals normals;
+        SlabVertices shared;
         for (std::size_t i = lo; i < hi; ++i) {
           extract_slab(volume, *slabs[i].first, slabs[i].second, isovalue,
                        options.gradient_normals, parts[i].mesh,
-                       parts[i].stats, normals);
+                       parts[i].stats, shared);
         }
       });
 

@@ -40,10 +40,13 @@ struct IsosurfaceOptions {
   /// serial scan. Null = serial.
   util::ThreadPool* pool = nullptr;
   /// Compute smooth per-vertex normals from the field gradient; otherwise
-  /// flat face normals are used (cheaper). A vertex's gradient is taken
-  /// once per z-slab, however many cells and triangles share its segment
-  /// (they interpolate it from the same two corners, bit for bit); where
-  /// the gradient vanishes, the triangle's flat normal stands in.
+  /// flat face normals are used (cheaper). A vertex with a gradient normal
+  /// is emitted once per z-slab and indexed by every triangle corner on
+  /// its lattice segment (the cells that share the segment interpolate it
+  /// from the same two corners, bit for bit). A corner whose gradient
+  /// vanishes gets a vertex of its own with the triangle's flat normal, as
+  /// does every corner with flat normals. Either way, each corner indexes
+  /// the position and normal it would carry as a vertex of its own.
   bool gradient_normals = true;
 };
 

@@ -1,5 +1,8 @@
 // Indexed triangle mesh — the "geometric primitives" stage of the pipeline
 // (output of the transformation module, input of the rendering module).
+// The isosurface extractor shares a vertex among the triangles of a z-slab
+// that meet on it, about 0.73 vertices per triangle on the cost-model
+// calibration's meshes; add_triangle() appends soup.
 #pragma once
 
 #include <array>
@@ -24,7 +27,8 @@ class TriangleMesh {
   std::size_t vertex_count() const noexcept { return positions_.size(); }
   std::size_t triangle_count() const noexcept { return indices_.size() / 3; }
 
-  /// Append a triangle with explicit vertices (soup-style, not welded).
+  /// Append a triangle with three vertices of its own and its flat normal
+  /// (soup-style, not welded: the streamline ribbons and tests use it).
   void add_triangle(const Vec3& a, const Vec3& b, const Vec3& c);
 
   /// Append another mesh (indices rebased).

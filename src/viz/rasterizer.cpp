@@ -13,7 +13,8 @@ namespace {
 /// threads.
 constexpr std::size_t kBandsPerThread = 4;
 
-/// A drawn triangle: its vertices and clamped pixel bounds.
+/// A drawn triangle: its vertices and the pixels whose centres its bounds
+/// hold, clamped to the image (an empty range when they hold none).
 struct TriangleSetup {
   std::uint32_t a, b, c;
   int x0, x1, y0, y1;
@@ -270,13 +271,19 @@ RenderResult render_mesh(const TriangleMesh& mesh, const RenderOptions& opt) {
         const float area =
             (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
         if (std::abs(area) < 1e-9f) continue;
+        // Pixel (x, y) is tested when its centre (x + 0.5, y + 0.5) lies in
+        // the bounds. A triangle between centres counts as drawn but is
+        // binned into no band.
         const TriangleSetup& setup = drawn.emplace_back(TriangleSetup{
             ia, ib, ic,
-            std::max(0, static_cast<int>(std::floor(min_x))),
-            std::min(opt.width - 1, static_cast<int>(std::ceil(max_x))),
-            std::max(0, static_cast<int>(std::floor(min_y))),
-            std::min(opt.height - 1, static_cast<int>(std::ceil(max_y))),
+            std::max(0, static_cast<int>(std::ceil(min_x - 0.5f))),
+            std::min(opt.width - 1,
+                     static_cast<int>(std::floor(max_x - 0.5f))),
+            std::max(0, static_cast<int>(std::ceil(min_y - 0.5f))),
+            std::min(opt.height - 1,
+                     static_cast<int>(std::floor(max_y - 0.5f))),
             1.0f / area});
+        if (setup.x0 > setup.x1 || setup.y0 > setup.y1) continue;
         const auto at = static_cast<std::uint32_t>(drawn.size() - 1);
         for (int band = setup.y0 / band_rows; band <= setup.y1 / band_rows;
              ++band) {

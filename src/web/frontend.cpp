@@ -32,6 +32,7 @@ util::Json models_json(const cost::CostModels& models) {
   out["alpha_cell_s"] = models.isosurface.alpha_cell_s;
   out["beta_triangle_s"] = models.isosurface.beta_triangle_s;
   out["triangles_per_second"] = models.isosurface.triangles_per_second;
+  out["bytes_per_triangle"] = models.isosurface.bytes_per_triangle;
   out["t_sample_s"] = models.raycast.t_sample_s;
   out["t_advection_s"] = models.streamline.t_advection_s;
   out["filter_Bps"] = models.aux.filter_Bps;

@@ -52,6 +52,31 @@ TEST(IsosurfaceModel, CalibrationProbabilitiesSumToOne) {
   EXPECT_GT(m.triangles_per_second, 1e3);
 }
 
+TEST(IsosurfaceModel, BytesPerTriangleIsMeasuredOnTheCalibrationMeshes) {
+  // The wire size the pipeline builder prices geometry at is the summed
+  // TriangleMesh::bytes() over the summed triangles of the calibration's
+  // own extractions: shared vertices put it well under the 84 B of an
+  // unwelded soup, and above the 12 B of its indices.
+  double bytes = 0, triangles = 0;
+  for (const d::ScalarVolume& vol :
+       {d::make_jet(40, 40, 40), d::make_rage(40, 40, 40)}) {
+    const auto [lo, hi] = vol.min_max();
+    for (int s = 0; s < 5; ++s) {
+      const float iso =
+          lo + (hi - lo) * (static_cast<float>(s) + 0.5f) / 5.0f;
+      const auto result = v::extract_isosurface(vol, iso);
+      bytes += static_cast<double>(result.mesh.bytes());
+      triangles += static_cast<double>(result.mesh.triangle_count());
+    }
+  }
+  ASSERT_GT(triangles, 0.0);
+  const double measured = shared_models().isosurface.bytes_per_triangle;
+  EXPECT_EQ(measured, bytes / triangles);
+  EXPECT_GT(measured, 12.0);
+  EXPECT_LT(measured, 0.5 * 84.0);
+  EXPECT_EQ(c::IsosurfaceModel{}.bytes_per_triangle, 84.0);
+}
+
 TEST(IsosurfaceModel, TriangleCountPredictionMatchesActual) {
   const d::ScalarVolume vol = d::make_jet(40, 40, 40);
   const auto& m = shared_models().isosurface;
@@ -243,7 +268,8 @@ TEST(PipelineBuilder, IsosurfacePipelineShape) {
   // only at paper scale does geometry << raw hold.)
   const double tris = shared_models().isosurface.predict_triangles(
       props.active_blocks, props.cells_per_block);
-  EXPECT_EQ(msgs[2], c::geometry_bytes(tris));
+  EXPECT_EQ(msgs[2], c::geometry_bytes(
+                         tris, shared_models().isosurface.bytes_per_triangle));
   const auto compute = spec.unit_compute_seconds();
   for (std::size_t j = 1; j < compute.size(); ++j) {
     EXPECT_GE(compute[j], 0.0) << "module " << j;
@@ -269,8 +295,9 @@ TEST(PipelineBuilder, RayCastPipelineEmitsPixelsDirectly) {
 }
 
 TEST(PipelineBuilder, GeometryBytesFormula) {
-  EXPECT_EQ(c::geometry_bytes(100.0), 8400u);  // 84 B/tri soup wire format
-  EXPECT_EQ(c::geometry_bytes(-5.0), 0u);
+  EXPECT_EQ(c::geometry_bytes(100.0, 84.0), 8400u);  // unwelded soup
+  EXPECT_EQ(c::geometry_bytes(100.0, 30.25), 3025u);
+  EXPECT_EQ(c::geometry_bytes(-5.0, 30.0), 0u);
   EXPECT_EQ(c::framebuffer_bytes(512, 512), 1048576u);
 }
 

@@ -487,7 +487,7 @@ TEST(AjaxFrontEnd, StatsReportTheCalibratedModels) {
   ASSERT_TRUE(models.is_object());
   for (const char* key :
        {"calibration_s", "alpha_cell_s", "triangles_per_second",
-        "t_sample_s", "t_advection_s", "filter_Bps"}) {
+        "bytes_per_triangle", "t_sample_s", "t_advection_s", "filter_Bps"}) {
     EXPECT_GT(models.at(key).as_number(0.0), 0.0) << key;
   }
   EXPECT_GE(models.at("beta_triangle_s").as_number(-1.0), 0.0);

@@ -599,9 +599,12 @@ TEST(SseStream, SlowConsumerDowngradedMidStream) {
   // 160x160 frames so the stream moves real bytes, and a fixed 16 KiB
   // server sndbuf so the byte backlog reaches the drain-timed goodput
   // meter after tens of kilobytes instead of after megabytes of autotuned
-  // kernel buffering. With the PNG encoder doing real compression, bodies
-  // are a few KB (~100 KB/s of production); the slow phase reads 256 B
-  // per 10 ms (~25 KB/s) so utilization sits well under the downgrade
+  // kernel buffering. With the PNG encoder doing real compression and
+  // delta rects, bodies are about 1 KB, so production is about 1 KB per
+  // frame published: ~25 KB/s in an ASan build, which publishes about 25
+  // of the nominal 50 frames/s, and more at native speed. The slow phase
+  // reads 64 B per 10 ms (~6.4 KB/s), a quarter of the ASan figure, so a
+  // backlog builds and utilization sits well under the downgrade
   // threshold once the buffers fill.
   w::FrontEndConfig config = paced_config();
   config.session.viz.image_width = 160;
@@ -628,7 +631,7 @@ TEST(SseStream, SlowConsumerDowngradedMidStream) {
         std::chrono::steady_clock::now() + std::chrono::seconds(15);
     std::size_t scanned = 0;
     while (std::chrono::steady_clock::now() < deadline) {
-      if (!c.pump(fast ? 65536 : 256)) break;
+      if (!c.pump(fast ? 65536 : 64)) break;
       for (; scanned < c.sse.events.size(); ++scanned) {
         const Json body = Json::parse(c.sse.events[scanned].data);
         const std::string tier = body.at("tier").as_string();
