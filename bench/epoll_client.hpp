@@ -1,20 +1,18 @@
 // Epoll-based bench *client* harness: one reactor thread drives thousands
 // of long-poll clients.
 //
-// The thread-per-client load generator (one blocking HttpClient + one
+// A thread-per-client load generator (one blocking HttpClient + one
 // std::thread per emulated browser) is itself the bottleneck at 4k+
 // clients on small machines: thousands of generator threads contend for
 // the same cores as the server under test, and their scheduling jitter
 // shows up as tail latency the report then attributes to the server. This
 // harness inverts the client side exactly like src/net inverted the server
 // side — every emulated browser is a little connection state machine
-// (connect → join at the live head → long-poll loop) registered on one
-// net::Reactor, so the whole load fleet costs one thread regardless of
-// client count, and slow-client think time is a reactor timer instead of a
-// sleeping thread.
-//
-// Accounting matches the thread-based client_loop in ajax_fanout.cpp
-// field-for-field, so rounds driven by either harness are comparable.
+// (connect → join at the live head → long-poll loop or SSE stream)
+// registered on one net::Reactor, so the whole load fleet costs one thread
+// regardless of client count, and slow-client think time is a reactor
+// timer instead of a sleeping thread. It is the one client harness of
+// ajax_fanout: every scenario that runs a server runs its clients here.
 #pragma once
 
 #include <sys/epoll.h>
@@ -35,8 +33,7 @@
 
 namespace benchweb {
 
-/// Per-client tallies, shared between the thread-based and the epoll-based
-/// harnesses (and summed into the round report).
+/// Per-client tallies (summed into the round report).
 struct ClientResult {
   std::vector<double> delivery_ms;  // publish stamp -> response received
   std::vector<double> rtt_ms;       // poll request -> response
@@ -148,10 +145,10 @@ inline PollBodyFields scan_poll_body(const std::string& body) {
 struct ClientSpec {
   std::string view;       // "" = the default view (no view= parameter)
   std::string client_id;  // non-empty opts into adaptive pacing
-  double inter_poll_delay_s = 0.0;  // slow-consumer think time
+  /// Slow-consumer think time; a client with one is excluded from the
+  /// round's fast-client percentiles.
+  double inter_poll_delay_s = 0.0;
   bool force_full = false;          // tile-delta opt-out (full=1)
-  bool slow = false;                // reporting tag: excluded from the
-                                    // fast-client percentiles
   /// Ride the /api/stream SSE push channel instead of the long-poll loop:
   /// one request, then an unbounded chunked event stream. Frame/tier/delta
   /// accounting is identical to the poll mode; for slow consumers the

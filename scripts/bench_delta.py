@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Compare ajax_fanout bench JSON against the previous CI run's artifact and
-maintain a rolling multi-run history.
+"""Gate ajax_fanout bench JSON, compare it against the previous CI run's
+artifact and maintain a rolling multi-run history.
 
 Usage:
   bench_delta.py --previous DIR --current DIR
@@ -8,26 +8,32 @@ Usage:
                  [--max-bytes-per-frame-regression 0.5]
                  [--history-out FILE] [--label SHA]
 
-For every bench JSON present in both trees (matched by file name, searched
-recursively on the previous side because artifact downloads nest a
-directory per artifact), rounds are matched by (clients, adaptive,
-full_resend) — plus (scenario, view_count, slow-view presence) for the
-sharded rounds that carry them — and a delta summary is printed to the job
-log. The job fails (exit 1) when a matched round's fast-client p99 (round
-level, and per fast view for sharded rounds) — or, for the tile-delta
-scenario, its steady-state bytes/frame — regresses by more than the allowed
-fraction; a missing or unreadable previous side is a note, not a failure —
-the first run on a branch has nothing to compare against.
+Every ajax_fanout*.json report in --current is read, and every one under
+--previous (searched recursively, because artifact downloads nest a
+directory per artifact). Every round declares its key, (scenario, variant,
+clients); rounds are matched across runs on it, and each gate picks its
+rounds and comparisons by scenario, whatever file they came from.
 
-Self-contained gates, applied with or without a previous artifact: the
-congestion A/B, the tile-delta compression floor and byte saving (deltas
-must not cost more than full frames), the protocol counters
-of the transport and relay benches (every gaps_*/errors_*/delta_breaks_*
-comparison field, relay_image_encodes, and the relayed round's upstream
-reconnects must be 0), the mixed bench's per-round gaps, errors and
-image-delta breaks (must be 0), and the server thread budget of the
-fanout, shard and transport benches (every round's process.peak_threads
-at most server_threads.total + 2).
+Self-contained gates, applied with or without a previous artifact:
+  - congestion: the gradient law must flap less than rmsa, at a fast-client
+    p99 at most CONGESTION_P99_TOLERANCE above rmsa's;
+  - delta: the codec's compression ratio at least COMPRESSION_RATIO_FLOOR,
+    a non-negative bytes_saved_fraction (deltas must not cost more than
+    full frames), and no gap, error or delta break in the delta round;
+  - transport and relay: every gaps_*/errors_*/delta_breaks_* comparison
+    field, relay_image_encodes and the relayed round's
+    relay_tier.upstream_reconnects must be 0;
+  - mixed: every round's gaps, errors and image_delta.delta_breaks must
+    be 0;
+  - thread budget: every server-backed round's process.peak_threads at
+    most its server_threads.total + bench_threads.
+
+Previous-run comparison: the job fails (exit 1) when a matched round's
+fast-client p99 (round level, and per prompt view for rounds with views)
+or, for the delta scenario's delta round, its bytes/frame regresses by
+more than the allowed fraction. A round without a previous match prints
+"no previous round"; a missing previous artifact is a note, not a failure:
+the first run on a branch has nothing to compare against.
 
 History: the previous artifact may carry a bench_history.json (also searched
 recursively); this run's summary is appended to it and written to
@@ -46,11 +52,7 @@ import json
 import pathlib
 import sys
 
-BENCH_FILES = ["ajax_fanout.json", "ajax_fanout_mixed.json",
-               "ajax_fanout_fanout.json", "ajax_fanout_delta.json",
-               "ajax_fanout_shard.json", "ajax_fanout_transport.json",
-               "ajax_fanout_multireactor.json", "ajax_fanout_relay.json",
-               "ajax_fanout_congestion.json"]
+REPORT_GLOB = "ajax_fanout*.json"
 HISTORY_FILE = "bench_history.json"
 MAX_HISTORY_RUNS = 50
 MIN_PREV_MS = 1.0
@@ -59,30 +61,27 @@ MIN_PREV_BYTES = 1024.0
 # Congestion A/B gate: the delay-gradient controller may cost at most this
 # fraction of fast-client p99 relative to RMSA in the same run.
 CONGESTION_P99_TOLERANCE = 0.10
-# Compression gate: the tile-delta scenario's encoder must keep at least
-# this raw-bytes-in / png-bytes-out ratio. The orbiting-isosurface frames
+# Compression gate: the delta scenario's encoder must keep at least this
+# raw-bytes-in / png-bytes-out ratio. The orbiting-isosurface frames
 # compress far better than this in practice; the floor catches the encoder
 # silently degrading to stored blocks, not normal workload variance.
 COMPRESSION_RATIO_FLOOR = 1.5
-# Protocol gate: benches whose comparison blocks' gap, error and
+# Protocol gate: scenarios whose comparison blocks' gap, error and
 # delta-break counts (and, for relays, image encodes and upstream
 # reconnects) must all read zero. Their clients and relays read every
 # response through the shared HTTP response decoder.
-PROTOCOL_GATE_FILES = ["ajax_fanout_transport.json", "ajax_fanout_relay.json"]
+PROTOCOL_SCENARIOS = ("transport", "relay")
 PROTOCOL_COUNTER_PREFIXES = ("gaps_", "errors_", "delta_breaks_")
-# Round gate: benches whose every round must read zero gaps, errors and
-# image_delta.delta_breaks. The adaptive round of the mixed scenario is the
-# one CI bench whose paced clients skip frames and so receive
-# cursor-anchored deltas; its comparison block carries no protocol counter.
-ROUND_GATE_FILES = ["ajax_fanout_mixed.json"]
-# Thread gate: benches whose every round must peak at no more threads than
-# the server budget they report (server_threads.total) plus the bench's
-# own two: its main thread, which drives the one-thread epoll client
-# fleet, and its resource sampler. A thread pool added to the server shows
-# here whether or not latency moves.
-THREAD_GATE_FILES = ["ajax_fanout_fanout.json", "ajax_fanout_shard.json",
-                     "ajax_fanout_transport.json"]
-BENCH_OWN_THREADS = 2
+# Round gate: the adaptive round of the mixed scenario is the one CI bench
+# whose paced clients skip frames and so receive cursor-anchored deltas; its
+# comparison block carries no protocol counter.
+ROUND_GATE_SCENARIOS = ("mixed",)
+# Thread gate: every round of every other scenario runs a server, and must
+# peak at no more threads than the server budget it ran under plus the
+# bench's own (its fleet, its sampler, and the orbit driver where one runs).
+# A thread pool added to the server shows here whether or not latency
+# moves. The congestion scenario runs in virtual time, with no server.
+SERVERLESS_SCENARIOS = ("congestion",)
 
 
 def load(path):
@@ -94,6 +93,26 @@ def load(path):
         return None
 
 
+def load_reports(root, recursive):
+    """Every ajax_fanout report under `root`, in path order."""
+    paths = root.rglob(REPORT_GLOB) if recursive else root.glob(REPORT_GLOB)
+    reports = (load(path) for path in sorted(paths))
+    return [r for r in reports if r and r.get("bench") == "ajax_fanout"]
+
+
+def rounds_of(reports):
+    return [r for report in reports for r in report.get("rounds", [])]
+
+
+def comparisons_of(reports):
+    return [c for report in reports for c in report.get("comparisons", [])]
+
+
+def of_scenarios(items, scenarios):
+    """The rounds or comparisons of `scenarios`."""
+    return [item for item in items if item.get("scenario") in scenarios]
+
+
 def fast_p99(round_json):
     latency = round_json.get("delivery_latency_fast_clients") or \
         round_json.get("delivery_latency") or {}
@@ -101,56 +120,13 @@ def fast_p99(round_json):
 
 
 def round_key(round_json):
-    # Sharded rounds additionally carry (scenario, view_count, slow_view):
-    # an all-fast round and a slow-view round of the same client count are
-    # different workloads and must never be compared against each other.
-    # Transport rounds carry "transport" ("long-poll" vs "sse") for the
-    # same reason, and multireactor rounds carry "reactors" (the 4-reactor
-    # round and the 1-reactor baseline share a client count). Relay rounds
-    # carry "relay_depth"/"relay_fanout": the depth-1 direct baseline and
-    # the depth-2 relayed round share a client count. Congestion rounds
-    # carry "controller" (the same emulated WAN run once per pacing law) —
-    # keying on it gates each law's fast p99 against its own history.
-    # Rounds additionally carry "codec" once the PNG encoder does real
-    # compression: a stored-block round and a deflate round have wildly
-    # different bytes/frame and must not gate each other. Rounds without
-    # those fields (every earlier scenario, and pre-codec artifacts) get
-    # None for them, so existing artifacts stay comparable.
-    return (round_json.get("clients"), bool(round_json.get("adaptive")),
-            bool(round_json.get("full_resend")),
-            round_json.get("scenario"), round_json.get("view_count"),
-            bool(round_json.get("slow_view")),
-            round_json.get("transport"),
-            round_json.get("reactors"),
-            round_json.get("relay_depth"),
-            round_json.get("relay_fanout"),
-            round_json.get("controller"),
-            round_json.get("codec"))
+    return (round_json.get("scenario"), round_json.get("variant"),
+            round_json.get("clients"))
 
 
 def key_str(key):
-    parts = [f"clients={key[0]}"]
-    if key[1]:
-        parts.append("adaptive")
-    if key[2]:
-        parts.append("full-resend")
-    if key[3]:
-        parts.append(f"{key[3]}/views={key[4]}")
-    if key[5]:
-        parts.append("slow-view")
-    if key[6]:
-        parts.append(key[6])
-    if len(key) > 7 and key[7] is not None:
-        parts.append(f"reactors={key[7]}")
-    if len(key) > 8 and key[8] is not None:
-        parts.append(f"depth={key[8]}")
-    if len(key) > 9 and key[9]:
-        parts.append(f"relays={key[9]}")
-    if len(key) > 10 and key[10]:
-        parts.append(f"controller={key[10]}")
-    if len(key) > 11 and key[11]:
-        parts.append(f"codec={key[11]}")
-    return " ".join(parts)
+    scenario, variant, clients = key
+    return f"{scenario}/{variant} clients={clients}"
 
 
 def round_record(round_json):
@@ -180,8 +156,8 @@ def round_record(round_json):
     return record
 
 
-def view_regressions(name, key, prev_round, cur_round, max_p99_regression):
-    """Per-view fast-client p99 gate for sharded rounds: every view whose
+def view_regressions(label, prev_round, cur_round, max_p99_regression):
+    """Per-view fast-client p99 gate for rounds with views: every view whose
     clients are all prompt is compared against the same view in the
     previous run's matching round, with the usual noise floors."""
     out = []
@@ -199,24 +175,20 @@ def view_regressions(name, key, prev_round, cur_round, max_p99_regression):
         delta = cur_p99 - prev_p99
         if (prev_p99 >= MIN_PREV_MS and delta > MIN_DELTA_MS and
                 cur_p99 > prev_p99 * (1.0 + max_p99_regression)):
-            out.append(f"{name} {key_str(key)} view={view}: "
+            out.append(f"{label} view={view}: "
                        f"p99 {prev_p99:.1f} -> {cur_p99:.1f} ms")
     return out
 
 
-def compare(name, previous, current, max_p99_regression,
-            max_bpf_regression):
-    # bytes/frame is a *gate* only for the tile-delta scenario, whose
-    # workload is deterministic enough to hold a budget; other scenarios'
-    # byte counts swing with adaptive pacing and are reported, not enforced.
-    enforce_bpf = name == "ajax_fanout_delta.json"
+def compare(prev_rounds, cur_rounds, max_p99_regression, max_bpf_regression):
     regressions = []
-    prev_rounds = {round_key(r): r for r in previous.get("rounds", [])}
-    for cur in current.get("rounds", []):
+    previous = {round_key(r): r for r in prev_rounds}
+    for cur in cur_rounds:
         key = round_key(cur)
-        prev = prev_rounds.get(key)
+        label = key_str(key)
+        prev = previous.get(key)
         if prev is None:
-            print(f"[bench-delta] {name} {key_str(key)}: no previous round")
+            print(f"[bench-delta] {label}: no previous round")
             continue
         cur_p99, prev_p99 = fast_p99(cur), fast_p99(prev)
         cur_dps = cur.get("deliveries_per_sec", 0.0)
@@ -232,10 +204,12 @@ def compare(name, previous, current, max_p99_regression,
                     cur_p99 > prev_p99 * (1.0 + max_p99_regression)):
                 verdict = "REGRESSION"
                 regressions.append(
-                    f"{name} {key_str(key)}: "
-                    f"fast p99 {prev_p99:.1f} -> {cur_p99:.1f} ms")
-        # Tile-delta bandwidth: a non-full-resend round whose bytes/frame
-        # grows past the budget means the dirty-rect encoding degraded.
+                    f"{label}: fast p99 {prev_p99:.1f} -> {cur_p99:.1f} ms")
+        # bytes/frame is a gate only for the delta scenario's delta round,
+        # whose workload is deterministic enough to hold a budget; other
+        # rounds' byte counts swing with adaptive pacing and are reported,
+        # not enforced. A growing delta round means the rect encoding
+        # degraded.
         cur_bpf = cur.get("bytes_per_frame")
         prev_bpf = prev.get("bytes_per_frame")
         if cur_bpf is not None and prev_bpf is not None:
@@ -243,38 +217,28 @@ def compare(name, previous, current, max_p99_regression,
                 else 0.0
             parts.append(
                 f"bytes/frame {prev_bpf:.0f} -> {cur_bpf:.0f} ({bpct:+.0f}%)")
-            if (enforce_bpf and not key[2] and prev_bpf >= MIN_PREV_BYTES and
-                    cur_bpf > prev_bpf * (1.0 + max_bpf_regression)):
+            if (key[:2] == ("delta", "delta") and prev_bpf >= MIN_PREV_BYTES
+                    and cur_bpf > prev_bpf * (1.0 + max_bpf_regression)):
                 verdict = "REGRESSION"
                 regressions.append(
-                    f"{name} {key_str(key)}: "
-                    f"bytes/frame {prev_bpf:.0f} -> {cur_bpf:.0f}")
-        per_view = view_regressions(name, key, prev, cur,
-                                    max_p99_regression)
+                    f"{label}: bytes/frame {prev_bpf:.0f} -> {cur_bpf:.0f}")
+        per_view = view_regressions(label, prev, cur, max_p99_regression)
         if per_view:
             verdict = "REGRESSION"
             regressions += per_view
         errors = cur.get("errors", 0)
         gaps = cur.get("gaps", 0)
         parts.append(f"gaps {gaps:.0f} errors {errors:.0f}")
-        print(f"[bench-delta] {name} {key_str(key)}: "
-              f"{', '.join(parts)} [{verdict}]")
+        print(f"[bench-delta] {label}: {', '.join(parts)} [{verdict}]")
     return regressions
 
 
-def congestion_gate(cur_root):
-    """Absolute A/B gate on the congestion scenario, previous artifact or
-    not: the delay-gradient controller exists to remove tier flaps, so a
-    run where it flaps at least as much as RMSA — or buys its stability
-    with a slower fast-client p99 — failed at its one job."""
-    path = cur_root / "ajax_fanout_congestion.json"
-    if not path.is_file():
-        return []
-    data = load(path)
-    if data is None:
-        return []
+def congestion_gate(comparisons):
+    """The delay-gradient controller exists to remove tier flaps, so a run
+    where it flaps at least as much as RMSA — or buys its stability with a
+    slower fast-client p99 — failed at its one job."""
     failures = []
-    for cmp_json in data.get("comparisons", []):
+    for cmp_json in of_scenarios(comparisons, ("congestion",)):
         rmsa_flaps = cmp_json.get("tier_flaps_rmsa")
         grad_flaps = cmp_json.get("tier_flaps_gradient")
         if rmsa_flaps is None or grad_flaps is None:
@@ -303,25 +267,15 @@ def congestion_gate(cur_root):
     return failures
 
 
-def compression_gate(cur_root):
-    """Absolute gate on the tile-delta scenario, previous artifact or not:
-    every tiled round must report the deflate codec holding at least
-    COMPRESSION_RATIO_FLOOR over the raw framebuffer bytes it encoded, a
-    non-negative bytes_saved_fraction (delta bodies must not cost more per
-    frame than full resends of the same workload), and a clean protocol run
-    (no gaps, errors, or delta breaks). A ratio at ~1.0 means the encoder
-    fell back to stored blocks across the board."""
-    path = cur_root / "ajax_fanout_delta.json"
-    if not path.is_file():
-        return []
-    data = load(path)
-    if data is None:
-        return []
+def compression_gate(comparisons):
+    """A ratio at ~1.0 means the encoder fell back to stored blocks across
+    the board; a negative bytes_saved_fraction means delta bodies cost more
+    per frame than full resends of the same workload."""
     failures = []
-    for cmp_json in data.get("comparisons", []):
+    for cmp_json in of_scenarios(comparisons, ("delta",)):
         ratio = cmp_json.get("compression_ratio")
         if ratio is None:
-            continue  # pre-codec bench binary
+            continue
         label = f"delta clients={cmp_json.get('clients')}"
         verdict = "ok"
         if ratio < COMPRESSION_RATIO_FLOOR:
@@ -339,127 +293,85 @@ def compression_gate(cur_root):
             count = cmp_json.get(field)
             if count:
                 verdict = "REGRESSION"
-                failures.append(f"{label}: {count:.0f} {field} in the tiled "
+                failures.append(f"{label}: {count:.0f} {field} in the delta "
                                 "round")
-        print(f"[bench-delta] {label}: codec={cmp_json.get('codec')} "
-              f"ratio={ratio:.2f} saved="
+        print(f"[bench-delta] {label}: ratio={ratio:.2f} saved="
               f"{cmp_json.get('bytes_saved_fraction', 0.0) * 100:.1f}% "
               f"[{verdict}]")
     return failures
 
 
-def protocol_gate(cur_root):
-    """Absolute gate on the transport and relay benches, previous artifact
-    or not: every gaps_*/errors_*/delta_breaks_* field of their comparison
-    blocks, relay_image_encodes, and the relayed round's
-    relay_tier.upstream_reconnects must be 0. A decoder or forwarding
-    regression that keeps latency intact still shows in these counters."""
+def protocol_gate(rounds, comparisons):
+    """A decoder or forwarding regression that keeps latency intact still
+    shows in these counters."""
     failures = []
-    for name in PROTOCOL_GATE_FILES:
-        path = cur_root / name
-        if not path.is_file():
-            continue
-        data = load(path)
-        if data is None:
-            continue
-        reconnects = {r.get("clients"): r["relay_tier"].get("upstream_reconnects")
-                      for r in data.get("rounds", []) if "relay_tier" in r}
-        for cmp_json in data.get("comparisons", []):
-            label = f"{name} clients={cmp_json.get('clients')}"
-            counters = {key: value for key, value in cmp_json.items()
-                        if key.startswith(PROTOCOL_COUNTER_PREFIXES) or
-                        key == "relay_image_encodes"}
-            if cmp_json.get("clients") in reconnects:
-                counters["relay_tier.upstream_reconnects"] = \
-                    reconnects[cmp_json.get("clients")]
-            nonzero = {key: value for key, value in counters.items() if value}
-            for key, value in sorted(nonzero.items()):
-                failures.append(f"{label}: {key} = {value:.0f}, must be 0")
-            print(f"[bench-delta] {label}: {len(counters)} protocol counters "
-                  f"{'all 0 [ok]' if not nonzero else '[REGRESSION]'}")
+    reconnects = {(r.get("scenario"), r.get("clients")):
+                  r["relay_tier"].get("upstream_reconnects")
+                  for r in rounds if "relay_tier" in r}
+    for cmp_json in of_scenarios(comparisons, PROTOCOL_SCENARIOS):
+        key = (cmp_json.get("scenario"), cmp_json.get("clients"))
+        label = f"{key[0]} clients={key[1]}"
+        counters = {name: value for name, value in cmp_json.items()
+                    if name.startswith(PROTOCOL_COUNTER_PREFIXES) or
+                    name == "relay_image_encodes"}
+        if key in reconnects:
+            counters["relay_tier.upstream_reconnects"] = reconnects[key]
+        nonzero = {name: value for name, value in counters.items() if value}
+        for name, value in sorted(nonzero.items()):
+            failures.append(f"{label}: {name} = {value:.0f}, must be 0")
+        print(f"[bench-delta] {label}: {len(counters)} protocol counters "
+              f"{'all 0 [ok]' if not nonzero else '[REGRESSION]'}")
     return failures
 
 
-def round_gate(cur_root):
-    """Absolute gate on the mixed bench, previous artifact or not: every
-    round's gaps, errors and image_delta.delta_breaks must be 0. A broken
-    cursor-anchored delta shows as a delta break on the client that could
-    not composite it."""
+def round_gate(rounds):
+    """A broken cursor-anchored delta shows as a delta break on the client
+    that could not composite it."""
     failures = []
-    for name in ROUND_GATE_FILES:
-        path = cur_root / name
-        if not path.is_file():
-            continue
-        data = load(path)
-        if data is None:
-            continue
-        for r in data.get("rounds", []):
-            label = f"{name} {key_str(round_key(r))}"
-            counters = {
-                "gaps": r.get("gaps"),
-                "errors": r.get("errors"),
-                "image_delta.delta_breaks":
-                    (r.get("image_delta") or {}).get("delta_breaks"),
-            }
-            nonzero = {key: value for key, value in counters.items() if value}
-            for key, value in sorted(nonzero.items()):
-                failures.append(f"{label}: {key} = {value:.0f}, must be 0")
-            print(f"[bench-delta] {label}: gaps/errors/delta breaks "
-                  f"{'all 0 [ok]' if not nonzero else '[REGRESSION]'}")
+    for r in of_scenarios(rounds, ROUND_GATE_SCENARIOS):
+        label = key_str(round_key(r))
+        counters = {
+            "gaps": r.get("gaps"),
+            "errors": r.get("errors"),
+            "image_delta.delta_breaks":
+                (r.get("image_delta") or {}).get("delta_breaks"),
+        }
+        nonzero = {name: value for name, value in counters.items() if value}
+        for name, value in sorted(nonzero.items()):
+            failures.append(f"{label}: {name} = {value:.0f}, must be 0")
+        print(f"[bench-delta] {label}: gaps/errors/delta breaks "
+              f"{'all 0 [ok]' if not nonzero else '[REGRESSION]'}")
     return failures
 
 
-def thread_gate(cur_root):
-    """Absolute gate on the epoll-fleet benches, previous artifact or not:
-    every round's process.peak_threads must be at most
-    server_threads.total + BENCH_OWN_THREADS. (The multireactor bench
-    reports the 4-reactor budget for its 1-reactor rounds too, so it is
-    not gated.)"""
+def thread_gate(rounds):
     failures = []
-    for name in THREAD_GATE_FILES:
-        path = cur_root / name
-        if not path.is_file():
+    for r in rounds:
+        if r.get("scenario") in SERVERLESS_SCENARIOS:
             continue
-        data = load(path)
-        if data is None:
+        label = key_str(round_key(r))
+        budget = (r.get("server_threads") or {}).get("total")
+        own = r.get("bench_threads")
+        peak = (r.get("process") or {}).get("peak_threads")
+        if budget is None or own is None or peak is None:
+            failures.append(f"{label}: needs server_threads.total, "
+                            "bench_threads and process.peak_threads")
             continue
-        budget = (data.get("server_threads") or {}).get("total")
-        if budget is None:
-            failures.append(f"{name}: no server_threads.total")
-            continue
-        limit = budget + BENCH_OWN_THREADS
-        for r in data.get("rounds", []):
-            label = f"{name} {key_str(round_key(r))}"
-            peak = (r.get("process") or {}).get("peak_threads")
-            if peak is None:
-                failures.append(f"{label}: no process.peak_threads")
-                continue
-            verdict = "ok" if peak <= limit else "REGRESSION"
-            if peak > limit:
-                failures.append(f"{label}: peak_threads {peak:.0f} above "
-                                f"server budget {budget:.0f} + "
-                                f"{BENCH_OWN_THREADS}")
-            print(f"[bench-delta] {label}: peak_threads {peak:.0f}, limit "
-                  f"{limit:.0f} [{verdict}]")
+        limit = budget + own
+        verdict = "ok" if peak <= limit else "REGRESSION"
+        if peak > limit:
+            failures.append(f"{label}: peak_threads {peak:.0f} above "
+                            f"server budget {budget:.0f} + {own:.0f}")
+        print(f"[bench-delta] {label}: peak_threads {peak:.0f}, limit "
+              f"{limit:.0f} [{verdict}]")
     return failures
 
 
-def summarize_run(cur_root, label):
-    """This run's compact history record, one entry per bench file/round."""
-    record = {"label": label, "benches": {}}
-    for name in BENCH_FILES:
-        data = load(cur_root / name) if (cur_root / name).is_file() else None
-        if data is None:
-            continue
-        rounds = {}
-        for r in data.get("rounds", []):
-            rounds["/".join(str(k) for k in round_key(r))] = round_record(r)
-        comparisons = data.get("comparisons")
-        bench = {"rounds": rounds}
-        if comparisons:
-            bench["comparisons"] = comparisons
-        record["benches"][name] = bench
-    return record
+def summarize_run(rounds, comparisons, label):
+    """This run's compact history record, one entry per round."""
+    return {"label": label,
+            "rounds": {key_str(round_key(r)): round_record(r) for r in rounds},
+            "comparisons": comparisons}
 
 
 def print_trends(history):
@@ -470,10 +382,9 @@ def print_trends(history):
     print(f"[bench-delta] history: {len(runs)} runs retained")
     series = {}
     for run in runs:
-        for name, bench in run.get("benches", {}).items():
-            for key, rec in bench.get("rounds", {}).items():
-                series.setdefault((name, key), []).append(rec)
-    for (name, key), recs in sorted(series.items()):
+        for key, rec in run.get("rounds", {}).items():
+            series.setdefault(key, []).append(rec)
+    for key, recs in sorted(series.items()):
         tail = recs[-5:]
         p99s = [r.get("fast_p99_ms") for r in tail
                 if r.get("fast_p99_ms") is not None]
@@ -485,7 +396,7 @@ def print_trends(history):
         if bpfs:
             parts.append("B/frame " + " -> ".join(f"{x:.0f}" for x in bpfs))
         if parts:
-            print(f"[bench-delta]   {name} {key}: {'; '.join(parts)}")
+            print(f"[bench-delta]   {key}: {'; '.join(parts)}")
 
 
 def main():
@@ -502,10 +413,12 @@ def main():
     args = parser.parse_args()
 
     prev_root = pathlib.Path(args.previous)
-    cur_root = pathlib.Path(args.current)
+    current = load_reports(pathlib.Path(args.current), recursive=False)
+    rounds = rounds_of(current)
+    comparisons = comparisons_of(current)
 
-    # Merge the rolling history first: it survives even when the regression
-    # gate below fails the job, because it is written before the exit.
+    # Merge the rolling history first: it survives even when a gate below
+    # fails the job, because it is written before the exit.
     history = {"runs": []}
     if prev_root.is_dir():
         prev_history = sorted(prev_root.rglob(HISTORY_FILE))
@@ -513,7 +426,7 @@ def main():
             loaded = load(prev_history[0])
             if loaded and isinstance(loaded.get("runs"), list):
                 history = loaded
-    history["runs"].append(summarize_run(cur_root, args.label))
+    history["runs"].append(summarize_run(rounds, comparisons, args.label))
     history["runs"] = history["runs"][-MAX_HISTORY_RUNS:]
     if args.history_out:
         with open(args.history_out, "w") as f:
@@ -522,55 +435,32 @@ def main():
               f"-> {args.history_out}")
     print_trends(history)
 
-    # The congestion A/B, the tile-delta compression floor and byte saving,
-    # the protocol counters, the mixed bench's round counters and the
-    # thread budget are self-contained in the current run, so those gates
-    # apply even on a first run with no previous artifact.
-    regressions = list(congestion_gate(cur_root))
-    regressions += compression_gate(cur_root)
-    regressions += protocol_gate(cur_root)
-    regressions += round_gate(cur_root)
-    regressions += thread_gate(cur_root)
+    # The self-contained gates apply even on a first run with no previous
+    # artifact.
+    regressions = congestion_gate(comparisons)
+    regressions += compression_gate(comparisons)
+    regressions += protocol_gate(rounds, comparisons)
+    regressions += round_gate(rounds)
+    regressions += thread_gate(rounds)
 
-    if not prev_root.is_dir():
+    if prev_root.is_dir():
+        regressions += compare(rounds_of(load_reports(prev_root, True)),
+                               rounds, args.max_fast_p99_regression,
+                               args.max_bytes_per_frame_regression)
+    else:
         print(f"[bench-delta] no previous artifact at {prev_root}; "
               "nothing to compare (first run?)")
-        if regressions:
-            print("[bench-delta] FAILING: self-contained gates:")
-            for line in regressions:
-                print(f"  - {line}")
-            return 1
-        return 0
 
-    compared = 0
-    for name in BENCH_FILES:
-        cur_path = cur_root / name
-        if not cur_path.is_file():
-            continue
-        prev_matches = sorted(prev_root.rglob(name))
-        if not prev_matches:
-            print(f"[bench-delta] {name}: not in previous artifact")
-            continue
-        current = load(cur_path)
-        previous = load(prev_matches[0])
-        if current is None or previous is None:
-            continue
-        compared += 1
-        regressions += compare(name, previous, current,
-                               args.max_fast_p99_regression,
-                               args.max_bytes_per_frame_regression)
-
-    if compared == 0:
-        print("[bench-delta] no comparable bench files found")
-        return 0
     if regressions:
-        print("[bench-delta] FAILING: regression beyond budget "
-              f"(p99 {args.max_fast_p99_regression * 100:.0f}%, bytes/frame "
+        print("[bench-delta] FAILING: a gate failed or a round regressed "
+              f"beyond budget (p99 {args.max_fast_p99_regression * 100:.0f}%,"
+              f" bytes/frame "
               f"{args.max_bytes_per_frame_regression * 100:.0f}%):")
         for line in regressions:
             print(f"  - {line}")
         return 1
-    print("[bench-delta] all compared rounds within the regression budget")
+    print("[bench-delta] every gate passed and every compared round is "
+          "within the regression budget")
     return 0
 
 

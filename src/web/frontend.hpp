@@ -108,9 +108,6 @@ class AjaxFrontEnd {
   std::size_t session_pool_threads() const noexcept {
     return session_.pool().size();
   }
-  /// The default view's shard — the single-view API surface (back-compat
-  /// for callers that predate sharding).
-  const FrameHub& hub() const noexcept { return *main_hub_; }
   const HttpServer& server() const noexcept { return service_.server(); }
   HubRegistry& registry() noexcept { return service_.registry(); }
   const HubRegistry& registry() const noexcept { return service_.registry(); }
@@ -128,8 +125,8 @@ class AjaxFrontEnd {
   FrontEndConfig config_;
   steering::SteeringSession session_;
   FrameService service_;
-  /// The default view's shard, pinned for the front end's lifetime (the
-  /// hub()/frame_seq() accessors ride on it).
+  /// The default view's shard, pinned for the front end's lifetime
+  /// (frame_seq() rides on it).
   std::shared_ptr<FrameHub> main_hub_;
   std::thread loop_thread_;
   std::atomic<bool> running_{false};

@@ -64,12 +64,7 @@ void ClientSession::reset_controller_locked(double initial_interval_s) {
   // restarts the decaying gain schedule, for the delay laws it discards
   // gradient/trendline state measured under the old regime.
   if (!controller_) {
-    transport::ControllerConfig cc = config_.controller;
-    // The pacing-level Eq. 1 gain knobs predate the pluggable interface;
-    // they keep winning so existing configs tune the default law unchanged.
-    cc.rmsa_gain_a = config_.rmsa_gain_a;
-    cc.rmsa_alpha = config_.rmsa_alpha;
-    controller_ = transport::make_controller(cc);
+    controller_ = transport::make_controller(config_.controller);
   }
   controller_->reset(
       initial_interval_s, config_.frame_interval_s,

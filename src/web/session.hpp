@@ -94,11 +94,6 @@ struct PacingConfig {
   /// unpaced (full tier) instead of allocating — an attacker-chosen id per
   /// request must not grow the table without bound.
   std::size_t max_sessions = 4096;
-  /// Robbins-Monro gain template for the per-session controllers (Eq. 1).
-  /// Mirrored into `controller` at session construction, so existing code
-  /// tuning these knobs keeps working with the default (rmsa) law.
-  double rmsa_gain_a = 1.0;
-  double rmsa_alpha = 0.8;
   /// Which congestion-control law paces each session, plus its parameters
   /// (transport/congestion_controller.hpp). The default kRmsa reproduces
   /// the historical hard-wired RmsaController behavior bit for bit.
