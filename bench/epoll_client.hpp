@@ -389,8 +389,8 @@ class EpollClientFleet {
           if (!split_events()) return false;
         } else if (event == Event::kDone) {
           if (streaming_) {
-            // Terminal chunk: the server ended the stream (shutdown or
-            // reaped shard). Resubscribe from the preserved cursor.
+            // Terminal chunk: the server ended the stream (shutdown).
+            // Resubscribe from the preserved cursor.
             reconnect();
           } else if (!joined_) {
             handle_join(decoder_.status(), body_);

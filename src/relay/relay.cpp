@@ -15,9 +15,6 @@ web::HubRegistry::Config registry_config(const RelayNodeConfig& config) {
   if (!config.subscriber.views.empty()) {
     out.default_view = config.subscriber.views.front();
   }
-  // Relay shards never reap: every shard is pinned by the subscriber (its
-  // rebased seq space must survive downstream idleness).
-  out.idle_reap_s = 0.0;
   // Downstream clients get the same session/controller stack the origin
   // runs — a relay tier must not turn paced clients back into unpaced ones.
   out.pacing = config.pacing;

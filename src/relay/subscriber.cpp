@@ -118,6 +118,15 @@ RelaySubscriber::RelaySubscriber(SubscriberConfig config,
     config_.views.push_back(registry_.default_view_name());
   }
   if (config_.max_depth == 0) config_.max_depth = 1;
+  // One upstream connection per view: two would publish every frame into
+  // the one local shard twice.
+  std::vector<std::string> unique;
+  for (const std::string& view : config_.views) {
+    if (std::find(unique.begin(), unique.end(), view) == unique.end()) {
+      unique.push_back(view);
+    }
+  }
+  config_.views = std::move(unique);
   for (const std::string& view : config_.views) {
     auto conn = std::make_unique<Conn>(this);
     conn->view = view;
@@ -130,11 +139,9 @@ RelaySubscriber::~RelaySubscriber() { stop(); }
 
 void RelaySubscriber::start() {
   if (started_.exchange(true)) return;
-  // Pin the target shards up front: the local hubs must exist before the
-  // first downstream subscribe, and must never be reaped mid-stream — a
-  // reap restarts the local seq space out from under bodies already
-  // rebased against it.
-  for (const std::string& view : config_.views) registry_.pin(view);
+  // Declare the target shards up front: the local hubs must exist before
+  // the first downstream request, which would otherwise be a 404.
+  for (const std::string& view : config_.views) registry_.declare(view);
   reactor_.post([this] {
     for (const auto& conn : conns_) schedule_connect(conn.get(), 0.0);
   });
@@ -569,7 +576,7 @@ void RelaySubscriber::publish_body(Conn* c, std::string body, bool is_full,
   const std::uint64_t seq = registry_.publish_encoded(c->view, std::move(pre));
   if (seq == 0) return;  // registry shutting down
   if (seq != local) {
-    // The local shard was reaped and revived under us: its seq space no
+    // Something else published into the local shard: its seq space no
     // longer matches our rebased bodies. Re-anchor and fetch a fresh full
     // frame so the next publish is coherent at the hub's actual head.
     c->resync_pending = true;

@@ -57,6 +57,7 @@ struct SubscriberConfig {
   /// Upstream HTTP port (origin or another relay) on loopback.
   int upstream_port = 0;
   /// Upstream view names to subscribe; re-published under the same names.
+  /// A repeated name is subscribed once.
   std::vector<std::string> views;
   /// This relay's identity in X-Relay-Path hop headers. Must be unique
   /// within a relay tree; commas are reserved (the chain separator).
@@ -103,8 +104,8 @@ class RelaySubscriber {
   RelaySubscriber(const RelaySubscriber&) = delete;
   RelaySubscriber& operator=(const RelaySubscriber&) = delete;
 
-  /// Pin the subscribed views in the local registry and start the reactor
-  /// thread; each view begins its join/subscribe cycle immediately.
+  /// Declare the subscribed views in the local registry and start the
+  /// reactor thread; each view begins its join/subscribe cycle immediately.
   void start();
   /// Stop the reactor thread and close every upstream connection.
   /// Idempotent; safe to call from any thread.

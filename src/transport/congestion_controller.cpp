@@ -29,20 +29,6 @@ const char* controller_kind_name(ControllerKind kind) {
   return "rmsa";
 }
 
-bool parse_controller_kind(const std::string& name, ControllerKind* out) {
-  if (name == "rmsa") {
-    *out = ControllerKind::kRmsa;
-  } else if (name == "gradient" || name == "delay-gradient" ||
-             name == "timely") {
-    *out = ControllerKind::kDelayGradient;
-  } else if (name == "trendline" || name == "gcc") {
-    *out = ControllerKind::kTrendline;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 // ------------------------------------------------------------------ RMSA --
 
 RmsaPacingController::RmsaPacingController(const ControllerConfig& config)

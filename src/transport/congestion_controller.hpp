@@ -92,9 +92,6 @@ class CongestionController {
 enum class ControllerKind { kRmsa, kDelayGradient, kTrendline };
 
 const char* controller_kind_name(ControllerKind kind);
-/// Parse a `controller=` knob value ("rmsa", "gradient"/"timely",
-/// "trendline"/"gcc"). Returns false on an unknown name.
-bool parse_controller_kind(const std::string& name, ControllerKind* out);
 
 struct ControllerConfig {
   ControllerKind kind = ControllerKind::kRmsa;

@@ -141,8 +141,8 @@ function drawTiles(v, r){
 // poll responses land in the same handler.
 function handleFrame(v, view, r){
   // Accept any non-timeout frame — including a resync whose seq is
-  // *below* a stale cursor (server restarted — or the idle shard was
-  // reaped and revived — and its seq re-counts from 1).
+  // *below* a stale cursor (the server restarted and its seq re-counts
+  // from 1).
   if (!r.seq || r.timeout) return;
   // Delta responses carry only the changed keys; merge them.
   if (r.delta && r.seq === v.since + 1) Object.assign(v.state, r.state);
@@ -196,8 +196,8 @@ function poll(){
 // same query contract, same bodies, one `data:` event per frame. Any
 // failure before the first event means no server-side stream support (or a
 // proxy eating chunked responses): fall back to long-poll for good. A
-// failure *after* events flowed is a reap/restart; reconnect over SSE and
-// take the stale-cursor resync.
+// failure *after* events flowed is a server stop/restart; reconnect over
+// SSE and take the stale-cursor resync.
 function startStream(){
   const epoch = pollEpoch;
   const view = currentView;
@@ -471,7 +471,7 @@ std::shared_ptr<FrameHub> FrameService::resolve_view(
     const HttpRequest& request, std::string* resolved) {
   std::string view = request.query_param("view");
   if (view.empty()) view = registry_.default_view_name();
-  const std::shared_ptr<FrameHub> hub = registry_.subscribe(view);
+  const std::shared_ptr<FrameHub> hub = registry_.find(view);
   if (resolved != nullptr) *resolved = std::move(view);
   return hub;
 }
@@ -588,8 +588,8 @@ void FrameService::park_poll(Subscription sub, const Step& step,
   options.timeout_s = std::max(
       0.0,
       std::chrono::duration<double>(sub.deadline - Clock::now()).count());
-  // The completion holds the hub: a shard reaped mid-wait stays alive
-  // (shut down, but valid) until its last parked completion ran.
+  // The completion holds the hub: a shard shut down mid-wait (the server
+  // stopping) stays valid until its last parked completion ran.
   const std::shared_ptr<FrameHub> hub = sub.hub;
   const std::uint64_t cursor = sub.cursor;
   hub->wait_async(
@@ -662,9 +662,9 @@ void FrameService::pump(const std::shared_ptr<Stream>& s) {
     Subscription& sub = s->sub;
     if (!frame) {
       if (sub.hub->is_shutdown()) {
-        // The shard is gone (reaped idle, or the server is stopping): end
-        // the stream; a reconnecting client brings its stale cursor and
-        // takes the resync long-pollers take against a revived shard.
+        // The server is stopping: end the stream; a client reconnecting
+        // to a restarted server brings its stale cursor and takes the
+        // resync long-pollers take.
         s->sink.end();
         return;
       }
@@ -696,9 +696,6 @@ void FrameService::pump(const std::shared_ptr<Stream>& s) {
     s->sink.chunk(std::move(event), [this, s,
                                      delivered = std::move(delivered)] {
       if (delivered) delivered();
-      // A stream subscribes once but consumes continuously: each drained
-      // event counts as subscriber activity for the idle-reap clock.
-      registry_.touch(s->sub.view);
       pump(s);
     });
   });
@@ -715,21 +712,15 @@ HttpResponse FrameService::handle_state(const HttpRequest& request) {
 }
 
 HttpResponse FrameService::handle_stats(const HttpRequest& request) {
-  // Monitoring observes, it does not revive: subscribe() would refresh a
-  // reaped shard's idle clock and rebuild its hub, so a stats scraper
-  // alone could keep an unwatched view alive. A known-but-reaped view
-  // reports live=false with zeroed counters; only unknown names are 404.
-  std::string view = request.query_param("view");
-  if (view.empty()) view = registry_.default_view_name();
-  if (!registry_.known(view)) return HttpResponse::not_found();
-  const std::shared_ptr<FrameHub> hub = registry_.find(view);
+  std::string view;
+  const std::shared_ptr<FrameHub> hub = resolve_view(request, &view);
+  if (!hub) return HttpResponse::not_found();
   // The top level describes the requested (or default) view's shard;
-  // `views` carries every live shard so dashboards can list what is
-  // watchable, `registry` the shard lifecycle counters, `pacing` the
-  // per-client sessions (registry-level: sessions span views).
-  util::Json out = hub ? hub_stats_json(*hub) : util::Json();
+  // `views` carries every shard so dashboards can list what is watchable,
+  // `pacing` the per-client sessions (registry-level: sessions span
+  // views).
+  util::Json out = hub_stats_json(*hub);
   out["view"] = view;
-  out["live"] = hub != nullptr;
   out["connections_open"] = static_cast<double>(server_.connections_open());
   out["bytes_sent"] = static_cast<double>(server_.bytes_sent());
   out["requests_served"] = static_cast<double>(server_.requests_served());
@@ -739,13 +730,6 @@ HttpResponse FrameService::handle_stats(const HttpRequest& request) {
     if (shard) views[name] = hub_stats_json(*shard);
   }
   out["views"] = views;
-  const HubRegistry::Stats rs = registry_.stats();
-  util::Json shards;
-  shards["live"] = static_cast<double>(rs.live);
-  shards["known"] = static_cast<double>(rs.known);
-  shards["created"] = static_cast<double>(rs.created);
-  shards["reaped"] = static_cast<double>(rs.reaped);
-  out["registry"] = shards;
   out["pacing"] = registry_.sessions().stats_json(mono_now_s());
   if (policy_.add_stats) policy_.add_stats(out);
   return HttpResponse::json(out.dump());

@@ -7,7 +7,7 @@
 //   GET /api/poll    long-poll for the next frame after `since`
 //   GET /api/stream  the same frames pushed as Server-Sent Events
 //   GET /api/state   the newest frame's state
-//   GET /api/stats   hub, registry, pacing and connection counters
+//   GET /api/stats   hub, pacing and connection counters
 // with one parameter parser, one per-delivery sequence (pacing decision,
 // hub wait, body selection, dispatch/drain accounting) and one SSE pump.
 // The owning node adds its other routes (the origin's /api/image and
@@ -96,8 +96,8 @@ class FrameService {
   void set_cadence(double seconds) { cadence_s_.store(seconds); }
 
   /// Shard for a request's `view=` parameter (the default view when
-  /// absent); reaped shards of known names revive. Null for names the
-  /// publisher never declared, which the routes answer with 404.
+  /// absent). Null for names the publisher never declared, which the
+  /// routes answer with 404.
   /// `resolved` receives the view name.
   std::shared_ptr<FrameHub> resolve_view(const HttpRequest& request,
                                          std::string* resolved);

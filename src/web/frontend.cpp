@@ -19,7 +19,6 @@ HubRegistry::Config registry_config_of(const FrontEndConfig& config) {
   registry.hub.window = config.frame_window;
   registry.pacing = config.pacing;
   registry.pacing.frame_interval_s = config.frame_interval_s;
-  registry.idle_reap_s = config.view_idle_reap_s;
   return registry;
 }
 

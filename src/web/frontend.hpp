@@ -63,8 +63,6 @@ struct FrontEndConfig {
   /// shard. The default view ("main") always exists and follows the
   /// steerable request/camera; these are fixed projections.
   std::vector<ViewSpec> views;
-  /// Idle-shard reaping horizon for the registry (0 disables).
-  double view_idle_reap_s = 300.0;
   /// Reactor (event-loop) threads; each accepts on its own SO_REUSEPORT
   /// listener, owns its accepted connections outright and runs their route
   /// handlers. 1 reproduces the single-loop server. Together with the
@@ -125,8 +123,8 @@ class AjaxFrontEnd {
   FrontEndConfig config_;
   steering::SteeringSession session_;
   FrameService service_;
-  /// The default view's shard, pinned for the front end's lifetime
-  /// (frame_seq() rides on it).
+  /// The default view's shard, declared at construction (frame_seq()
+  /// rides on it).
   std::shared_ptr<FrameHub> main_hub_;
   std::thread loop_thread_;
   std::atomic<bool> running_{false};

@@ -885,7 +885,7 @@ void HttpServer::reject_with_503(Shard* shard, net::Socket sock) {
   sock.writev(iov, wire.fill_iov(iov, kMaxWriteIov), written);  // fits
   // Half-close instead of close: an immediate close() with the client's
   // request sitting unread in our receive buffer turns into an RST that
-  // can destroy the 503 before the client reads it. The fd is reaped
+  // can destroy the 503 before the client reads it. The fd is closed
   // shortly after; under EMFILE pressure that delay is the price of the
   // client seeing an answer at all. The socket rides the timer closure as
   // a shared_ptr so server teardown (which destroys pending timers

@@ -13,6 +13,12 @@ namespace ricsa::web {
 
 namespace {
 
+/// Fraction of the frame's area at or above which a frame's changed region
+/// falls back to the full image, which is encoded anyway: when most of the
+/// frame changed, a second encode of nearly the same pixels buys nothing,
+/// and the frame marks a full change.
+constexpr double kFullChangeFraction = 0.85;
+
 /// Render a poll response body. `state` is embedded as-is; the image rides
 /// along base64-encoded exactly once per frame per image tier (the
 /// pre-encoded string is shared by full and delta bodies).
@@ -205,7 +211,7 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
       continue;
     }
     const double area = static_cast<double>(rect->w) * rect->h;
-    if (area >= config_.full_tile_fraction * raw->width() * raw->height()) {
+    if (area >= kFullChangeFraction * raw->width() * raw->height()) {
       continue;  // most of the frame changed: the full image is the delta
     }
     td.full_change = false;

@@ -90,8 +90,8 @@ struct Frame {
     /// every client whose delta includes it.
     std::string rect_b64;
     /// No usable delta vs the predecessor exists (first frame, dimension
-    /// change, `rect` covering at least Config::full_tile_fraction of the
-    /// frame, or this frame or the predecessor had no pixels for this
+    /// change, `rect` covering at least kFullChangeFraction (hub.cpp) of
+    /// the frame, or this frame or the predecessor had no pixels for this
     /// tier). Cursor-anchored deltas whose range crosses such a frame must
     /// fall back to a full image.
     bool full_change = true;
@@ -137,11 +137,6 @@ class FrameHub {
     std::size_t window = 128;
     /// Ceiling on any single long-poll wait.
     double max_wait_s = 60.0;
-    /// Fraction of the frame's area at or above which a frame's changed
-    /// region falls back to the full image, which is encoded anyway: when
-    /// most of the frame changed, a second encode of nearly the same pixels
-    /// buys nothing, and the frame marks a full change.
-    double full_tile_fraction = 0.85;
     /// The event loop the hub runs on: waiter timeouts and pacing
     /// `not_before` sweeps are timer registrations on it, and the waiters
     /// one publish or one sweep satisfies complete there as one posted

@@ -324,24 +324,15 @@ TEST(Trendline, FlatDelayRampsAdditivelyUnderTheIncomingCeiling) {
   EXPECT_NEAR(1.0 / c.interval_s(), 6.0 * config.tl_headroom, 1e-9);
 }
 
-// ------------------------------------------------------ knob parsing & ids
+// --------------------------------------------------------- law names & ids
 
-TEST(ControllerKnob, ParsesEveryAliasAndRejectsUnknown) {
-  t::ControllerKind kind;
-  EXPECT_TRUE(t::parse_controller_kind("rmsa", &kind));
-  EXPECT_EQ(kind, t::ControllerKind::kRmsa);
-  EXPECT_TRUE(t::parse_controller_kind("gradient", &kind));
-  EXPECT_EQ(kind, t::ControllerKind::kDelayGradient);
-  EXPECT_TRUE(t::parse_controller_kind("timely", &kind));
-  EXPECT_EQ(kind, t::ControllerKind::kDelayGradient);
-  EXPECT_TRUE(t::parse_controller_kind("trendline", &kind));
-  EXPECT_EQ(kind, t::ControllerKind::kTrendline);
-  EXPECT_TRUE(t::parse_controller_kind("gcc", &kind));
-  EXPECT_EQ(kind, t::ControllerKind::kTrendline);
-  EXPECT_FALSE(t::parse_controller_kind("vegas", &kind));
-  EXPECT_FALSE(t::parse_controller_kind("", &kind));
+TEST(ControllerKnob, NamesEveryLaw) {
+  // /api/stats and the fan-out bench report each law by these names.
+  EXPECT_STREQ(t::controller_kind_name(t::ControllerKind::kRmsa), "rmsa");
   EXPECT_STREQ(t::controller_kind_name(t::ControllerKind::kDelayGradient),
                "gradient");
+  EXPECT_STREQ(t::controller_kind_name(t::ControllerKind::kTrendline),
+               "trendline");
 }
 
 TEST(ClientId, SanitizerAcceptsTokenCharactersOnly) {

@@ -1,7 +1,6 @@
-// Multi-hub sharding tests: HubRegistry lifecycle (lazy creation, revival,
-// idle reaping), cross-shard isolation under concurrency, the
-// registry-level shared pacing session, and the `view=` HTTP contract end
-// to end.
+// Multi-hub sharding tests: HubRegistry declaration (first publish, the
+// view cap), cross-shard isolation under concurrency, the registry-level
+// shared pacing session, and the `view=` HTTP contract end to end.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -51,7 +50,6 @@ w::HubRegistry::Config small_registry(ricsa::net::Reactor* reactor) {
   config.hub.window = 64;
   config.hub.max_wait_s = 5.0;
   config.hub.reactor = reactor;
-  config.idle_reap_s = 0.0;  // tests opt in explicitly
   return config;
 }
 
@@ -62,7 +60,7 @@ w::HubRegistry::Config small_registry(ricsa::net::Reactor* reactor) {
 TEST(HubRegistry, PublishDeclaresViewsAndUnknownSubscribesAre404Material) {
   ricsa_test::HubLoop loop;
   w::HubRegistry registry(small_registry(loop.get()));
-  EXPECT_EQ(registry.subscribe("rho/iso"), nullptr);  // never declared
+  EXPECT_EQ(registry.find("rho/iso"), nullptr);  // never declared
 
   EXPECT_EQ(registry.publish("rho/iso", state_of("rho/iso", 1.0), scene(0)),
             1u);
@@ -72,34 +70,29 @@ TEST(HubRegistry, PublishDeclaresViewsAndUnknownSubscribesAre404Material) {
                              state_of("pressure/slice", 1.0), scene(0)),
             1u);  // its own seq space
 
-  const auto rho = registry.subscribe("rho/iso");
+  const auto rho = registry.find("rho/iso");
   ASSERT_NE(rho, nullptr);
   EXPECT_EQ(rho->seq(), 2u);
-  EXPECT_EQ(registry.subscribe("nope"), nullptr);
+  EXPECT_EQ(registry.find("nope"), nullptr);
+  EXPECT_NE(registry.find("pressure/slice"), nullptr);
 
-  const auto names = registry.view_names();
-  EXPECT_EQ(names.size(), 2u);
-  EXPECT_TRUE(registry.known("pressure/slice"));
-  EXPECT_FALSE(registry.known("nope"));
-
-  const auto stats = registry.stats();
-  EXPECT_EQ(stats.live, 2u);
-  EXPECT_EQ(stats.known, 2u);
-  EXPECT_EQ(stats.created, 2u);
-  EXPECT_EQ(stats.reaped, 0u);
+  EXPECT_EQ(registry.view_names(),
+            (std::vector<std::string>{"pressure/slice", "rho/iso"}));
 }
 
 TEST(HubRegistry, MaxViewsBoundsThePublisherNamespace) {
   ricsa_test::HubLoop loop;
-  w::HubRegistry::Config config = small_registry(loop.get());
-  config.max_views = 2;
-  w::HubRegistry registry(config);
-  EXPECT_GT(registry.publish("a", state_of("a", 1.0), scene(0)), 0u);
-  EXPECT_GT(registry.publish("b", state_of("b", 1.0), scene(0)), 0u);
-  // A third name is refused; existing views keep publishing.
-  EXPECT_EQ(registry.publish("c", state_of("c", 1.0), scene(0)), 0u);
-  EXPECT_FALSE(registry.known("c"));
-  EXPECT_GT(registry.publish("a", state_of("a", 2.0), scene(1)), 0u);
+  w::HubRegistry registry(small_registry(loop.get()));
+  for (std::size_t i = 0; i < w::HubRegistry::kMaxViews; ++i) {
+    ASSERT_NE(registry.declare(std::to_string(i)), nullptr) << i;
+  }
+  // One name more is refused, by publish and declare alike; existing
+  // views keep publishing.
+  EXPECT_EQ(registry.publish("extra", state_of("extra", 1.0), scene(0)), 0u);
+  EXPECT_EQ(registry.declare("extra"), nullptr);
+  EXPECT_EQ(registry.find("extra"), nullptr);
+  EXPECT_EQ(registry.view_names().size(), w::HubRegistry::kMaxViews);
+  EXPECT_EQ(registry.publish("0", state_of("0", 1.0), scene(0)), 1u);
 }
 
 TEST(HubRegistry, ConcurrentPerViewStreamsAreGapFreeAndIsolated) {
@@ -124,7 +117,7 @@ TEST(HubRegistry, ConcurrentPerViewStreamsAreGapFreeAndIsolated) {
   for (int vi = 0; vi < kViews; ++vi) {
     for (int p = 0; p < kPollersPerView; ++p) {
       pollers.emplace_back([&, vi] {
-        const auto hub = registry.subscribe(views[static_cast<std::size_t>(vi)]);
+        const auto hub = registry.find(views[static_cast<std::size_t>(vi)]);
         if (!hub) {
           ++failures;
           return;
@@ -171,7 +164,7 @@ TEST(HubRegistry, SlowConsumerOnOneViewNeverDelaysAnotherShard) {
 
   // The slow consumer reads one frame and then parks forever (cursor far
   // behind while its shard's window wraps many times over).
-  const auto slow_hub = registry.subscribe("slow/view");
+  const auto slow_hub = registry.find("slow/view");
   ASSERT_NE(slow_hub, nullptr);
   ASSERT_NE(ricsa_test::wait_for(*slow_hub, 0, 1.0), nullptr);
 
@@ -187,7 +180,7 @@ TEST(HubRegistry, SlowConsumerOnOneViewNeverDelaysAnotherShard) {
     }
   });
 
-  const auto fast_hub = registry.subscribe("fast/view");
+  const auto fast_hub = registry.find("fast/view");
   ASSERT_NE(fast_hub, nullptr);
   std::uint64_t since = fast_hub->seq();
   int received = 0;
@@ -209,61 +202,6 @@ TEST(HubRegistry, SlowConsumerOnOneViewNeverDelaysAnotherShard) {
   // pin memory or stall its publisher either.
   EXPECT_GE(slow_hub->oldest_retained(), 2u);
   EXPECT_EQ(fast_hub->stats().timeouts, 0u);
-}
-
-TEST(HubRegistry, ReapingIdleViewCompletesParkedPollersAndRevivesOnPoll) {
-  ricsa_test::HubLoop loop;
-  w::HubRegistry::Config config = small_registry(loop.get());
-  config.idle_reap_s = 0.05;
-  w::HubRegistry registry(config);
-  registry.publish("transient", state_of("transient", 1.0), scene(0));
-
-  const auto hub = registry.subscribe("transient");
-  ASSERT_NE(hub, nullptr);
-  // Park a poller at the head: nothing new will be published.
-  std::atomic<bool> completed{false};
-  std::atomic<bool> got_frame{false};
-  hub->wait_async(hub->seq(), 30.0, [&](w::FramePtr frame) {
-    got_frame.store(frame != nullptr);
-    completed.store(true);
-  });
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  EXPECT_EQ(registry.reap_idle_now(), 1u);
-  // The parked poller was NOT stranded: it completed with the timeout
-  // contract (null frame), which a live client answers with a re-poll.
-  for (int i = 0; i < 100 && !completed.load(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_TRUE(completed.load());
-  EXPECT_FALSE(got_frame.load());
-  EXPECT_EQ(registry.stats().reaped, 1u);
-  EXPECT_EQ(registry.stats().live, 0u);
-  EXPECT_TRUE(registry.known("transient"));
-
-  // The re-poll revives an empty shard; a stale cursor from the previous
-  // hub epoch parks against the clamped head and resyncs with the next
-  // publish — the stale-cursor path, not a 404 and not a forever-park.
-  const auto revived = registry.subscribe("transient");
-  ASSERT_NE(revived, nullptr);
-  EXPECT_NE(revived.get(), hub.get());
-  EXPECT_EQ(revived->seq(), 0u);
-  std::atomic<std::uint64_t> resync_seq{0};
-  revived->wait_async(/*stale cursor*/ 7, 5.0, [&](w::FramePtr frame) {
-    if (frame) resync_seq.store(frame->seq);
-  });
-  registry.publish("transient", state_of("transient", 2.0), scene(1));
-  for (int i = 0; i < 100 && resync_seq.load() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(resync_seq.load(), 1u);
-  EXPECT_EQ(registry.stats().created, 2u);
-
-  // Pinned shards are reap-exempt.
-  const auto pinned = registry.pin("pinned");
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  EXPECT_EQ(registry.reap_idle_now(), 1u);  // "transient" again, not "pinned"
-  EXPECT_EQ(registry.find("pinned"), pinned);
 }
 
 namespace {
@@ -289,7 +227,7 @@ TEST(HubRegistry, ShardsOwnNoThreads) {
   std::vector<std::string> views;
   for (int i = 0; i < 8; ++i) {
     views.push_back("view" + std::to_string(i));
-    registry.pin(views.back())->wait_async(0, 30.0, [&](w::FramePtr frame) {
+    registry.declare(views.back())->wait_async(0, 30.0, [&](w::FramePtr frame) {
       if (frame) ++served;
     });
   }
@@ -300,7 +238,7 @@ TEST(HubRegistry, ShardsOwnNoThreads) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(served.load(), 8);
-  EXPECT_EQ(registry.stats().live, 8u);
+  EXPECT_EQ(registry.view_names().size(), 8u);
   EXPECT_EQ(thread_count(), before);
 }
 
@@ -459,16 +397,10 @@ TEST(AjaxFrontEnd, ViewParameterRoutesToShardsAndUnknownViewsAre404) {
   const Json stats = Json::parse(stats_body);
   EXPECT_TRUE(stats.at("views").contains("main"));
   EXPECT_TRUE(stats.at("views").contains("rho/iso"));
-  EXPECT_GE(stats.at("registry").at("live").as_number(), 2.0);
   const auto rho_stats =
       Json::parse(w::http_get(port, "/api/stats?view=rho%2Fiso").body);
   EXPECT_EQ(rho_stats.at("view").as_string(), "rho/iso");
-  EXPECT_TRUE(rho_stats.at("live").as_bool());
   EXPECT_GE(rho_stats.at("published").as_number(), 1.0);
-  // Stats are an observer, not a subscriber: scraping must not count as
-  // shard activity (HubRegistry::find, never subscribe) — the reap test
-  // above covers the lifecycle itself.
-  EXPECT_EQ(frontend.registry().stats().created, 2u);
 
   frontend.stop();
 }

@@ -134,7 +134,6 @@ TEST(PublishEncoded, RegistryPathDeclaresViewsAndSkipsDecimation) {
   w::HubRegistry::Config config;
   config.hub.window = 8;
   config.hub.reactor = loop.get();
-  config.idle_reap_s = 0.0;
   w::HubRegistry registry(config);
   for (std::uint64_t i = 1; i <= 6; ++i) {
     w::FrameHub::PreEncoded pre;
@@ -230,6 +229,40 @@ TEST(RelayNode, LongPollTransportForwardsToo) {
   ASSERT_EQ(sub_stats.size(), 1u);
   EXPECT_FALSE(sub_stats[0].second.sse);
   EXPECT_GT(sub_stats[0].second.frames, 0u);
+
+  relay.stop();
+  origin.stop();
+}
+
+TEST(RelayNode, DuplicateViewNamesSubscribeOnce) {
+  // A view named twice (relay_node --views main,main) gets one upstream
+  // connection: two would publish every origin frame into the one local
+  // shard twice, so its seq would run ahead of the origin's.
+  w::AjaxFrontEnd origin(small_origin());
+  const int origin_port = origin.start();
+  r::RelayNodeConfig config = small_relay(origin_port);
+  config.subscriber.views = {"main", "main"};
+  r::RelayNode relay(config);
+  relay.start();
+  wait_for_relay_head(relay, 3);
+
+  const auto relay_hub = relay.registry().find("main");
+  const auto origin_hub = origin.registry().find("main");
+  ASSERT_NE(origin_hub, nullptr);
+  // The relay joined within a few origin frames, so from here on it can
+  // never be ahead: read its head first, then the origin's.
+  const auto until = std::chrono::steady_clock::now() +
+                     ricsa_test::scaled_ms(1000);
+  while (std::chrono::steady_clock::now() < until) {
+    const std::uint64_t relayed = relay_hub->seq();
+    ASSERT_LE(relayed, origin_hub->seq());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+
+  const auto sub_stats = relay.subscriber().stats();
+  ASSERT_EQ(sub_stats.size(), 1u);
+  EXPECT_EQ(sub_stats[0].first, "main");
+  EXPECT_GT(sub_stats[0].second.delta_frames, 0u);
 
   relay.stop();
   origin.stop();
