@@ -84,7 +84,11 @@ int AjaxFrontEnd::start() {
 }
 
 void AjaxFrontEnd::stop() {
-  if (!running_.exchange(false)) return;
+  {
+    std::lock_guard<std::mutex> lock(clock_mutex_);
+    if (!running_.exchange(false)) return;
+  }
+  clock_cv_.notify_all();
   if (loop_thread_.joinable()) loop_thread_.join();
   service_.stop();
 }
@@ -93,7 +97,11 @@ void AjaxFrontEnd::frame_loop() {
   HubRegistry& registry = service_.registry();
   double period_ewma = config_.frame_interval_s;
   service_.set_cadence(period_ewma);
+  const auto interval =
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(config_.frame_interval_s));
   auto last_publish = std::chrono::steady_clock::now();
+  auto tick = last_publish;  // when the current frame was due to start
   while (running_.load()) {
     // Apply client-posted view/viz changes on the session's thread.
     {
@@ -175,14 +183,17 @@ void AjaxFrontEnd::frame_loop() {
     const double period =
         std::chrono::duration<double>(now - last_publish).count();
     last_publish = now;
-    // EWMA of the real publish period (sim + render + sleep): pacing must
-    // judge clients against what is actually published, not the nominal
-    // cadence.
+    // EWMA of the real publish period (the interval, or the frame's work
+    // when it overruns): pacing must judge clients against what is
+    // actually published, not the nominal cadence.
     period_ewma = 0.8 * period_ewma + 0.2 * period;
     service_.set_cadence(period_ewma);
 
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(config_.frame_interval_s));
+    // Steers and view posts wait for the next tick; only stop() ends the
+    // wait early.
+    tick = next_frame_start(tick, interval, now);
+    std::unique_lock<std::mutex> lock(clock_mutex_);
+    clock_cv_.wait_until(lock, tick, [this] { return !running_.load(); });
   }
 }
 

@@ -17,7 +17,10 @@
 // JSON POSTs and are applied on the next simulation cycle.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -46,7 +49,9 @@ struct ViewSpec {
 
 struct FrontEndConfig {
   steering::SessionConfig session;
-  /// Pacing of the background monitor loop (seconds between frames).
+  /// Pacing of the background monitor loop: seconds between the starts of
+  /// consecutive frames, so a frame's own work does not lengthen it. A
+  /// frame whose work runs longer starts the next one at once.
   double frame_interval_s = 0.2;
   /// TCP port (0 = ephemeral).
   int port = 0;
@@ -90,6 +95,18 @@ struct FrontEndConfig {
   PacingConfig pacing;
 };
 
+/// The monitor loop's frame clock: when the frame after one that started
+/// at `tick` and finished at `now` starts. Frames that fit their slot start
+/// one `interval` apart. A frame that overruns its slot starts the next at
+/// once, and the clock re-anchors there, so an overrun is never followed by
+/// a burst of catch-up frames.
+inline std::chrono::steady_clock::time_point next_frame_start(
+    std::chrono::steady_clock::time_point tick,
+    std::chrono::steady_clock::duration interval,
+    std::chrono::steady_clock::time_point now) {
+  return std::max(tick + interval, now);
+}
+
 class AjaxFrontEnd {
  public:
   explicit AjaxFrontEnd(FrontEndConfig config);
@@ -97,6 +114,8 @@ class AjaxFrontEnd {
 
   /// Start the monitor loop and HTTP server; returns the bound port.
   int start();
+  /// Ends the monitor loop within one frame's work, without waiting out
+  /// the interval, then stops the server.
   void stop();
 
   int port() const noexcept { return service_.server().port(); }
@@ -128,6 +147,10 @@ class AjaxFrontEnd {
   std::shared_ptr<FrameHub> main_hub_;
   std::thread loop_thread_;
   std::atomic<bool> running_{false};
+  /// The loop waits here for its next frame; stop() clears running_ under
+  /// the mutex and notifies, so the wait ends at once.
+  std::mutex clock_mutex_;
+  std::condition_variable clock_cv_;
   std::atomic<std::uint64_t> steers_{0};
 
   /// One validated POST /api/view body: the settings it changes.
