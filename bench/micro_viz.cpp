@@ -450,7 +450,8 @@ BENCHMARK(BM_PngEncodeRects)
 // (view 0 the main view, 1 the isosurface view), frames 31-40 in turn: the
 // full PNG and the changed-region rect against the frame before, each one
 // task of one parallel_for on a host-sized pool, with the pool lent to
-// every encode. Its time is what a publish waits for its PNGs.
+// every encode. Its time is what a publish waits for its PNGs, and
+// `png_bytes_per_publish` what those PNGs weigh.
 void BM_PublishEncodes(benchmark::State& state) {
   const std::vector<viz::Image>& frames =
       origin_views().frames[static_cast<std::size_t>(state.range(0))];
@@ -464,6 +465,7 @@ void BM_PublishEncodes(benchmark::State& state) {
   }
   util::ThreadPool pool(static_cast<std::size_t>(kPoolSizes.back()));
   std::size_t next = 0;
+  double png_bytes = 0;
   for (auto _ : state) {
     const std::vector<viz::Image>& images =
         publishes[next++ % publishes.size()];
@@ -474,9 +476,15 @@ void BM_PublishEncodes(benchmark::State& state) {
       }
     });
     benchmark::DoNotOptimize(pngs.data());
+    for (const std::vector<std::uint8_t>& png : pngs) {
+      png_bytes += static_cast<double>(png.size());
+    }
   }
   state.counters["pngs_per_publish"] =
       static_cast<double>(encodes) / static_cast<double>(publishes.size());
+  state.counters["png_bytes_per_publish"] =
+      png_bytes / static_cast<double>(
+                      std::max<benchmark::IterationCount>(state.iterations(), 1));
   state.SetLabel(state.range(0) == 0 ? "main" : "iso");
 }
 BENCHMARK(BM_PublishEncodes)->ArgName("view")->DenseRange(0, 1)->UseRealTime();

@@ -547,11 +547,11 @@ constexpr std::size_t kWindowMask = kWindowSize - 1;
 /// Per-thread encoder scratch, reused by every call on the thread, so an
 /// encode allocates no tables and clears none. Two users share it:
 ///  - the parse of strips, on whichever thread runs them: the match
-///    finder's hash heads and chain links, the offsets positions map to,
-///    and which strip of which call the tables end at. Offsets keep
-///    growing from strip to strip, so a head entry below `floor` was
-///    written before the tables were last primed and reads as empty; every
-///    chain link a walk reads was written since.
+///    finder's hash heads, chain links and stretch starts, the offsets
+///    positions map to, and which strip of which call the tables end at.
+///    Offsets keep growing from strip to strip, so a head entry below
+///    `floor` was written before the tables were last primed and reads as
+///    empty; every chain link and start a walk reads was written since.
 ///  - the thread that calls deflate: the strips' tokens and counts, and
 ///    the current block's summed counts, code-building work space and
 ///    dynamic codes.
@@ -561,6 +561,7 @@ constexpr std::size_t kWindowMask = kWindowSize - 1;
 struct EncoderScratch {
   std::vector<std::int32_t> head = std::vector<std::int32_t>(kHashSize, -1);
   std::vector<std::int32_t> prev = std::vector<std::int32_t>(kWindowSize);
+  std::vector<std::int32_t> start = std::vector<std::int32_t>(kWindowSize);
   /// The position whose offset is 0, and the offset of the first position
   /// inserted since the tables were last primed.
   std::int64_t origin = 0;
@@ -723,17 +724,26 @@ int match_length(const std::uint8_t* a, const std::uint8_t* b, int max_len) {
 
 /// Hash-chain match finder over a 32 KiB sliding window, on the tables of
 /// a scratch and the offsets it maps positions to; a position's chain link
-/// lives in slot (offset modulo the window size).
+/// and stretch start live in slot (offset modulo the window size).
+///
+/// Inside a run of one byte every position hashes as the one before it,
+/// so a chain walks a run's interior one position after another. A slot's
+/// `start` is the first offset of the stretch of consecutive same-hash
+/// positions its position belongs to, which lets a find step over such a
+/// stretch as one candidate.
 class MatchFinder {
  public:
-  /// Chain-walk budget per position: deep enough to find the long runs PNG
-  /// scanline filters produce, bounded so worst-case input stays linear-ish.
+  /// Chain-walk budgets per position, in candidates: deep enough to find
+  /// the long matches PNG scanline filters produce, bounded so worst-case
+  /// input stays linear-ish. A find that opens a byte run counts each
+  /// earlier run as one candidate, and takes the smaller budget.
   static constexpr int kMaxChain = 128;
+  static constexpr int kMaxRunChain = 32;
 
   MatchFinder(const std::uint8_t* data, std::size_t n, EncoderScratch& scratch)
       : data_(data), n_(n), head_(scratch.head.data()),
-        prev_(scratch.prev.data()), origin_(scratch.origin),
-        floor_(scratch.floor) {}
+        prev_(scratch.prev.data()), start_(scratch.start.data()),
+        origin_(scratch.origin), floor_(scratch.floor) {}
 
   struct Match {
     int len = 0;
@@ -741,21 +751,46 @@ class MatchFinder {
   };
 
   /// Longest match for `pos` among previously inserted positions, ending
-  /// at or before `end`; the first candidate of the greatest length wins.
-  Match find(std::size_t pos, std::size_t end) const {
+  /// at or before `end` and longer than `shorter` (none if no candidate
+  /// beats it); the first candidate of the greatest length wins.
+  ///
+  /// When the bytes at `pos` open a run of `run` copies of a byte b, a
+  /// candidate that starts with three b tops a stretch of an earlier run's
+  /// positions. A position of the stretch with r bytes b left matches
+  /// min(r, run) bytes, but the one with exactly `run` left may match
+  /// further: the stretch is measured there, or at its position nearest to
+  /// there, which is the one a walk through the whole stretch would pick.
+  /// The walk then goes on below the stretch.
+  Match find(std::size_t pos, std::size_t end, int shorter = 0) const {
     if (pos + kMinMatch > end) return {};
+    const int max_len =
+        static_cast<int>(std::min<std::size_t>(kMaxMatch, end - pos));
+    if (shorter >= max_len) return {};
     const std::int32_t p = offset(pos);
     // Older candidates are outside the window or from before the tables
     // were primed.
     const std::int32_t limit = std::max(p - kWindowSize, floor_);
-    const int max_len =
-        static_cast<int>(std::min<std::size_t>(kMaxMatch, end - pos));
     const std::uint8_t* cur = data_ + pos;
-    Match best;
-    int chain = kMaxChain;
+    const std::uint8_t b = cur[0];
+    const int run = cur[1] == b && cur[2] == b
+                        ? 1 + match_length(cur + 1, cur, max_len - 1)
+                        : 0;
+    Match best{shorter, 0};
+    int chain = run != 0 ? kMaxRunChain : kMaxChain;
+    std::int32_t next = 0;
     for (std::int32_t cand = head_[hash(cur)]; cand >= limit && chain-- > 0;
-         cand = prev_[static_cast<std::size_t>(cand) & kWindowMask]) {
+         cand = next) {
       const std::uint8_t* ref = cur - (p - cand);
+      next = prev_[slot(cand)];
+      if (run != 0 && ref[0] == b && ref[1] == b && ref[2] == b) {
+        const std::int32_t first = start_[slot(cand)];
+        const int left = match_length(ref, cur, run);  // at most `run`
+        const std::int32_t at =
+            std::max(cand - (run - left), std::max(first, limit));
+        next = first >= limit ? prev_[slot(first)] : -1;
+        ref -= cand - at;
+        cand = at;
+      }
       // Quick reject: a longer match must agree on every byte up to and
       // including index best.len; test the last eight of them (or just the
       // last while best is shorter) before measuring from the start.
@@ -770,29 +805,33 @@ class MatchFinder {
         if (len >= max_len) break;  // cannot improve
       }
     }
-    if (best.len < kMinMatch) return {};
+    if (best.dist == 0 || best.len < kMinMatch) return {};
     return best;
   }
 
   void insert(std::size_t pos) {
     if (pos + kMinMatch > n_) return;
-    link(data_ + pos, offset(pos));
+    std::int32_t& head = head_[hash(data_ + pos)];
+    const std::int32_t off = offset(pos);
+    link(head, off);
+    head = off;
   }
 
   /// Inserts positions [from, to) in order: a match's tail, or the window
   /// before a strip. Each position inside a byte run hashes as the one
-  /// before it, so its chain link is that position: a run's links are
-  /// written straight in and its head once, instead of as one dependent
-  /// read-modify-write of the same head per byte — the flat background of
-  /// a rendered frame's scanlines is mostly such runs. The tables come out
-  /// as from one insert per position.
+  /// before it, so its chain link is that position and its stretch that
+  /// position's: a run's links and starts are written straight in and its
+  /// head once, instead of as one dependent read-modify-write of the same
+  /// head per byte — the flat background of a rendered frame's scanlines
+  /// is mostly such runs. The tables come out as from one insert per
+  /// position.
   void insert(std::size_t from, std::size_t to) {
     to = std::min(to, n_ - std::min<std::size_t>(n_, kMinMatch - 1));
     while (from < to) {
       const std::uint8_t* p = data_ + from;
       const std::int32_t off = offset(from);
       std::int32_t& head = head_[hash(p)];
-      prev_[static_cast<std::size_t>(off) & kWindowMask] = head;
+      const std::int32_t first = link(head, off);
       // Positions whose three bytes equal p's: while the run of p[0]
       // continues (a self-match at distance 1, read no further than the
       // last byte of position to - 1).
@@ -802,10 +841,11 @@ class MatchFinder {
                                  static_cast<int>(to - from - 1))
               : 1;
       for (std::int32_t o = off + 1; o < off + run;) {
-        const std::size_t slot = static_cast<std::size_t>(o) & kWindowMask;
+        const std::size_t at = slot(o);
         const std::int32_t count = std::min<std::int32_t>(
-            off + run - o, kWindowSize - static_cast<std::int32_t>(slot));
-        std::iota(prev_ + slot, prev_ + slot + count, o - 1);
+            off + run - o, kWindowSize - static_cast<std::int32_t>(at));
+        std::iota(prev_ + at, prev_ + at + count, o - 1);
+        std::fill_n(start_ + at, count, first);
         o += count;
       }
       head = off + run - 1;
@@ -818,10 +858,17 @@ class MatchFinder {
   }
 
  private:
-  void link(const std::uint8_t* p, std::int32_t off) {
-    std::int32_t& head = head_[hash(p)];
-    prev_[static_cast<std::size_t>(off) & kWindowMask] = head;
-    head = off;
+  static std::size_t slot(std::int32_t off) {
+    return static_cast<std::size_t>(off) & kWindowMask;
+  }
+
+  /// Links `off` to `head`, the last position inserted with its hash, and
+  /// returns the start of its stretch, which it continues when `head` is
+  /// the position before it and was inserted since the tables were primed.
+  std::int32_t link(std::int32_t head, std::int32_t off) {
+    prev_[slot(off)] = head;
+    return start_[slot(off)] =
+               head == off - 1 && head >= floor_ ? start_[slot(head)] : off;
   }
 
   static std::size_t hash(const std::uint8_t* p) {
@@ -835,6 +882,7 @@ class MatchFinder {
   std::size_t n_;
   std::int32_t* head_;
   std::int32_t* prev_;
+  std::int32_t* start_;
   std::int64_t origin_;  // the position whose offset is 0
   std::int32_t floor_;   // the offset of the first position since priming
 };
@@ -881,7 +929,7 @@ void parse_strip(const std::uint8_t* data, std::size_t n,
     if (m.len >= kMinMatch) {
       finder.insert(pos);
       if (pos + 1 < hi && m.len < kMaxMatch) {
-        const MatchFinder::Match next = finder.find(pos + 1, hi);
+        const MatchFinder::Match next = finder.find(pos + 1, hi, m.len);
         if (next.len > m.len) {
           push_literal(data[pos]);
           ++pos;
@@ -989,10 +1037,14 @@ std::uint32_t adler32_combine(std::uint32_t first, std::uint32_t second,
 /// Whether some whole strip of the `n` bytes at `data` has at least 1/64
 /// of its bytes starting a new byte run. A strip with fewer is flat — the
 /// background of a rendered frame's scanlines, where only the filter-type
-/// byte of each row breaks the runs — and parses in about the time that
-/// priming a thread with the window before it takes, so handing such
-/// strips to other threads would roughly double their cost for little
-/// gain in wall time.
+/// byte of each row breaks the runs (0.4% of a flat 160 px frame's bytes
+/// start a run; each of the origin's main-view frames has a strip with 9%
+/// or more) — and parses in about the time that priming a thread with the
+/// window before it takes, so handing such strips to other threads would
+/// roughly double their cost for no gain in wall time: with the run-aware
+/// search, a flat 160 px frame encoded in 158-180 us of CPU on the caller
+/// against 350-403 us (218-249 us of wall time) with its strips on a pool
+/// of 4.
 bool has_costly_strip(const std::uint8_t* data, std::size_t n) {
   constexpr std::size_t kCostlyRunStarts = kDeflateStrip / 64;
   for (std::size_t lo = 0; lo + kDeflateStrip <= n; lo += kDeflateStrip) {

@@ -4,7 +4,9 @@
 // PNG tiles are the dominant payload, so their IDAT stream deserves real
 // compression instead of stored blocks. The compressor runs LZ77 over a
 // 32 KiB window (hash-chain match search, greedy with one-step lazy
-// evaluation) in independent strips of kDeflateStrip bytes, each primed
+// evaluation; a search that opens a byte run takes each earlier run of
+// that byte as one candidate, since filtered scanlines are mostly zero
+// runs) in independent strips of kDeflateStrip bytes, each primed
 // with the window before it and with no match past its end, so a lent
 // thread pool can parse them at once; the output does not depend on the
 // pool. Each 65535-byte block, made of whole strips, is emitted in
@@ -35,7 +37,10 @@ inline constexpr std::size_t kDeflateStrip = 13107;
 std::uint32_t adler32(const std::uint8_t* data, std::size_t n);
 
 /// Compress `n` bytes into a raw DEFLATE stream: LZ77 with hash-chain
-/// match search and one-step lazy evaluation, parsed in strips of
+/// match search (up to 128 candidates per position, or 32 earlier runs
+/// when the position opens a run of one byte, each run measured only at
+/// the offset whose remaining run equals the current one) and one-step
+/// lazy evaluation, parsed in strips of
 /// kDeflateStrip bytes (each primed with the 32 KiB before it, its matches
 /// clipped at its end), then per block of 65535 input bytes (the last may
 /// be shorter) the cheapest of stored, fixed- and dynamic-Huffman coding by

@@ -56,6 +56,47 @@ inline std::vector<std::uint8_t> word_text(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+/// Bytes shaped like a rendered frame's filtered scanlines: `rows` rows of
+/// `row_bytes`, each a filter-type byte, then zero runs broken by sparse
+/// residual bytes in short bursts that drift from row to row, as a shaded
+/// feature's edges do. Zero runs also cover 300 bytes around every strip
+/// end and around the start of every later strip's 32 KiB priming window,
+/// so runs cross strip edges and priming begins mid-run.
+inline std::vector<std::uint8_t> frame_like_scanlines(std::size_t rows,
+                                                      std::size_t row_bytes,
+                                                      std::uint64_t seed) {
+  ricsa::util::Xoshiro256 rng(seed);
+  std::vector<std::uint8_t> out(rows * row_bytes, 0);
+  // Bursts start `edge` bytes from either end of a row (row_bytes >= 128).
+  const std::size_t lowest = 32, highest = row_bytes / 2 - 32;
+  std::size_t edge = row_bytes / 3;
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::uint8_t* row = out.data() + r * row_bytes;
+    row[0] = static_cast<std::uint8_t>(1 + rng() % 4);
+    edge = std::clamp<std::size_t>(edge + rng() % 7, lowest + 3,
+                                   highest + 3) - 3;
+    for (const std::size_t at : {edge, row_bytes - edge - 24}) {
+      const std::size_t length = 1 + rng() % 24;
+      for (std::size_t i = at; i < at + length; ++i) {
+        row[i] = static_cast<std::uint8_t>(rng() % 5 == 0 ? rng() & 0xFF
+                                                          : 1 + rng() % 3);
+      }
+    }
+    if (rng() % 9 == 0) row[1 + rng() % (row_bytes - 1)] = 0xFF;
+  }
+  constexpr std::size_t kWindow = 32768;
+  for (std::size_t end = v::kDeflateStrip; end < out.size();
+       end += v::kDeflateStrip) {
+    std::vector<std::size_t> centres = {end};
+    if (end >= kWindow + 150) centres.push_back(end - kWindow);
+    for (const std::size_t at : centres) {
+      if (at + 150 > out.size()) continue;
+      std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(at - 150), 300, 0);
+    }
+  }
+  return out;
+}
+
 struct NamedInput {
   std::string name;
   std::vector<std::uint8_t> bytes;
@@ -111,6 +152,10 @@ inline std::vector<NamedInput> byte_corpus() {
   std::copy(straddle_stored.begin() + 45533, straddle_stored.begin() + 45539,
             straddle_stored.begin() + 65533);
   corpus.push_back({"short match straddles block, stored", straddle_stored});
+  // The filtered scanlines of a 192 x 192 RGB frame, mostly zero runs: the
+  // run-aware match search takes each earlier run as one candidate.
+  corpus.push_back(
+      {"frame-like scanlines", frame_like_scanlines(192, 577, 8)});
   return corpus;
 }
 

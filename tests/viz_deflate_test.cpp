@@ -20,10 +20,14 @@
 #include <vector>
 
 #include "codec_corpus.hpp"
+#include "data/generators.hpp"
+#include "mutation.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 #include "viz/deflate.hpp"
 #include "viz/image.hpp"
+#include "viz/raycast.hpp"
+#include "viz/tiles.hpp"
 
 namespace v = ricsa::viz;
 using namespace ricsa::codec_corpus;
@@ -217,13 +221,18 @@ TEST(Deflate, StoredFallbackSplitsSpansPastSixtyFourK) {
 
 TEST(Deflate, PooledOutputIsIndependentOfThePool) {
   // deflate, zlib_compress and encode_png give the same bytes with no pool
-  // and with pools of 1, 2 and 4 threads, over the golden corpus and the
-  // inputs around every strip and block edge; every non-final block covers
-  // exactly 65535 bytes.
+  // and with pools of 1, 2 and 4 threads, over the golden corpus, the
+  // inputs around every strip and block edge and frame-like scanlines of
+  // 9 and 23 strips, whose zero runs cross every strip end and every
+  // priming window's start (a run's stretch then starts at the window on
+  // a primed thread, and earlier on one that continues its tables); every
+  // non-final block covers exactly 65535 bytes.
   ricsa::util::ThreadPool one(1), two(2), four(4);
   const std::array<ricsa::util::ThreadPool*, 3> pools = {&one, &two, &four};
   std::vector<NamedInput> inputs = byte_corpus();
   for (NamedInput& in : strip_edge_inputs()) inputs.push_back(std::move(in));
+  inputs.push_back(
+      {"frame-like, 23 strips", frame_like_scanlines(522, 577, 9)});
   for (const NamedInput& in : inputs) {
     const auto z = v::deflate(in.bytes);
     const auto zlib = v::zlib_compress(in.bytes.data(), in.bytes.size());
@@ -919,27 +928,115 @@ TEST(CodecProperty, PngRoundTripsOpaqueAndTranslucentImages) {
   }
 }
 
+TEST(CodecProperty, SeededMutationsDecodeOrThrow) {
+  // inflate, zlib_decompress and Image::decode_png over 4,000 mutated
+  // encoder outputs: the byte corpus's raw and zlib streams, and the PNGs
+  // of a ray-cast frame and of the rect that changed from the frame
+  // before, mutated whole (most then fail a chunk CRC) or in their IDAT
+  // payload with the chunk CRC made good again. Every case decodes or
+  // throws std::runtime_error, and never returns more than the output
+  // limit it was given.
+  std::vector<std::string> raw, zlib, png, idat;
+  const auto text = [](const std::vector<std::uint8_t>& bytes) {
+    return std::string(bytes.begin(), bytes.end());
+  };
+  for (const NamedInput& in : byte_corpus()) {
+    if (in.bytes.size() > 200000) continue;  // keep each case cheap
+    raw.push_back(text(v::deflate(in.bytes)));
+    zlib.push_back(text(v::zlib_compress(in.bytes.data(), in.bytes.size())));
+  }
+  const ricsa::data::ScalarVolume torus = ricsa::data::make_torus(32, 9, 4);
+  v::RayCastOptions camera;
+  camera.width = camera.height = 96;
+  const v::Image before =
+      v::raycast(torus, v::TransferFunction::preset(0, 4), camera).image;
+  camera.azimuth += 0.15f;
+  const v::Image frame =
+      v::raycast(torus, v::TransferFunction::preset(0, 4), camera).image;
+  const auto rect = v::changed_bounds(before, frame);
+  ASSERT_TRUE(rect.has_value());
+  for (const v::Image& img : {frame, v::TileGrid::extract(frame, *rect)}) {
+    png.push_back(text(img.encode_png()));
+    // The encoder writes one IDAT chunk, right after the 33 bytes of the
+    // signature and IHDR.
+    std::size_t length = 0;
+    for (std::size_t k = 33; k < 37; ++k) {
+      length = length << 8 | static_cast<std::uint8_t>(png.back()[k]);
+    }
+    idat.push_back(png.back().substr(41, length));
+  }
+  // Stored-block headers (LEN 65535 among them), block-type bits, a zlib
+  // header, chunk names and a huge chunk length.
+  const std::vector<std::string> tokens = {
+      std::string("\x00\x00\xff\xff", 4), std::string("\xff\xff\x00\x00", 4),
+      "\x01", "\x05", "\x7f", "\x78\x9c", "IDAT", "IEND", "IHDR",
+      "\x7f\xff\xff\xff"};
+  ricsa::util::Xoshiro256 rng(0xDEF1A7E);
+  int decoded = 0, thrown = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const int kind = i % 4;
+    const std::size_t seed = static_cast<std::size_t>(i / 4);
+    const std::vector<std::string>& seeds =
+        kind == 0 ? raw : kind == 1 ? zlib : kind == 2 ? png : idat;
+    std::string input =
+        ricsa_test::mutate(seeds[seed % seeds.size()], rng, tokens);
+    if (kind == 3) {  // signature and IHDR, the mutated IDAT, IEND
+      const std::string& whole = png[seed % png.size()];
+      input = whole.substr(0, 33) +
+              text(png_chunk("IDAT", {input.begin(), input.end()})) +
+              text(png_chunk("IEND", {}));
+    }
+    const auto* data = reinterpret_cast<const std::uint8_t*>(input.data());
+    const std::size_t limit = 1 + static_cast<std::size_t>(rng() % 300000);
+    try {
+      if (kind == 0) {
+        EXPECT_LE(v::inflate(data, input.size(), nullptr, limit).size(), limit)
+            << "case " << i;
+      } else if (kind == 1) {
+        EXPECT_LE(v::zlib_decompress(data, input.size(), limit).size(), limit)
+            << "case " << i;
+      } else {
+        const v::Image img = v::Image::decode_png({input.begin(), input.end()});
+        EXPECT_EQ(img.pixels().size(),
+                  static_cast<std::size_t>(img.width()) * img.height())
+            << "case " << i;
+      }
+      ++decoded;
+    } catch (const std::runtime_error&) {
+      ++thrown;
+    }
+  }
+  // Both outcomes turn up: the replay reaches past the first bad byte.
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(thrown, 0);
+}
+
 // ------------------------------------------------ golden encoder output ----
 //
 // The encoder's parse (strips of kDeflateStrip bytes, each primed with the
 // 32 KiB before it and with no match past its end; within a strip a
-// 3-byte hash, 128-candidate chain budget, first longest match wins and
-// the one-step lazy rule), its blocks (five whole strips, 65535 bytes),
-// its block coding (stored, fixed or dynamic by exact bit cost, the code
-// lengths and their run-length coding) and the PNG colour type and filter
-// choice (None/Sub/Up/Paeth by strict < in that order) are pinned by
+// 3-byte hash, a chain budget of 128 candidates, or 32 for a position
+// that opens a byte run, which takes each earlier run as one candidate,
+// first longest match wins and the one-step lazy rule), its blocks (five
+// whole strips, 65535 bytes), its block coding (stored, fixed or dynamic
+// by exact bit cost, the code lengths and their run-length coding) and
+// the PNG colour type and filter choice (None/Sub/Up/Paeth by strict < in
+// that order) are pinned by
 // CRC-32 and length over a generated corpus (tests/codec_corpus.hpp). Any
 // change to a decision changes a value below. Inputs of one strip or less
 // (empty, one byte, short repeat, text, the cost tie) keep the bytes of
 // the encoder that parsed each input in one piece; the rest, and every
 // PNG table entry (each chains in a 192 x 192 image), were re-recorded
-// when strips came in.
+// when strips came in. The run-aware search changed only the skewed
+// entries and the constant and shapes PNGs; the frame-like entry came
+// with it.
 //
 // The last column of each table is the length the encoder gave when every
 // block was fixed-Huffman or stored and every PNG was RGBA: no entry may
 // exceed it. Each block takes the cheapest of three codings, and an
 // opaque PNG deflates a quarter fewer scanline bytes; clipping matches at
-// strip ends gives back only a few bytes.
+// strip ends gives back only a few bytes. The frame-like entry's bound is
+// that of the run-aware parse with every block fixed-Huffman or stored.
 
 TEST(EncoderGolden, DeflateAndZlibOutputIsPinned) {
   struct Expected {
@@ -954,14 +1051,15 @@ TEST(EncoderGolden, DeflateAndZlibOutputIsPinned) {
       {0x9bc06d99u, 3, 0xd81c9cd3u, 9, 3},                   // one byte
       {0xbf9a8d3fu, 9, 0xeaeaae63u, 15, 9},                  // short repeat
       {0xf4020fe3u, 62, 0xd271c09du, 68, 64},                // text
-      {0xc5331e2du, 43342, 0x82baa82du, 43348, 58572},       // skewed 100k
+      {0x6add9d08u, 43364, 0xcd1ebbcbu, 43370, 58572},       // skewed 100k
       {0x9e2e88dbu, 150015, 0x77fe139eu, 150021, 150015},    // random 150k
       {0xab6180d7u, 69871, 0xdf978adcu, 69877, 70015},       // straddle, random
-      {0x98800693u, 60137, 0x218d4951u, 60143, 81378},       // straddle, skewed
+      {0x86f10fd6u, 60191, 0xb7d5fe7cu, 60197, 81378},       // straddle, skewed
       {0xf33d11f9u, 98755, 0x3f168d65u, 98761, 100510},      // window edge
       {0xf34a677cu, 245497, 0x3bed172au, 245503, 312870},    // words 1.3M
       {0x86b48611u, 35, 0x9bbb78d4u, 41, 35},                // fixed/stored tie
       {0x37d17d97u, 70010, 0x4ab5b862u, 70016, 70015},       // short straddle
+      {0x9c30f6c0u, 4316, 0x23566472u, 4322, 4934},          // frame-like
   };
   const std::vector<NamedInput> corpus = byte_corpus();
   ASSERT_EQ(corpus.size(), std::size(kExpected));
@@ -1004,10 +1102,10 @@ TEST(EncoderGolden, PngOutputIsPinned) {
   // The constant and shapes images are opaque (RGB), the gradient is
   // opaque only at width 1, and the noise is translucent (RGBA, stored).
   static const Expected kExpected[] = {
-      {Pattern::kConstant, "constant", 0xe3475919u, 3113, 3934},
+      {Pattern::kConstant, "constant", 0x66ac65c2u, 2999, 3934},
       {Pattern::kGradient, "gradient", 0xd32efc8bu, 3887, 4536},
       {Pattern::kNoise, "noise", 0xbc0936cau, 161285, 161285},
-      {Pattern::kShapes, "shapes", 0x112eb56au, 26613, 32780},
+      {Pattern::kShapes, "shapes", 0xa22e41c4u, 26487, 32780},
   };
   for (const Expected& e : kExpected) {
     // One CRC chained over every width's PNG, and their total length.

@@ -431,23 +431,25 @@ TEST(TileDelta, CursorAnchoredDeltaRefusesRangesCrossingFullChangeFrames) {
 TEST(TileDelta, UnchangedImageOmitsImageAndKeepsTheDeltaChain) {
   ricsa_test::HubLoop loop;
   w::FrameHub hub(tile_hub_config(loop.get()));
-  hub.publish(state_of(1.0), scene(0));
-  hub.publish(state_of(2.0), scene(0));  // byte-identical pixels
+  // Textured frames: on a flat toy frame the full PNG is no larger than the
+  // body carrying the 1 -> 3 rect, so the size cap would decline the delta.
+  hub.publish(state_of(1.0), textured_scene(0));
+  hub.publish(state_of(2.0), textured_scene(0));  // byte-identical pixels
   const w::FramePtr f2 = hub.next_after(1);
   ASSERT_TRUE(f2);
   const Json delta = Json::parse(f2->body(w::Tier::kFull, true));
   EXPECT_FALSE(delta.contains("tiles"));
   EXPECT_FALSE(delta.contains("image_b64"));
   // Cursor-anchored across the unchanged frame still works: 1 -> 3.
-  hub.publish(state_of(3.0), scene(5));
+  hub.publish(state_of(3.0), textured_scene(5));
   const w::FramePtr f3 = hub.next_after(2);
   ASSERT_TRUE(f3);
   const std::string body = hub.delta_body_for(f3, 1, w::Tier::kFull);
   ASSERT_FALSE(body.empty());
-  v::Image canvas = scene(0);
+  v::Image canvas = textured_scene(0);
   std::uint64_t composited = 1;
   ASSERT_TRUE(apply_body(Json::parse(body), canvas, composited));
-  EXPECT_EQ(canvas.pixels(), scene(5).pixels());
+  EXPECT_EQ(canvas.pixels(), textured_scene(5).pixels());
 }
 
 TEST(TileDelta, CursorAgedOutOfWindowFallsBack) {
